@@ -6,7 +6,8 @@
 //! markdown on stdout.
 //!
 //! Run with: `cargo run --release -p vita-bench --bin experiments`
-//! (Pass experiment ids, e.g. `e3 e5`, to run a subset. Pass
+//! (Pass experiment ids, e.g. `e3 e5`, to run a subset; an unknown id
+//! lists the known ones on stderr and exits 2 before anything runs. Pass
 //! `--json PATH` to additionally wrap the report in a
 //! `BENCH_seed.json`-style document written to PATH.)
 //!
@@ -36,74 +37,69 @@ use vita_positioning::{
 use vita_rssi::PathLossModel;
 use vita_storage::{RunScope, TrajectoryTable};
 
+/// Every experiment the harness runs, by id, in report order.
+const EXPERIMENTS: [(&str, fn()); 17] = [
+    ("f3", f3_deployment_and_crowds),
+    ("e3", e3_method_accuracy),
+    ("e4", e4_accuracy_vs_density),
+    ("e5", e5_accuracy_vs_noise),
+    ("e6", e6_sampling_frequencies),
+    ("e7", e7_routing_comparison),
+    ("e8", e8_deployment_models),
+    ("e9", e9_dbi_processing),
+    ("e10", e10_storage),
+    ("e11", e11_streaming_pipeline),
+    ("e11s", e11_at_scale),
+    ("e13", e13_concurrent_scenarios),
+    ("e14", e14_persistence),
+    ("e15", e15_query_serving),
+    ("e16", e16_read_under_ingest),
+    ("e17", e17_out_of_core),
+    ("a1", a1_trilateration_ablation),
+];
+
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
-    if let Some(i) = args.iter().position(|a| a == "--json") {
+    let json = args.iter().position(|a| a == "--json").map(|i| {
         let path = args
             .get(i + 1)
             .cloned()
             .expect("--json requires an output path");
         args.drain(i..=i + 1);
+        path
+    });
+    let lab = args.first().map(String::as_str) == Some("lab");
+    // Every id is checked before anything is printed or written, so a
+    // typo fails the run instead of producing an empty report.
+    if !lab {
+        let unknown: Vec<&str> = args
+            .iter()
+            .map(String::as_str)
+            .filter(|a| !EXPERIMENTS.iter().any(|(id, _)| id == a))
+            .collect();
+        if !unknown.is_empty() {
+            let known: Vec<&str> = EXPERIMENTS.iter().map(|(id, _)| *id).collect();
+            eprintln!(
+                "unknown experiment id(s): {}\nknown ids: {}",
+                unknown.join(" "),
+                known.join(" ")
+            );
+            std::process::exit(2);
+        }
+    }
+    if let Some(path) = json {
         write_json_report(&path, &args);
         return;
     }
-    if args.first().map(String::as_str) == Some("lab") {
+    if lab {
         run_lab_command(&args[1..]);
         return;
     }
-    let want = |id: &str| args.is_empty() || args.iter().any(|a| a == id);
-
     println!("# Vita experiment harness — measured results\n");
-    if want("f3") {
-        f3_deployment_and_crowds();
-    }
-    if want("e3") {
-        e3_method_accuracy();
-    }
-    if want("e4") {
-        e4_accuracy_vs_density();
-    }
-    if want("e5") {
-        e5_accuracy_vs_noise();
-    }
-    if want("e6") {
-        e6_sampling_frequencies();
-    }
-    if want("e7") {
-        e7_routing_comparison();
-    }
-    if want("e8") {
-        e8_deployment_models();
-    }
-    if want("e9") {
-        e9_dbi_processing();
-    }
-    if want("e10") {
-        e10_storage();
-    }
-    if want("e11") {
-        e11_streaming_pipeline();
-    }
-    if want("e11s") {
-        e11_at_scale();
-    }
-    if want("e13") {
-        e13_concurrent_scenarios();
-    }
-    if want("e14") {
-        e14_persistence();
-    }
-    if want("e15") {
-        e15_query_serving();
-    }
-    if want("e16") {
-        e16_read_under_ingest();
-    }
-    if want("e17") {
-        e17_out_of_core();
-    }
-    if want("a1") {
-        a1_trilateration_ablation();
+    for (id, run) in EXPERIMENTS {
+        if args.is_empty() || args.iter().any(|a| a == id) {
+            run();
+        }
     }
 }
 

@@ -56,8 +56,10 @@
 //!   the ordering / batch-size / backpressure contract above is unchanged.
 //! * [`SegmentedRepository`] — each table a list of immutable, run-
 //!   segmented segments published by atomic snapshot swap, with a
-//!   background sealer/compactor building indexes once at seal time (see
-//!   the [`segment`] module docs). Readers pin a snapshot and never block;
+//!   background sealer/compactor that sorts sealed sections by time and
+//!   builds no index: a sealed section's object, device and spatial
+//!   indexes are each built by the first query that needs them (see the
+//!   [`segment`] module docs). Readers pin a snapshot and never block;
 //!   choose it when queries must stay fast *while* ingestion runs (the
 //!   online-serving workload). For purely offline workloads the locked
 //!   backends skip the sealer thread and the per-query merge.

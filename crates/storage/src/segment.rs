@@ -13,10 +13,16 @@
 //!   becomes a small unsealed segment (one per-run section, rows in
 //!   arrival order, no indexes); a background **sealer** merges unsealed
 //!   segments into sealed ones — per-run sections, exactly like the v2
-//!   wire format's section layout — and builds each sealed section's time
-//!   / object / device / per-floor spatial indexes **once**, at seal
-//!   time. A **compactor** folds accumulated sealed segments together so
-//!   the list stays short.
+//!   wire format's section layout — with rows physically sorted by
+//!   `(t, seq)`, which is all a time window needs. A **compactor** folds
+//!   accumulated sealed segments together so the list stays short.
+//! * A sealed section's object, device and per-floor spatial indexes are
+//!   built **on first use**, each behind its own `OnceLock`: the first
+//!   object trace or snapshot builds the object map, the first device
+//!   lookup the device map, the first range or kNN query the spatial
+//!   grids; scans, counts and time windows build nothing. Writers, the
+//!   sealer, the compactor and page-in do no index work at all, so an
+//!   index no query reads is never built.
 //! * The current segment list is published through a `SnapshotCell`:
 //!   readers pin the current snapshot (an `Arc` — the pin is the
 //!   reference count), answer the whole query against that frozen state,
@@ -35,9 +41,9 @@
 //! ## Tiered storage (spill)
 //!
 //! With a [`SpillConfig`], sealed segments become a two-tier store:
-//! `Resident` (decoded rows + indexes in memory) or `Spilled` (a
-//! self-describing segment file on disk, written atomically via temp
-//! file + rename). Every segment — spilled or not — keeps per-section
+//! `Resident` (decoded rows in memory, plus the indexes queries built) or
+//! `Spilled` (a self-describing segment file on disk, written atomically
+//! via temp file + rename). Every segment — spilled or not — keeps per-section
 //! **meta** (run, row count, time bounds, floor set) plus its seq range,
 //! so query planning (run/time/floor pruning) never touches disk; only a
 //! query that actually needs a spilled section's rows pages the segment
@@ -50,16 +56,18 @@
 //! [`SegmentedRepository::spill_pending_rows`] high-water mark and pay
 //! the eviction IO themselves — explicit backpressure instead of
 //! unbounded growth. Readers still pin snapshots lock-free; page-in
-//! rebuilds sections deterministically, so answers stay bit-identical
-//! to the all-resident backend.
+//! decodes a segment file (checksum-verified, then cross-checked against
+//! the segment's meta) back into sections whose indexes again start
+//! unbuilt, so answers stay bit-identical to the all-resident backend.
 
 use std::any::Any;
 use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
+use std::hash::Hash;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex as StdMutex};
+use std::sync::{Arc, Condvar, Mutex as StdMutex, OnceLock};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -304,16 +312,23 @@ impl SegmentRow for ProximityRecord {
     }
 }
 
-/// Indexes a sealed section carries, built exactly once at seal time.
-/// There is no time index: a sealed section's rows are stored physically
-/// in `(t, seq)` order, so time windows are contiguous sub-slices.
+/// Indexes of a sealed section. Each is built the first time a query of
+/// its kind reads the section — an object trace or snapshot builds
+/// `by_object`, a device lookup `by_device`, a range or kNN query
+/// `spatial` — and kept for the section's lifetime. Sealing, compaction
+/// and page-in build none of them, so a section no query of a kind ever
+/// reads never pays for that kind's index. Concurrent first readers race
+/// on the `OnceLock`: one builds, the others wait for it. There is no
+/// time index: a sealed section's rows are stored physically in
+/// `(t, seq)` order, so time windows are contiguous sub-slices.
+#[derive(Default)]
 struct SectionIndex {
     /// Row positions per object, ascending — because rows are
     /// `(t, seq)`-sorted, each list is the object's trace in trace order.
-    by_object: HashMap<ObjectId, Vec<u32>>,
-    by_device: HashMap<DeviceId, Vec<u32>>,
-    /// Per-floor grid over point-located rows (trajectory table only).
-    spatial: HashMap<FloorId, GridIndex>,
+    by_object: OnceLock<HashMap<ObjectId, Vec<u32>>>,
+    by_device: OnceLock<HashMap<DeviceId, Vec<u32>>>,
+    /// Per-floor grids over point-located rows.
+    spatial: OnceLock<HashMap<FloorId, GridIndex>>,
 }
 
 /// One run's rows inside a segment — the in-memory mirror of the v2 wire
@@ -351,22 +366,22 @@ impl<R: SegmentRow> Section<R> {
     }
 
     /// Seal a section from arrival-ordered rows: physically re-sort to
-    /// `(t, seq)` order, then index.
-    fn sealed(run: RunId, rows: Vec<R>, seqs: Vec<Seq>, build_spatial: bool) -> Self {
+    /// `(t, seq)` order.
+    fn sealed(run: RunId, rows: Vec<R>, seqs: Vec<Seq>) -> Self {
         let mut order: Vec<u32> = (0..rows.len() as u32).collect();
         order.sort_unstable_by_key(|&i| (rows[i as usize].time(), seqs[i as usize]));
         let sorted_rows: Vec<R> = order.iter().map(|&i| rows[i as usize]).collect();
         let sorted_seqs: Vec<Seq> = order.iter().map(|&i| seqs[i as usize]).collect();
-        Self::from_sorted(run, sorted_rows, sorted_seqs, build_spatial)
+        Self::from_sorted(run, sorted_rows, sorted_seqs)
     }
 
     /// A sealed section built by *merging* already-sealed parts — the
     /// compaction path. The dominant cost of sealing is the `(t, seq)`
     /// sort; the parts are already physically sorted, so an `O(n log k)`
-    /// k-way merge replaces it and everything else is a linear pass. On
-    /// one-core hosts this is the difference between compaction being
-    /// invisible to query threads and showing up in their tail latency.
-    fn merged(run: RunId, parts: &[&Section<R>], build_spatial: bool) -> Self {
+    /// k-way merge replaces it. On one-core hosts this is the difference
+    /// between compaction being invisible to query threads and showing up
+    /// in their tail latency.
+    fn merged(run: RunId, parts: &[&Section<R>]) -> Self {
         use std::cmp::Reverse;
         use std::collections::BinaryHeap;
         let total: usize = parts.iter().map(|p| p.rows.len()).sum();
@@ -388,11 +403,12 @@ impl<R: SegmentRow> Section<R> {
                 heap.push(Reverse((t, s, pi, pos + 1)));
             }
         }
-        Self::from_sorted(run, rows, seqs, build_spatial)
+        Self::from_sorted(run, rows, seqs)
     }
 
-    /// Index rows already in `(t, seq)` order into a sealed section.
-    fn from_sorted(run: RunId, rows: Vec<R>, seqs: Vec<Seq>, build_spatial: bool) -> Self {
+    /// A sealed section over rows already in `(t, seq)` order; its
+    /// indexes start unbuilt.
+    fn from_sorted(run: RunId, rows: Vec<R>, seqs: Vec<Seq>) -> Self {
         debug_assert!(
             (1..rows.len()).all(|i| (rows[i - 1].time(), seqs[i - 1]) < (rows[i].time(), seqs[i]))
         );
@@ -400,34 +416,52 @@ impl<R: SegmentRow> Section<R> {
             (Some(first), Some(last)) => (first.time(), last.time()),
             _ => (Timestamp(u64::MAX), Timestamp(0)),
         };
-        let mut by_object: HashMap<ObjectId, Vec<u32>> = HashMap::new();
-        let mut by_device: HashMap<DeviceId, Vec<u32>> = HashMap::new();
-        for (i, r) in rows.iter().enumerate() {
-            if let Some(o) = r.object() {
-                by_object.entry(o).or_default().push(i as u32);
-            }
-            if let Some(d) = r.device() {
-                by_device.entry(d).or_default().push(i as u32);
-            }
-        }
-        let spatial = if build_spatial {
-            build_spatial_grids(&rows)
-        } else {
-            HashMap::new()
-        };
         Section {
             run,
             rows,
             seqs,
             min_t,
             max_t,
-            index: Some(SectionIndex {
-                by_object,
-                by_device,
-                spatial,
-            }),
+            index: Some(SectionIndex::default()),
         }
     }
+
+    /// Row positions per object, built on first use; `None` when
+    /// unsealed.
+    fn object_index(&self) -> Option<&HashMap<ObjectId, Vec<u32>>> {
+        let ix = self.index.as_ref()?;
+        Some(
+            ix.by_object
+                .get_or_init(|| positions(&self.rows, R::object)),
+        )
+    }
+
+    /// Row positions per device, built on first use; `None` when
+    /// unsealed.
+    fn device_index(&self) -> Option<&HashMap<DeviceId, Vec<u32>>> {
+        let ix = self.index.as_ref()?;
+        Some(
+            ix.by_device
+                .get_or_init(|| positions(&self.rows, R::device)),
+        )
+    }
+
+    /// Per-floor grids, built on first use; `None` when unsealed.
+    fn spatial_index(&self) -> Option<&HashMap<FloorId, GridIndex>> {
+        let ix = self.index.as_ref()?;
+        Some(ix.spatial.get_or_init(|| build_spatial_grids(&self.rows)))
+    }
+}
+
+/// Row positions per key, each list ascending.
+fn positions<R, K: Eq + Hash>(rows: &[R], key: impl Fn(&R) -> Option<K>) -> HashMap<K, Vec<u32>> {
+    let mut map: HashMap<K, Vec<u32>> = HashMap::new();
+    for (i, r) in rows.iter().enumerate() {
+        if let Some(k) = key(r) {
+            map.entry(k).or_default().push(i as u32);
+        }
+    }
+    map
 }
 
 /// Per-floor grids over point-located rows: one linear insert pass per
@@ -521,6 +555,17 @@ pub enum SpillError {
     /// A segment file failed validation on page-in (truncated, bit-flipped,
     /// or not a segment file at all).
     Codec(CodecError),
+    /// A segment file decoded cleanly but holds other rows than the
+    /// segment it was written for — another valid segment file copied
+    /// over it, say. `what` names the first disagreement with the
+    /// segment's planning meta: `"section count"`, `"run"`,
+    /// `"row count"`, `"time bounds"` or `"seq range"`.
+    WrongSegment {
+        /// Id of the segment whose file disagrees.
+        segment: u64,
+        /// The first meta field the file contradicts.
+        what: &'static str,
+    },
 }
 
 impl fmt::Display for SpillError {
@@ -528,6 +573,12 @@ impl fmt::Display for SpillError {
         match self {
             SpillError::Io(e) => write!(f, "spill io: {e}"),
             SpillError::Codec(e) => write!(f, "spill file corrupt: {e}"),
+            SpillError::WrongSegment { segment, what } => {
+                write!(
+                    f,
+                    "spill file of segment {segment} disagrees with its {what}"
+                )
+            }
         }
     }
 }
@@ -537,6 +588,7 @@ impl std::error::Error for SpillError {
         match self {
             SpillError::Io(e) => Some(e),
             SpillError::Codec(e) => Some(e),
+            SpillError::WrongSegment { .. } => None,
         }
     }
 }
@@ -618,7 +670,7 @@ impl SectionMeta {
 
 /// Where a segment's rows live.
 enum SegmentState<R> {
-    /// Decoded rows (and indexes) in memory.
+    /// Decoded rows (and the indexes queries built) in memory.
     Resident(Vec<Section<R>>),
     /// Rows in a segment file; meta stays on the [`Segment`].
     Spilled { path: PathBuf },
@@ -626,7 +678,8 @@ enum SegmentState<R> {
 
 /// An immutable group of per-run sections. Unsealed segments hold exactly
 /// one section (the accepted batch) and are always resident; sealed
-/// segments hold one section per run, each indexed, and may be spilled.
+/// segments hold one `(t, seq)`-sorted section per run, indexed on first
+/// use, and may be spilled.
 /// The `id` is stable across the resident → spilled republish, so cache
 /// entries and spill files stay keyed to the same logical segment.
 struct Segment<R> {
@@ -683,6 +736,45 @@ impl<R: SegmentRow> Segment<R> {
         }
     }
 
+    /// Check the sections decoded from this segment's spill file —
+    /// `(run, seqs, min_t, max_t)` each, in file order — against the meta
+    /// the segment was published with. A file that decodes cleanly can
+    /// still be the wrong one, and answering from it would return rows
+    /// the query plan never selected.
+    fn check_file<'a>(
+        &self,
+        sections: impl ExactSizeIterator<Item = (RunId, &'a [Seq], Timestamp, Timestamp)>,
+    ) -> Result<(), SpillError> {
+        let wrong = |what| {
+            Err(SpillError::WrongSegment {
+                segment: self.id,
+                what,
+            })
+        };
+        if sections.len() != self.meta.len() {
+            return wrong("section count");
+        }
+        let mut seq_range: Option<(Seq, Seq)> = None;
+        for ((run, seqs, min_t, max_t), meta) in sections.zip(&self.meta) {
+            if run != meta.run {
+                return wrong("run");
+            }
+            if seqs.len() != meta.rows {
+                return wrong("row count");
+            }
+            if (min_t, max_t) != (meta.min_t, meta.max_t) {
+                return wrong("time bounds");
+            }
+            for &s in seqs {
+                seq_range = Some(seq_range.map_or((s, s), |(lo, hi)| (lo.min(s), hi.max(s))));
+            }
+        }
+        if seq_range.unwrap_or((0, 0)) != self.seq_range {
+            return wrong("seq range");
+        }
+        Ok(())
+    }
+
     fn resident_sections(&self) -> Option<&[Section<R>]> {
         match &self.state {
             SegmentState::Resident(s) => Some(s),
@@ -704,8 +796,9 @@ impl<R: SegmentRow> Segment<R> {
 
 /// The decoded rows of one spilled segment — what the page-in cache
 /// holds. Sections are rebuilt deterministically from the file
-/// (`(t, seq)` order is stored, indexes are a function of it), so a
-/// paged-in segment answers bit-identically to its resident original.
+/// (`(t, seq)` order is stored, indexes are a function of it and built
+/// on first use), so a paged-in segment answers bit-identically to its
+/// resident original.
 struct SegmentData<R> {
     sections: Vec<Section<R>>,
 }
@@ -727,8 +820,8 @@ impl<R> Default for TableSnapshot<R> {
 
 /// Merge sections (in segment-list order — seq order per run) into one
 /// sealed segment's sections: rows regrouped into one section per run
-/// (wire-format shape), every section indexed.
-fn build_sealed<R: SegmentRow>(sections: Vec<&Section<R>>, build_spatial: bool) -> Vec<Section<R>> {
+/// (wire-format shape), each `(t, seq)`-sorted with its indexes unbuilt.
+fn build_sealed<R: SegmentRow>(sections: Vec<&Section<R>>) -> Vec<Section<R>> {
     let mut per_run: BTreeMap<RunId, Vec<&Section<R>>> = BTreeMap::new();
     for sec in sections {
         per_run.entry(sec.run).or_default().push(sec);
@@ -737,8 +830,8 @@ fn build_sealed<R: SegmentRow>(sections: Vec<&Section<R>>, build_spatial: bool) 
         .into_iter()
         .map(|(run, parts)| {
             if parts.iter().all(|p| p.index.is_some()) {
-                // Compaction: every part is sealed, merge their indexes.
-                Section::merged(run, &parts, build_spatial)
+                // Compaction: every part is sealed and already sorted.
+                Section::merged(run, &parts)
             } else {
                 // Sealing: fresh batches are arrival-ordered, sort from
                 // scratch.
@@ -750,7 +843,7 @@ fn build_sealed<R: SegmentRow>(sections: Vec<&Section<R>>, build_spatial: bool) 
                     seqs.extend_from_slice(&p.seqs);
                 }
                 debug_assert!(seqs.windows(2).all(|w| w[0] < w[1]));
-                Section::sealed(run, rows, seqs, build_spatial)
+                Section::sealed(run, rows, seqs)
             }
         })
         .collect()
@@ -867,9 +960,9 @@ fn time_window_sections<R: SegmentRow>(
 fn of_object_sections<R: SegmentRow>(sections: &[&Section<R>], o: ObjectId) -> Vec<R> {
     let mut out: Vec<(Timestamp, Seq, R)> = Vec::new();
     for sec in sections {
-        match &sec.index {
-            Some(ix) => {
-                if let Some(ids) = ix.by_object.get(&o) {
+        match sec.object_index() {
+            Some(by_object) => {
+                if let Some(ids) = by_object.get(&o) {
                     out.extend(ids.iter().map(|&i| {
                         let r = sec.rows[i as usize];
                         (r.time(), sec.seqs[i as usize], r)
@@ -893,9 +986,9 @@ fn of_object_sections<R: SegmentRow>(sections: &[&Section<R>], o: ObjectId) -> V
 fn of_device_sections<R: SegmentRow>(sections: &[&Section<R>], d: DeviceId) -> Vec<R> {
     let mut out: Vec<(Timestamp, Seq, R)> = Vec::new();
     for sec in sections {
-        match &sec.index {
-            Some(ix) => {
-                if let Some(ids) = ix.by_device.get(&d) {
+        match sec.device_index() {
+            Some(by_device) => {
+                if let Some(ids) = by_device.get(&d) {
                     out.extend(ids.iter().map(|&i| {
                         let r = sec.rows[i as usize];
                         (r.time(), sec.seqs[i as usize], r)
@@ -945,10 +1038,10 @@ fn snapshot_at_sections<R: SegmentRow>(sections: &[&Section<R>], at: Timestamp) 
         if sec.min_t > at {
             continue;
         }
-        match &sec.index {
-            Some(ix) => {
+        match sec.object_index() {
+            Some(by_object) => {
                 let whole = sec.max_t <= at;
-                for (&o, ids) in &ix.by_object {
+                for (&o, ids) in by_object {
                     let cut = if whole {
                         ids.len()
                     } else {
@@ -984,9 +1077,9 @@ fn range_query_sections<R: SegmentRow>(
 ) -> Vec<R> {
     let mut out: Vec<(Seq, R)> = Vec::new();
     for sec in sections {
-        match &sec.index {
-            Some(ix) => {
-                if let Some(g) = ix.spatial.get(&floor) {
+        match sec.spatial_index() {
+            Some(spatial) => {
+                if let Some(g) = spatial.get(&floor) {
                     for i in g.query_bbox(query) {
                         let r = sec.rows[i as usize];
                         if matches!(r.floor_point(), Some((_, p)) if query.contains_point(p)) {
@@ -1026,9 +1119,9 @@ fn knn_sections<R: SegmentRow>(
     }
     let mut scored: Vec<(f64, Seq, R)> = Vec::new();
     for sec in sections {
-        match &sec.index {
-            Some(ix) => {
-                let Some(g) = ix.spatial.get(&floor) else {
+        match sec.spatial_index() {
+            Some(spatial) => {
+                let Some(g) = spatial.get(&floor) else {
                     continue;
                 };
                 let dom = g.domain();
@@ -1316,9 +1409,10 @@ struct SegTable<R: SegmentRow> {
     /// the next sequence number. Held only to clone a segment-pointer list
     /// and swap the snapshot — never while rows are copied or indexed.
     writer: Mutex<Seq>,
-    /// Build per-floor grids at seal time (trajectory table only — the
-    /// other tables answer no spatial queries).
-    build_spatial: bool,
+    /// Keep each sealed section's floor set in its meta, for floor
+    /// pruning (trajectory table only — the other tables answer no
+    /// spatial queries).
+    track_floors: bool,
     /// Spill tier shared state; `None` keeps the table all-resident.
     spill: Option<Arc<SpillShared>>,
     /// Decoded spilled segments, shared with in-flight queries.
@@ -1326,11 +1420,11 @@ struct SegTable<R: SegmentRow> {
 }
 
 impl<R: SegmentRow> SegTable<R> {
-    fn new(build_spatial: bool, spill: Option<Arc<SpillShared>>) -> Self {
+    fn new(track_floors: bool, spill: Option<Arc<SpillShared>>) -> Self {
         SegTable {
             cell: SnapshotCell::new(TableSnapshot::default()),
             writer: Mutex::new(0),
-            build_spatial,
+            track_floors,
             spill,
             cache: Mutex::new(ClockCache::default()),
         }
@@ -1493,8 +1587,8 @@ impl<R: SegmentRow> SegTable<R> {
                     .expect("unsealed segments are resident") // audit: allow(R4) invariant: unsealed segments are never spilled, so they are resident
             })
             .collect();
-        let merged = build_sealed(parts, self.build_spatial);
-        let replacement = Segment::resident(merged, true, self.build_spatial);
+        let merged = build_sealed(parts);
+        let replacement = Segment::resident(merged, true, self.track_floors);
         self.replace_maybe_spilled(minis, replacement, global_decoded)
     }
 
@@ -1505,8 +1599,8 @@ impl<R: SegmentRow> SegTable<R> {
     /// pass folds at most one adjacent run of *small* sealed segments whose
     /// merged size fits a row budget of `compact_segments × seal_rows`, and
     /// leaves graduated (half-budget-or-larger) segments alone. Every row
-    /// is therefore merged O(log) times and no single pass builds more than
-    /// one budget's worth of indexes — re-merging the whole prefix on every
+    /// is therefore merged O(log) times and no single pass merges more than
+    /// one budget's worth of rows — re-merging the whole prefix on every
     /// pass would be quadratic, and on small hosts that CPU draw evicts the
     /// query threads and shows up directly as read tail latency. Under
     /// `force` the whole sealed prefix folds into one segment — except with
@@ -1606,8 +1700,8 @@ impl<R: SegmentRow> SegTable<R> {
                 ),
             }
         }
-        let merged = build_sealed(sections, self.build_spatial);
-        let replacement = Segment::resident(merged, true, self.build_spatial);
+        let merged = build_sealed(sections);
+        let replacement = Segment::resident(merged, true, self.track_floors);
         Ok(self.replace_maybe_spilled(group, replacement, global_decoded))
     }
 
@@ -1666,10 +1760,10 @@ impl<R: SegmentRow> SegTable<R> {
     }
 
     /// The decoded rows of a spilled segment: from the cache, or — on a
-    /// miss — read, checksum-verified, and deterministically rebuilt
-    /// from its file. The stored `(t, seq)` order and the indexes
-    /// derived from it make the paged-in copy answer bit-identically to
-    /// the resident original.
+    /// miss — read, checksum-verified, checked against the segment's meta
+    /// and deterministically rebuilt from its file. The stored `(t, seq)`
+    /// order, and the indexes later queries derive from it, make the
+    /// paged-in copy answer bit-identically to the resident original.
     fn page_in(
         &self,
         seg: &Segment<R>,
@@ -1687,13 +1781,13 @@ impl<R: SegmentRow> SegTable<R> {
         let decoded = decode_segment::<R>(Bytes::from(bytes))?;
         let sections: Vec<Section<R>> = decoded
             .into_iter()
-            .map(|s| Section::from_sorted(s.run, s.rows, s.seqs, self.build_spatial))
+            .map(|s| Section::from_sorted(s.run, s.rows, s.seqs))
             .collect();
-        debug_assert_eq!(
-            sections.len(),
-            seg.meta.len(),
-            "segment file sections must match meta"
-        );
+        seg.check_file(
+            sections
+                .iter()
+                .map(|s| (s.run, s.seqs.as_slice(), s.min_t, s.max_t)),
+        )?;
         let data = Arc::new(SegmentData { sections });
         sh.page_ins.fetch_add(1, Ordering::Relaxed);
         self.cache.lock().insert(
@@ -1796,7 +1890,7 @@ impl<R: SegmentRow> SegTable<R> {
 pub struct SegmentConfig {
     /// Seal the pending unsealed segments once they hold this many rows.
     /// The writer whose append crosses this seals inline, so full
-    /// backlogs seal promptly regardless of `tick` and index work is
+    /// backlogs seal promptly regardless of `tick` and the seal sort is
     /// paced by ingestion rather than bursting on the background thread.
     pub seal_rows: usize,
     /// … or once this many unsealed segments have accumulated. Unsealed
@@ -1983,9 +2077,10 @@ impl SegInner {
     }
 
     /// Append one batch; when the unsealed backlog crosses `seal_rows`,
-    /// the *writer* seals it inline. This paces index work to ingestion —
-    /// the same place the locked backends pay it, but without a read lock
-    /// anywhere — instead of letting it burst on the background thread.
+    /// the *writer* seals it inline. This paces the seal sort to ingestion
+    /// — the same place the locked backends pay their index work, but
+    /// without a read lock anywhere — instead of letting it burst on the
+    /// background thread.
     /// On one-core hosts a background burst evicts the query threads and
     /// lands straight in their tail latency; writer-side sealing also
     /// backpressures ingestion instead of letting the backlog run ahead
@@ -2781,7 +2876,19 @@ fn export_table_raw<R: SegmentRow>(table: &SegTable<R>) -> Result<Bytes, SpillEr
             None => {
                 let path = seg.spill_path().expect("non-resident segment is spilled"); // audit: allow(R4) invariant: a segment is either Resident or Spilled; non-resident implies a path
                 let bytes = std::fs::read(path)?;
-                raw.extend(decode_segment_raw::<R>(Bytes::from(bytes))?);
+                let sections = decode_segment_raw::<R>(Bytes::from(bytes))?;
+                let mut bounds = Vec::with_capacity(sections.len());
+                for sec in &sections {
+                    let time_at = |i: usize| R::decode_row(&sec.rows[i * R::ROW..(i + 1) * R::ROW]);
+                    bounds.push((time_at(0)?.time(), time_at(sec.seqs.len() - 1)?.time()));
+                }
+                seg.check_file(
+                    sections
+                        .iter()
+                        .zip(bounds)
+                        .map(|(s, (min_t, max_t))| (s.run, s.seqs.as_slice(), min_t, max_t)),
+                )?;
+                raw.extend(sections);
             }
         }
     }
@@ -3095,6 +3202,245 @@ mod tests {
         assert_eq!(spilled_export.rssi, reencoded_export.rssi);
         assert_eq!(spilled_export.fixes, reencoded_export.fixes);
         assert_eq!(spilled_export.proximity, reencoded_export.proximity);
+    }
+
+    /// Which of a sealed section's indexes exist: `(object, device,
+    /// spatial)`.
+    fn built<R: SegmentRow>(sec: &Section<R>) -> (bool, bool, bool) {
+        let ix = sec.index.as_ref().expect("sealed section");
+        (
+            ix.by_object.get().is_some(),
+            ix.by_device.get().is_some(),
+            ix.spatial.get().is_some(),
+        )
+    }
+
+    /// Index state of every resident sealed section of `table`.
+    fn built_all<R: SegmentRow>(table: &SegTable<R>) -> Vec<(bool, bool, bool)> {
+        let snap = table.cell.latest();
+        snap.segments
+            .iter()
+            .filter(|seg| seg.sealed)
+            .flat_map(|seg| seg.resident_sections().expect("all-resident"))
+            .map(built)
+            .collect()
+    }
+
+    /// An all-resident repository (whatever the environment says) with
+    /// sealed trajectory and RSSI sections.
+    fn sealed_resident() -> SegmentedRepository {
+        let repo = SegmentedRepository::build(SegmentConfig::default(), None);
+        fill(&repo);
+        let rssi = (0..40)
+            .map(|i| RssiMeasurement {
+                object: ObjectId(i % 4),
+                device: DeviceId(i % 3),
+                rssi: -50.0 - f64::from(i),
+                t: Timestamp(u64::from(i) * 25),
+            })
+            .collect();
+        repo.accept_run(RunId(0), ProductBatch::Rssi(rssi));
+        repo.seal_now();
+        repo
+    }
+
+    #[test]
+    fn sealing_and_compaction_build_no_index() {
+        let repo = sealed_resident();
+        let none = (false, false, false);
+        let (traj, rssi) = (
+            built_all(&repo.inner.trajectories),
+            built_all(&repo.inner.rssi),
+        );
+        assert!(!traj.is_empty() && !rssi.is_empty());
+        assert!(traj.iter().chain(&rssi).all(|&b| b == none));
+        fill(&repo);
+        repo.seal_now();
+        repo.seal_now();
+        assert!(repo.stats().compactions >= 1, "{:?}", repo.stats());
+        let traj = built_all(&repo.inner.trajectories);
+        assert!(!traj.is_empty() && traj.iter().all(|&b| b == none));
+    }
+
+    #[test]
+    fn each_query_kind_builds_only_its_index() {
+        type Query<'a> = &'a dyn Fn(&SegmentedRepository) -> usize;
+        let (all, floor, p) = (RunScope::All, FloorId(0), Point::new(30.0, 1.0));
+        let area = Aabb::new(Point::new(10.0, 0.0), Point::new(60.0, 2.0));
+        let (t0, t1) = (Timestamp(0), Timestamp(2_000));
+        let none = (false, false, false);
+        let (object, device, spatial) = (
+            (true, false, false),
+            (false, true, false),
+            (false, false, true),
+        );
+        let trajectory_cases: [(&str, Query, _); 7] = [
+            ("counts", &|r| r.counts(all).trajectories, none),
+            ("scan", &|r| r.trajectories_scan(all).len(), none),
+            (
+                "window",
+                &|r| r.trajectories_time_window(all, t0, t1).len(),
+                none,
+            ),
+            ("trace", &|r| r.object_trace(all, ObjectId(2)).len(), object),
+            (
+                "snapshot",
+                &|r| r.trajectories_snapshot_at(all, t1).len(),
+                object,
+            ),
+            (
+                "range",
+                &|r| r.trajectories_range_query(all, floor, &area).len(),
+                spatial,
+            ),
+            (
+                "knn",
+                &|r| r.trajectories_knn(all, floor, p, 7).len(),
+                spatial,
+            ),
+        ];
+        for (kind, query, want) in trajectory_cases {
+            let repo = sealed_resident();
+            assert!(query(&repo) > 0, "{kind} must answer rows");
+            let got = built_all(&repo.inner.trajectories);
+            assert!(
+                !got.is_empty() && got.iter().all(|&b| b == want),
+                "{kind}: {got:?}"
+            );
+            // The other tables stay unindexed.
+            assert!(built_all(&repo.inner.rssi).iter().all(|&b| b == none));
+        }
+        let rssi_cases: [(&str, Query, _); 3] = [
+            ("window", &|r| r.rssi_time_window(all, t0, t1).len(), none),
+            (
+                "of_object",
+                &|r| r.rssi_of_object(all, ObjectId(1)).len(),
+                object,
+            ),
+            (
+                "of_device",
+                &|r| r.rssi_of_device(all, DeviceId(2)).len(),
+                device,
+            ),
+        ];
+        for (kind, query, want) in rssi_cases {
+            let repo = sealed_resident();
+            assert!(query(&repo) > 0, "{kind} must answer rows");
+            let got = built_all(&repo.inner.rssi);
+            assert!(
+                !got.is_empty() && got.iter().all(|&b| b == want),
+                "{kind}: {got:?}"
+            );
+        }
+    }
+
+    /// `n` rows over 16 objects and two floors at scattered points (so no
+    /// two kNN distances tie), in arrival order.
+    fn scattered(n: u64) -> Vec<TrajectorySample> {
+        (0..n)
+            .map(|i| {
+                let h = (i + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+                let x = (h >> 40) as f64 / 4096.0;
+                let y = ((h >> 16) & 0xff_ffff) as f64 / 4096.0;
+                ts((i % 16) as u32, (i % 2) as u32, x, y, i * 7 % 1_009)
+            })
+            .collect()
+    }
+
+    type Neighbors = Vec<(TrajectorySample, u64)>;
+
+    /// Eight threads issue the first trace and the first kNN against the
+    /// same sections at once — half of them trace first — so both index
+    /// builds are raced. Every answer must equal `want`.
+    fn race_first_use(
+        trace: impl Fn() -> Vec<TrajectorySample> + Sync,
+        knn: impl Fn() -> Neighbors + Sync,
+        want: &(Vec<TrajectorySample>, Neighbors),
+    ) {
+        let barrier = std::sync::Barrier::new(8);
+        std::thread::scope(|s| {
+            for t in 0..8 {
+                let (barrier, trace, knn) = (&barrier, &trace, &knn);
+                s.spawn(move || {
+                    barrier.wait();
+                    let (a, b) = if t % 2 == 0 {
+                        let a = trace();
+                        (a, knn())
+                    } else {
+                        let b = knn();
+                        (trace(), b)
+                    };
+                    assert_eq!(a, want.0, "thread {t}: trace");
+                    assert_eq!(b, want.1, "thread {t}: knn");
+                });
+            }
+        });
+    }
+
+    #[test]
+    fn concurrent_first_use_matches_single_backend() {
+        let rows = scattered(2_000);
+        let (o, floor, p, k) = (ObjectId(3), FloorId(1), Point::new(2_000.0, 2_000.0), 12);
+        let single = crate::Repository::new();
+        single.accept_run(RunId(0), ProductBatch::Trajectories(rows.clone()));
+        let want: (Vec<TrajectorySample>, Neighbors) = {
+            let t = single.trajectories.read();
+            (
+                t.object_trace(RunScope::All, o)
+                    .into_iter()
+                    .copied()
+                    .collect(),
+                t.knn(RunScope::All, floor, p, k)
+                    .into_iter()
+                    .map(|(r, d)| (*r, d.to_bits()))
+                    .collect(),
+            )
+        };
+        assert_eq!(want.1.len(), k);
+        let bits = |v: Vec<(TrajectorySample, f64)>| -> Neighbors {
+            v.into_iter().map(|(r, d)| (r, d.to_bits())).collect()
+        };
+
+        // One sealed resident section, raced through the public queries.
+        let repo = SegmentedRepository::build(SegmentConfig::default(), None);
+        repo.accept_run(RunId(0), ProductBatch::Trajectories(rows.clone()));
+        repo.seal_now();
+        assert_eq!(
+            built_all(&repo.inner.trajectories),
+            vec![(false, false, false)]
+        );
+        race_first_use(
+            || repo.object_trace(RunScope::All, o),
+            || bits(repo.trajectories_knn(RunScope::All, floor, p, k)),
+            &want,
+        );
+        assert_eq!(
+            built_all(&repo.inner.trajectories),
+            vec![(true, false, true)]
+        );
+
+        // One paged-in section, shared by every thread.
+        let spilled =
+            SegmentedRepository::with_spill(SegmentConfig::default(), tiny_spill("race", 0));
+        spilled.accept_run(RunId(0), ProductBatch::Trajectories(rows));
+        spilled.seal_now();
+        let table = &spilled.inner.trajectories;
+        let seg = Arc::clone(&table.cell.latest().segments[0]);
+        assert!(seg.is_spilled());
+        let data = table.page_in(&seg, usize::MAX).unwrap();
+        let sections: Vec<&Section<TrajectorySample>> = data.sections.iter().collect();
+        assert_eq!(sections.len(), 1);
+        assert_eq!(
+            built(sections[0]),
+            (false, false, false),
+            "page-in builds no index"
+        );
+        race_first_use(
+            || of_object_sections(&sections, o),
+            || bits(knn_sections(&sections, floor, p, k)),
+            &want,
+        );
+        assert_eq!(built(sections[0]), (true, false, true));
     }
 
     #[test]

@@ -10,12 +10,13 @@
 //! * the raw-splice export (spilled bytes re-framed without a typed
 //!   decode) equals the typed re-encode path byte-for-byte and imports
 //!   into an identical repository;
-//! * truncating, bit-flipping, or deleting a spilled segment file makes
-//!   the `try_*` query twins return a [`SpillError`] — never a panic,
-//!   never silently wrong rows — while metadata-only paths (`counts`,
-//!   `run_ids`) keep answering without touching disk;
+//! * truncating, bit-flipping, deleting, or swapping in another valid
+//!   spill file makes the `try_*` query twins and `try_export` return a
+//!   [`SpillError`] — never a panic, never silently wrong rows — while
+//!   metadata-only paths (`counts`, `run_ids`) keep answering without
+//!   touching disk;
 //! * the segment spill framing itself is pinned by a checked-in golden
-//!   fixture, so on-disk spill files stay readable across releases.
+//!   fixture, so the canonical encoding cannot drift unnoticed.
 
 use proptest::prelude::*;
 
@@ -352,10 +353,14 @@ proptest! {
 // ----------------------------------------------------------- corruption fuzz
 
 /// Build a repository holding exactly one sealed, spilled trajectory
-/// segment (budget 0 spills everything; a lone segment cannot be
-/// compacted away), and return it with the on-disk path of its spill
-/// file.
-fn one_spilled_segment(tag: &str) -> (SegmentedRepository, PathBuf, Vec<TrajectorySample>) {
+/// segment of `n` rows in `run` (budget 0 spills everything; a lone
+/// segment cannot be compacted away), and return it with the on-disk path
+/// of its spill file.
+fn one_spilled_segment(
+    tag: &str,
+    run: RunId,
+    n: u32,
+) -> (SegmentedRepository, PathBuf, Vec<TrajectorySample>) {
     let parent = spill_dir(tag);
     let _ = std::fs::remove_dir_all(&parent);
     let repo = SegmentedRepository::with_spill(
@@ -369,7 +374,7 @@ fn one_spilled_segment(tag: &str) -> (SegmentedRepository, PathBuf, Vec<Trajecto
             cache_segments: 2,
         },
     );
-    let rows: Vec<TrajectorySample> = (0..32)
+    let rows: Vec<TrajectorySample> = (0..n)
         .map(|i| {
             TrajectorySample::new(
                 ObjectId(i % 4),
@@ -380,11 +385,11 @@ fn one_spilled_segment(tag: &str) -> (SegmentedRepository, PathBuf, Vec<Trajecto
             )
         })
         .collect();
-    repo.accept_run(RunId(0), ProductBatch::Trajectories(rows.clone()));
+    repo.accept_run(run, ProductBatch::Trajectories(rows.clone()));
     repo.seal_now();
     let stats = repo.stats();
     assert_eq!(stats.spilled_segments, 1, "{stats:?}");
-    assert_eq!(stats.spilled_rows, 32, "{stats:?}");
+    assert_eq!(stats.spilled_rows, n as usize, "{stats:?}");
 
     let mut files = Vec::new();
     for entry in std::fs::read_dir(&parent).unwrap() {
@@ -409,9 +414,18 @@ fn assert_planning_survives(repo: &SegmentedRepository) {
     assert_eq!(repo.stats().spilled_rows, 32);
 }
 
-/// Every row-materialising `try_*` path over the corrupted segment must
-/// surface an error — never panic, never fabricate rows.
-fn assert_queries_error(repo: &SegmentedRepository, expect_io: bool) {
+/// The [`SpillError`] a damaged spill file must surface as.
+#[derive(Debug, Clone, Copy)]
+enum Expect {
+    Io,
+    Codec,
+    WrongSegment,
+}
+
+/// Every row-materialising `try_*` path over the damaged segment must
+/// surface an error of the `expect`ed kind — never panic, never fabricate
+/// rows.
+fn assert_queries_error(repo: &SegmentedRepository, expect: Expect) {
     let window = Aabb::new(Point::new(0.0, 0.0), Point::new(100.0, 2.0));
     let results: Vec<Result<usize, SpillError>> = vec![
         repo.try_trajectories_scan(RunScope::All).map(|v| v.len()),
@@ -428,42 +442,53 @@ fn assert_queries_error(repo: &SegmentedRepository, expect_io: bool) {
         repo.try_export().map(|e| e.trajectories.len()),
     ];
     for (i, r) in results.into_iter().enumerate() {
-        match r {
-            Err(SpillError::Io(_)) if expect_io => {}
-            Err(SpillError::Codec(_)) if !expect_io => {}
-            other => panic!(
-                "path {i}: expected {} error, got {other:?}",
-                if expect_io { "io" } else { "codec" }
-            ),
+        match (expect, r) {
+            (Expect::Io, Err(SpillError::Io(_)))
+            | (Expect::Codec, Err(SpillError::Codec(_)))
+            | (Expect::WrongSegment, Err(SpillError::WrongSegment { .. })) => {}
+            (_, other) => panic!("path {i}: expected {expect:?} error, got {other:?}"),
         }
     }
 }
 
 #[test]
 fn truncated_spill_file_errors_and_never_panics() {
-    let (repo, file, _) = one_spilled_segment("trunc");
+    let (repo, file, _) = one_spilled_segment("trunc", RunId(0), 32);
     let bytes = std::fs::read(&file).unwrap();
     std::fs::write(&file, &bytes[..bytes.len() / 2]).unwrap();
-    assert_queries_error(&repo, false);
+    assert_queries_error(&repo, Expect::Codec);
     assert_planning_survives(&repo);
 }
 
 #[test]
 fn bit_flipped_spill_file_errors_and_never_panics() {
-    let (repo, file, _) = one_spilled_segment("flip");
+    let (repo, file, _) = one_spilled_segment("flip", RunId(0), 32);
     let mut bytes = std::fs::read(&file).unwrap();
     let mid = bytes.len() / 2;
     bytes[mid] ^= 0x40;
     std::fs::write(&file, &bytes).unwrap();
-    assert_queries_error(&repo, false);
+    assert_queries_error(&repo, Expect::Codec);
     assert_planning_survives(&repo);
 }
 
 #[test]
 fn missing_spill_file_errors_and_never_panics() {
-    let (repo, file, _) = one_spilled_segment("gone");
+    let (repo, file, _) = one_spilled_segment("gone", RunId(0), 32);
     std::fs::remove_file(&file).unwrap();
-    assert_queries_error(&repo, true);
+    assert_queries_error(&repo, Expect::Io);
+    assert_planning_survives(&repo);
+}
+
+/// A spill file replaced by another repository's perfectly valid one
+/// (run 1, 100 rows) passes every codec check; page-in and export must
+/// still refuse it, because it contradicts the segment's planning meta.
+#[test]
+fn swapped_spill_file_errors_and_never_panics() {
+    let (repo, file, _) = one_spilled_segment("swap", RunId(0), 32);
+    let (donor, donor_file, _) = one_spilled_segment("swap-donor", RunId(1), 100);
+    std::fs::copy(&donor_file, &file).unwrap();
+    drop(donor);
+    assert_queries_error(&repo, Expect::WrongSegment);
     assert_planning_survives(&repo);
 }
 
@@ -472,7 +497,7 @@ fn missing_spill_file_errors_and_never_panics() {
 /// same `try_*` twins.
 #[test]
 fn intact_spill_file_pages_back_exactly() {
-    let (repo, _, rows) = one_spilled_segment("intact");
+    let (repo, _, rows) = one_spilled_segment("intact", RunId(0), 32);
     assert_eq!(repo.try_trajectories_scan(RunScope::All).unwrap(), rows);
     assert!(repo.stats().page_ins >= 1);
 }
@@ -510,8 +535,11 @@ fn golden_sections() -> Vec<SegmentSection<TrajectorySample>> {
 
 /// The spill framing is pinned by a checked-in fixture: today's encoder
 /// must reproduce the golden bytes exactly (the format is canonical), and
-/// the golden bytes must decode to the literal rows, forever. This is the
-/// CI tripwire that keeps old spill files on disk readable.
+/// the golden bytes must decode to the literal rows. Spill directories are
+/// per repository instance and removed on drop, so no spill file outlives
+/// the build that wrote it; the fixture pins the canonical framing — a
+/// change to it is deliberate and regenerates the fixture — not
+/// readability across builds.
 #[test]
 fn segment_framing_matches_golden_fixture() {
     let golden = bytes::Bytes::from_static(include_bytes!("fixtures/segment_v2_trajectories.bin"));
