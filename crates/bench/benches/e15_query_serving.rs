@@ -53,7 +53,6 @@ fn populated(backend: StorageBackend) -> Arc<AnyRepository> {
 fn bench_serving(c: &mut Criterion) {
     let backends = [
         ("single", StorageBackend::Single),
-        ("sharded_8", StorageBackend::Sharded { shards: 8 }),
         ("segmented", StorageBackend::segmented()),
     ];
     let mut g = c.benchmark_group("e15/query_serving");

@@ -1,7 +1,7 @@
 //! E16 — read latency under live ingestion, micro-bench form: one
 //! `QueryService::execute` over a pre-populated multi-run repository
-//! while a writer thread keeps appending batches, per backend. The locked
-//! backends make readers wait out the writer's lock; the segmented
+//! while a writer thread keeps appending batches, per backend. The single
+//! backend makes readers wait out the writer's lock; the segmented
 //! backend answers from an epoch-pinned snapshot and never blocks. The
 //! macro companion (offered-rate step with `run_many` ingesting through
 //! the whole pipeline) is experiment E16 in
@@ -51,7 +51,6 @@ fn populated(backend: StorageBackend) -> Arc<AnyRepository> {
 fn bench_read_under_ingest(c: &mut Criterion) {
     let backends = [
         ("single", StorageBackend::Single),
-        ("sharded_8", StorageBackend::Sharded { shards: 8 }),
         ("segmented", StorageBackend::segmented()),
     ];
     let mut g = c.benchmark_group("e16/read_under_ingest");

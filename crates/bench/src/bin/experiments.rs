@@ -9,7 +9,8 @@
 //! (Pass experiment ids, e.g. `e3 e5`, to run a subset; an unknown id
 //! lists the known ones on stderr and exits 2 before anything runs. Pass
 //! `--json PATH` to additionally wrap the report in a
-//! `BENCH_seed.json`-style document written to PATH.)
+//! `BENCH_seed.json`-style document written to PATH.) Usage errors and
+//! failing specs print one line to stderr and exit 2.
 //!
 //! `lab SPEC [--trials PATH] [--schema GOLDEN]` runs an arbitrary
 //! vita-lab scenario-matrix spec instead: analysis tables on stdout, one
@@ -58,13 +59,19 @@ const EXPERIMENTS: [(&str, fn()); 17] = [
     ("a1", a1_trilateration_ablation),
 ];
 
+/// Print one line to stderr and exit 2 — the outcome of every usage error
+/// and every spec that fails to read, parse or run.
+fn fail(msg: impl std::fmt::Display) -> ! {
+    eprintln!("experiments: {msg}");
+    std::process::exit(2);
+}
+
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     let json = args.iter().position(|a| a == "--json").map(|i| {
-        let path = args
-            .get(i + 1)
-            .cloned()
-            .expect("--json requires an output path");
+        let Some(path) = args.get(i + 1).cloned() else {
+            fail("--json requires an output path");
+        };
         args.drain(i..=i + 1);
         path
     });
@@ -178,22 +185,31 @@ fn run_lab_command(args: &[String]) {
     let mut schema_path = None;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
+        let mut path_for = |flag: &str| match it.next() {
+            Some(path) => path.clone(),
+            None => fail(format!("{flag} requires a path")),
+        };
         match arg.as_str() {
-            "--trials" => trials_path = Some(it.next().expect("--trials needs a path").clone()),
-            "--schema" => schema_path = Some(it.next().expect("--schema needs a path").clone()),
+            "--trials" => trials_path = Some(path_for("--trials")),
+            "--schema" => schema_path = Some(path_for("--schema")),
             other => spec_path = Some(other.to_string()),
         }
     }
-    let spec_path = spec_path.expect("usage: lab SPEC [--trials PATH] [--schema GOLDEN]");
-    let text = std::fs::read_to_string(&spec_path).expect("read spec");
+    let Some(spec_path) = spec_path else {
+        fail("usage: lab SPEC [--trials PATH] [--schema GOLDEN]");
+    };
+    let text = std::fs::read_to_string(&spec_path)
+        .unwrap_or_else(|e| fail(format!("cannot read spec {spec_path}: {e}")));
     let report = run_lab_text(&text, &spec_path);
     let jsonl = report.trials_jsonl(true);
     if let Some(path) = trials_path {
-        std::fs::write(&path, &jsonl).expect("write trials");
+        std::fs::write(&path, &jsonl)
+            .unwrap_or_else(|e| fail(format!("cannot write trials to {path}: {e}")));
         eprintln!("wrote {path}");
     }
     if let Some(path) = schema_path {
-        let golden = std::fs::read_to_string(&path).expect("read golden schema");
+        let golden = std::fs::read_to_string(&path)
+            .unwrap_or_else(|e| fail(format!("cannot read golden schema {path}: {e}")));
         // Canonical signatures: `bindings` keys are the spec's axis
         // names, so they are blanked (values checked to be strings) and
         // the rest of the shape must match a golden line exactly.
@@ -201,18 +217,22 @@ fn run_lab_command(args: &[String]) {
             .lines()
             .filter(|l| !l.trim().is_empty())
             .map(|l| {
-                vita_lab::trial_schema_signature(&vita_lab::Json::parse(l).expect("golden json"))
-                    .expect("golden record shape")
+                vita_lab::Json::parse(l)
+                    .map_err(|e| e.to_string())
+                    .and_then(|j| vita_lab::trial_schema_signature(&j))
+                    .unwrap_or_else(|e| fail(format!("golden schema {path}: {e}")))
             })
             .collect();
         for (i, line) in jsonl.lines().enumerate() {
-            let record = vita_lab::Json::parse(line).expect("emitted record must be valid JSON");
-            let sig = vita_lab::trial_schema_signature(&record)
-                .unwrap_or_else(|e| panic!("trial record {i}: {e}"));
-            assert!(
-                allowed.contains(&sig),
-                "trial record {i} has shape {sig}, not found in {path}"
-            );
+            let sig = vita_lab::Json::parse(line)
+                .map_err(|e| e.to_string())
+                .and_then(|j| vita_lab::trial_schema_signature(&j))
+                .unwrap_or_else(|e| fail(format!("trial record {i}: {e}")));
+            if !allowed.contains(&sig) {
+                fail(format!(
+                    "trial record {i} has shape {sig}, not found in {path}"
+                ));
+            }
         }
         eprintln!(
             "schema ok: {} trial records match {path}",
@@ -224,8 +244,8 @@ fn run_lab_command(args: &[String]) {
 /// Parse + execute a lab spec and print its report (header, per-axis
 /// analysis tables, per-trial wall clocks).
 fn run_lab_text(text: &str, origin: &str) -> vita_lab::LabReport {
-    let spec = vita_lab::parse_spec(text).unwrap_or_else(|e| panic!("{origin}: {e}"));
-    let report = vita_lab::run_spec(&spec).unwrap_or_else(|e| panic!("{origin}: {e}"));
+    let spec = vita_lab::parse_spec(text).unwrap_or_else(|e| fail(format!("{origin}: {e}")));
+    let report = vita_lab::run_spec(&spec).unwrap_or_else(|e| fail(format!("{origin}: {e}")));
     print!("{}", report.analysis_markdown());
     report
 }
@@ -285,16 +305,15 @@ fn e11_streaming_pipeline() {
 }
 
 /// E11s — E11 at ROADMAP scale, now a vita-lab matrix (`specs/e11s.lab`):
-/// the streaming pipeline ingesting 1k/5k/10k objects into the sharded vs
-/// single repository with 4 stage workers. The spec pins the historical
-/// E11 seed and carries the experiment's core guarantee as
+/// the streaming pipeline ingesting 1k/5k/10k objects into the single vs
+/// segmented repository with 4 stage workers. The spec pins the
+/// historical E11 seed and carries the experiment's core guarantee as
 /// `assert.cross_axis_rows = backend` — the run aborts if the backends'
-/// products diverge. On few-core machines the backends measure at parity
-/// (storage appends are a small slice of pipeline wall-clock); the
-/// sharded win is lock contention under true parallelism — see the
-/// `e12_sharded_ingest` criterion bench on multicore hardware.
+/// products diverge. The wall-clock delta is the segmented backend's
+/// ingest cost (sealer thread, per-batch segment publication), which is
+/// why single stays the offline default.
 fn e11_at_scale() {
-    println!("## E11s — E11 at scale: sharded vs single repository (lab matrix)\n");
+    println!("## E11s — E11 at scale: single vs segmented repository (lab matrix)\n");
     run_lab_text(include_str!("../../specs/e11s.lab"), "specs/e11s.lab");
     println!();
 }
@@ -336,8 +355,8 @@ fn e14_persistence() {
 /// `Vita::serve` while a writer thread keeps `run_many` ingesting new
 /// runs into the same repository. The ramp steps the offered rate until a
 /// step achieves less than 90% of its target; the last sustained step is
-/// the backend's max sustainable RPS. Single vs sharded(8) isolates how
-/// much the per-shard locks buy the read path under write contention.
+/// the backend's max sustainable RPS. Single vs segmented isolates what
+/// lock-free snapshot reads buy the read path under write contention.
 /// Absolute rates are container-sensitive; compare backends within one
 /// run, not across BENCH files.
 fn e15_query_serving() {
@@ -365,7 +384,6 @@ fn e15_query_serving() {
     let text = e11::office_text();
     let backends = [
         ("single", StorageBackend::Single),
-        ("sharded(8)", StorageBackend::Sharded { shards: 8 }),
         ("segmented", StorageBackend::segmented()),
     ];
     let mut summary = Vec::new();
@@ -442,11 +460,11 @@ fn e15_query_serving() {
 
 /// E16 — fixed-rate read latency under live ingestion: the same mixed
 /// query workload as E15, but pinned at one offered rate (around where
-/// the locked backends saturate in E15's ramp) while a writer thread
-/// keeps `run_many` ingesting — across all three backends. The segmented
-/// backend answers every query from an epoch-pinned immutable snapshot,
-/// so its read tail should stay flat where the locked backends queue
-/// behind the writer; the seal / compaction columns count the sealer's
+/// the single backend saturates in E15's ramp) while a writer thread
+/// keeps `run_many` ingesting — on both backends. The segmented backend
+/// answers every query from an epoch-pinned immutable snapshot, so its
+/// read tail should stay flat where the single backend queues behind the
+/// writer; the seal / compaction columns count the sealer's
 /// in-step work, confirming it was actually churning during the
 /// measurement, not idle. Each backend's row is the median-p99 rep of
 /// three independent reps, each over a freshly built repository. Absolute
@@ -459,7 +477,7 @@ fn e16_read_under_ingest() {
     use vita_serve::{run_ramp, LoadProfile, WorkloadSpec};
 
     // The fixed rate sits at E15's saturation knee (the last step the
-    // locked backends sustain): high enough that the writer's locks are
+    // single backend sustains): high enough that the writer's locks are
     // contended, low enough that the step is not in open-loop overload —
     // in overload the percentiles measure queue depth, not the backend.
     const STAGE_WORKERS: usize = 1;
@@ -470,7 +488,7 @@ fn e16_read_under_ingest() {
     /// The pre-ingested corpus samples trajectories at this rate (the live
     /// trickle stays at the 1 Hz default, so offered write load during the
     /// step is unchanged). A corpus of ~60k point rows is what makes the
-    /// locked backends' structural cost visible: any append evicts the
+    /// single backend's structural cost visible: any append evicts the
     /// touched floor's cached grid, so every spatial query mid-ingest
     /// rebuilds an O(corpus) index, while the segmented backend's sealed
     /// per-segment grids are immutable and never rebuilt.
@@ -498,7 +516,6 @@ fn e16_read_under_ingest() {
     let text = e11::office_text();
     let backends = [
         ("single", StorageBackend::Single),
-        ("sharded(8)", StorageBackend::Sharded { shards: 8 }),
         ("segmented", StorageBackend::segmented()),
     ];
     let mut summary = Vec::new();

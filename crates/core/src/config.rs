@@ -36,7 +36,7 @@
 //!
 //! # Streaming pipeline + Storage
 //! stream.workers, stream.channel_capacity
-//! storage.backend = single | sharded(N) | segmented | segmented-spill(BUDGET_ROWS)
+//! storage.backend = single | segmented | segmented-spill(BUDGET_ROWS)
 //! ```
 
 use vita_indoor::{FloorId, Hz, RoutingSchema, Timestamp};
@@ -278,7 +278,7 @@ pub fn load_method(p: &Properties) -> Result<MethodConfig, ConfigLoadError> {
 
 /// Load the streaming-pipeline tuning knobs and the storage backend.
 /// `storage.backend` takes the [`StorageBackend`] display grammar
-/// (`single` | `sharded(N)` | `segmented` | `segmented-spill(BUDGET_ROWS)`).
+/// (`single` | `segmented` | `segmented-spill(BUDGET_ROWS)`).
 pub fn load_stream_options(p: &Properties) -> Result<StreamOptions, ConfigLoadError> {
     let d = StreamOptions::default();
     let backend: StorageBackend = p.str_or("storage.backend", "single").parse().map_err(
@@ -427,10 +427,10 @@ run.seed = 42
         assert_eq!(o.workers, StreamOptions::default().workers);
         assert_eq!(o.backend, StorageBackend::Single);
 
-        let p = Properties::parse("storage.backend = sharded(4)\nstream.workers = 3\n").unwrap();
+        let p = Properties::parse("storage.backend = segmented\nstream.workers = 3\n").unwrap();
         let o = load_stream_options(&p).unwrap();
         assert_eq!(o.workers, 3);
-        assert_eq!(o.backend, StorageBackend::Sharded { shards: 4 });
+        assert_eq!(o.backend, StorageBackend::segmented());
 
         let p = Properties::parse("storage.backend = segmented-spill(2048)\n").unwrap();
         match load_stream_options(&p).unwrap().backend {
@@ -448,6 +448,16 @@ run.seed = 42
                 ..
             })
         ));
+
+        // There is no sharded backend: both spellings are parse errors
+        // whose message offers only the backends that exist.
+        for text in ["sharded", "sharded(8)"] {
+            let err = text.parse::<StorageBackend>().unwrap_err();
+            assert_eq!(err.0, text);
+            assert!(err
+                .to_string()
+                .ends_with("(expected single | segmented | segmented-spill(BUDGET_ROWS))"));
+        }
     }
 
     #[test]

@@ -64,7 +64,7 @@ pub use pipeline::{
 };
 pub use props::{Properties, PropsError};
 pub use render::{ascii_floor, svg_floor, Overlay};
-pub use vita_storage::{RunId, RunScope, ShardCounts, StorageBackend, TableCounts};
+pub use vita_storage::{RunId, RunScope, StorageBackend, TableCounts};
 
 /// Convenient glob import for toolkit users.
 pub mod prelude {
@@ -87,5 +87,5 @@ pub mod prelude {
         SurveyConfig, TrilaterationConfig,
     };
     pub use vita_rssi::{NoiseModel, PathLossModel, RssiConfig};
-    pub use vita_storage::{RunScope, ShardCounts, StorageBackend, TableCounts};
+    pub use vita_storage::{RunScope, StorageBackend, TableCounts};
 }

@@ -11,7 +11,7 @@
 //! 6. Choose a positioning method, generate   → [`Vita::run_positioning`]
 //!
 //! All products are kept in the embedded storage repository
-//! ([`vita_storage::AnyRepository`] — single or sharded backend, see
+//! ([`vita_storage::AnyRepository`] — single or segmented backend, see
 //! [`StreamOptions::backend`]) and returned to the caller.
 //!
 //! ## Streaming batched dataflow
@@ -50,8 +50,7 @@ use vita_positioning::{
 };
 use vita_rssi::{generate_rssi, RssiConfig, RssiGenerator, RssiStore};
 use vita_storage::{
-    AnyRepository, CodecError, ProductBatch, ProductSink, RepositoryExport, ShardCounts,
-    StorageBackend,
+    AnyRepository, CodecError, ProductBatch, ProductSink, RepositoryExport, StorageBackend,
 };
 
 /// Errors from assembling or running the pipeline.
@@ -166,11 +165,8 @@ impl Vita {
     /// let dbi = vita_dbi::write_step(&vita_dbi::office(&SynthParams::with_floors(1)));
     /// let vita = Vita::from_dbi_text(&dbi, &BuildParams::default())
     ///     .unwrap()
-    ///     .with_backend(StorageBackend::Sharded { shards: 4 });
-    /// assert!(matches!(
-    ///     vita.repository().backend(),
-    ///     StorageBackend::Sharded { shards: 4 }
-    /// ));
+    ///     .with_backend(StorageBackend::segmented());
+    /// assert_eq!(vita.repository().backend(), StorageBackend::segmented());
     /// ```
     #[must_use]
     pub fn with_backend(mut self, backend: StorageBackend) -> Self {
@@ -269,10 +265,10 @@ impl Vita {
     /// this entry point — query the repository instead.
     ///
     /// `scenario.options.backend` picks the storage backend the run
-    /// ingests into: with [`StorageBackend::Sharded`], batches route by
-    /// object-id hash to per-shard locks, so concurrent stage workers stop
-    /// contending on one lock per table (the repository is switched via
-    /// [`Vita::migrate_backend`] before any worker starts).
+    /// ingests into: with [`StorageBackend::Segmented`], queries through
+    /// [`Vita::serve`] handles stay lock-free while the run ingests (the
+    /// repository is switched via [`Vita::migrate_backend`] before any
+    /// worker starts).
     ///
     /// The run ingests as [`RunId::DEFAULT`] — equivalent to
     /// [`Vita::run_streaming_as`] with run 0, and to a one-scenario
@@ -576,7 +572,6 @@ impl Vita {
         for r in results {
             streamed.push(r.map_err(VitaError::Mobility)?);
         }
-        let shard_rows = self.repo.per_shard_counts();
         let elapsed = start.elapsed();
         Ok(runs
             .iter()
@@ -589,7 +584,6 @@ impl Vita {
                 rssi_rows: c.rssi_rows.into_inner(),
                 positioning_rows: c.positioning_rows.into_inner(),
                 peak_in_flight_samples: c.peak_in_flight.into_inner(),
-                shard_rows: shard_rows.clone(),
                 elapsed,
             })
             .collect())
@@ -631,8 +625,8 @@ impl Vita {
     /// A shared handle on the repository, for readers that outlive a
     /// borrow of the toolkit — most notably query serving
     /// ([`Vita::serve`]): ingestion through `self` and queries through the
-    /// handle target the same tables concurrently (per-table/per-shard
-    /// read-write locks). A later [`Vita::migrate_backend`] installs a
+    /// handle target the same tables concurrently (per-table read-write
+    /// locks, or lock-free snapshots on the segmented backend). A later [`Vita::migrate_backend`] installs a
     /// *new* repository; existing handles keep answering from the old one.
     pub fn repository_handle(&self) -> Arc<AnyRepository> {
         Arc::clone(&self.repo)
@@ -877,9 +871,9 @@ pub struct StreamOptions {
     /// and the stage workers (backpressure).
     pub channel_capacity: usize,
     /// Storage backend the run ingests into. `Single` (the default) keeps
-    /// one lock per table; `Sharded` partitions every table by object-id
-    /// hash so concurrent stage workers append under per-shard locks (see
-    /// the `vita-storage` crate docs for shard-count guidance).
+    /// one lock per table; `Segmented` publishes immutable segments so
+    /// concurrent queries never wait on ingestion, and can spill to disk
+    /// (see the `vita-storage` crate docs, "Choosing a backend").
     pub backend: StorageBackend,
 }
 
@@ -891,9 +885,8 @@ impl StreamOptions {
     /// ```
     /// use vita_core::prelude::*;
     ///
-    /// let options = StreamOptions::default()
-    ///     .with_backend(StorageBackend::Sharded { shards: 8 });
-    /// assert!(matches!(options.backend, StorageBackend::Sharded { shards: 8 }));
+    /// let options = StreamOptions::default().with_backend(StorageBackend::segmented());
+    /// assert_eq!(options.backend, StorageBackend::segmented());
     /// ```
     #[must_use]
     pub fn with_backend(mut self, backend: StorageBackend) -> Self {
@@ -941,11 +934,6 @@ pub struct PipelineReport {
     /// coincide), so size memory from the channel capacity, not from one
     /// report.
     pub peak_in_flight_samples: usize,
-    /// Row counts per storage shard after the run, in shard order (one
-    /// entry when the run ingested into the single-repository backend).
-    /// Under [`Vita::run_many`] the repository is shared, so every report
-    /// of the schedule sees the same post-schedule snapshot.
-    pub shard_rows: Vec<ShardCounts>,
     /// Wall-clock time of the whole run — for [`Vita::run_many`], of the
     /// whole schedule (runs overlap; per-run wall-clock is not separable).
     pub elapsed: Duration,
@@ -1246,7 +1234,7 @@ mod tests {
         // re-partition the repository.
         let mut bad = trilateration_scenario(quick_mobility());
         bad.mobility.max_speed = 0.0;
-        bad.options.backend = StorageBackend::Sharded { shards: 4 };
+        bad.options.backend = StorageBackend::segmented();
         assert!(matches!(
             vita.run_streaming_as(RunId(9), &bad),
             Err(VitaError::Mobility(_))
@@ -1271,7 +1259,7 @@ mod tests {
         );
         let a = trilateration_scenario(quick_mobility());
         let mut b = a.clone();
-        b.options.backend = StorageBackend::Sharded { shards: 4 };
+        b.options.backend = StorageBackend::segmented();
         assert!(matches!(
             vita.run_many(&[a, b]),
             Err(VitaError::MixedBackends)
@@ -1315,14 +1303,11 @@ mod tests {
         ));
         vita.save_to(&dir).unwrap();
 
-        // Load into a fresh toolkit on the *sharded* backend: run tags
+        // Load into a fresh toolkit on the *segmented* backend: run tags
         // must survive the backend switch.
-        let mut restored = toolkit().with_backend(StorageBackend::Sharded { shards: 4 });
+        let mut restored = toolkit().with_backend(StorageBackend::segmented());
         restored.load_from(&dir).unwrap();
-        assert!(matches!(
-            restored.repository().backend(),
-            StorageBackend::Sharded { shards: 4 }
-        ));
+        assert_eq!(restored.repository().backend(), StorageBackend::segmented());
         assert_eq!(restored.repository().run_ids(), vita.repository().run_ids());
         for r in &reports {
             assert_eq!(

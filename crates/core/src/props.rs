@@ -6,13 +6,44 @@
 //! with typed getters and round-trip writing. It is the text surface of
 //! every layer's configuration.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
+use std::sync::{Mutex, PoisonError};
 
 /// A parsed properties file: ordered `key → value` pairs.
-#[derive(Debug, Clone, Default, PartialEq)]
+///
+/// Every lookup is logged: [`Properties::keys_read`] lists the keys some
+/// getter asked for, so after handing a set to the loaders, the keys set
+/// but never read are the misspelled or meaningless ones. The log belongs
+/// to one value: a clone starts with an empty log, and equality and
+/// `Debug` look at the entries only.
+#[derive(Default)]
 pub struct Properties {
     entries: BTreeMap<String, String>,
+    reads: Mutex<BTreeSet<String>>,
+}
+
+impl Clone for Properties {
+    fn clone(&self) -> Self {
+        Properties {
+            entries: self.entries.clone(),
+            reads: Mutex::default(),
+        }
+    }
+}
+
+impl PartialEq for Properties {
+    fn eq(&self, other: &Self) -> bool {
+        self.entries == other.entries
+    }
+}
+
+impl fmt::Debug for Properties {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Properties")
+            .field("entries", &self.entries)
+            .finish()
+    }
 }
 
 /// Errors from parsing or typed access.
@@ -71,7 +102,10 @@ impl Properties {
             };
             entries.insert(k.trim().to_string(), v.trim().to_string());
         }
-        Ok(Properties { entries })
+        Ok(Properties {
+            entries,
+            reads: Mutex::default(),
+        })
     }
 
     /// Serialize back to properties text (sorted by key).
@@ -90,8 +124,26 @@ impl Properties {
         self.entries.insert(key.to_string(), value.to_string());
     }
 
+    /// Look `key` up (every typed getter goes through here), logging the
+    /// lookup for [`Properties::keys_read`].
     pub fn get(&self, key: &str) -> Option<&str> {
+        self.reads
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .insert(key.to_string());
         self.entries.get(key).map(String::as_str)
+    }
+
+    /// Every `(key, value)` pair, sorted by key. Not logged as lookups.
+    pub fn iter(&self) -> impl Iterator<Item = (&str, &str)> {
+        self.entries.iter().map(|(k, v)| (k.as_str(), v.as_str()))
+    }
+
+    /// Every key looked up through this value so far — set or not — in
+    /// sorted order.
+    pub fn keys_read(&self) -> Vec<String> {
+        let reads = self.reads.lock().unwrap_or_else(PoisonError::into_inner);
+        reads.iter().cloned().collect()
     }
 
     pub fn len(&self) -> usize {
@@ -102,6 +154,8 @@ impl Properties {
         self.entries.is_empty()
     }
 
+    /// Whether `key` is set. A presence check, not a read: it is not
+    /// logged.
     pub fn contains(&self, key: &str) -> bool {
         self.entries.contains_key(key)
     }
@@ -238,6 +292,25 @@ noise.enabled = yes
         p.set("x.y", 3.5);
         assert!(p.contains("x.y"));
         assert_eq!(p.get("x.y"), Some("3.5"));
+    }
+
+    #[test]
+    fn lookups_are_logged_per_value() {
+        let p = Properties::parse("a = 1\nb = 2\nc = x\n").unwrap();
+        assert!(p.keys_read().is_empty());
+        assert_eq!(p.u64_or("a", 0).unwrap(), 1);
+        assert_eq!(p.str_or("missing", "d"), "d");
+        // Presence checks and iteration are not lookups.
+        assert!(p.contains("b"));
+        assert_eq!(
+            p.iter().collect::<Vec<_>>(),
+            [("a", "1"), ("b", "2"), ("c", "x")]
+        );
+        assert_eq!(p.keys_read(), ["a", "missing"]);
+        // A clone has its own, empty log and still compares equal.
+        let q = p.clone();
+        assert!(q.keys_read().is_empty());
+        assert_eq!(p, q);
     }
 
     #[test]

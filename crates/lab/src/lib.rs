@@ -41,7 +41,7 @@
 //!
 //! [axis backend]
 //! key = storage.backend
-//! values = single, sharded(8), segmented
+//! values = single, segmented, segmented-spill(4096)
 //!
 //! [axis load]
 //! variant light = objects.count=10 stream.workers=1
@@ -67,6 +67,14 @@
 //! assert.cross_axis_rows = AXIS   # trials differing only in AXIS must
 //!                                 # produce identical row counts
 //! ```
+//!
+//! Every key a spec sets must be read by at least one cell of its plan —
+//! by the layer loaders ([`vita_core::load_scenario`]) or the runner.
+//! [`run::run_spec`] decodes every cell before the first trial runs and
+//! fails with [`LabError::UnknownKeys`] on keys nothing read, so a
+//! misspelling such as `objects.cuont` cannot silently run on the
+//! default. What counts as read is what the decoders actually looked up
+//! ([`vita_core::Properties::keys_read`]), not a second key list.
 
 pub mod json;
 pub mod plan;

@@ -9,7 +9,7 @@
 use vita_core::{derive_run_seed, Properties};
 use vita_indoor::RunId;
 
-use crate::spec::{keys_of, Spec};
+use crate::spec::Spec;
 
 /// One planned trial: everything needed to execute and label it.
 #[derive(Debug, Clone, PartialEq)]
@@ -63,8 +63,8 @@ pub fn expand(spec: &Spec) -> Vec<Trial> {
             // Merge: defaults ← scenario ← axis bindings (axis order,
             // later bindings win).
             let mut props = spec.defaults.clone();
-            for key in keys_of(&scenario.props) {
-                props.set(&key, scenario.props.str_or(&key, ""));
+            for (key, value) in scenario.props.iter() {
+                props.set(key, value);
             }
             let mut bindings = Vec::with_capacity(spec.axes.len());
             for (axis, &pick) in spec.axes.iter().zip(&picks) {

@@ -8,10 +8,10 @@
 //! row-identical, which the `assert.cross_axis_rows` check can pin as
 //! part of a spec.
 
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use std::time::{Duration, Instant};
 
-use vita_core::{load_scenario, ConfigLoadError, Properties, Vita};
+use vita_core::{load_scenario, ConfigLoadError, Properties, ScenarioConfig, Vita};
 use vita_devices::{DeploymentModel, DeviceSpec, DeviceType};
 use vita_indoor::{BuildParams, FloorId, RunId};
 use vita_serve::{run_fixed, WorkloadSpec};
@@ -31,6 +31,10 @@ pub enum LabError {
     /// A runner key (`building`, `deploy.model`, `exec`, …) had an
     /// unknown value, or the spec referenced a missing axis.
     Lab { trial: String, msg: String },
+    /// The spec sets keys that no trial of its plan reads — usually
+    /// misspellings (`objects.cuont`), which would otherwise silently run
+    /// on the defaults. Sorted; never empty.
+    UnknownKeys(Vec<String>),
     /// The pipeline rejected or failed a run.
     Run { trial: String, msg: String },
     /// Two trials that differ only in the asserted axis produced
@@ -55,6 +59,11 @@ impl std::fmt::Display for LabError {
             LabError::Spec(e) => write!(f, "spec: {e}"),
             LabError::Config { trial, err } => write!(f, "trial '{trial}': {err}"),
             LabError::Lab { trial, msg } => write!(f, "trial '{trial}': {msg}"),
+            LabError::UnknownKeys(keys) => write!(
+                f,
+                "spec sets keys that no trial reads (misspelled?): {}",
+                keys.join(", ")
+            ),
             LabError::Run { trial, msg } => write!(f, "trial '{trial}': {msg}"),
             LabError::CrossAxisRows(e) => write!(
                 f,
@@ -145,13 +154,17 @@ impl CellConfig {
 
 /// Execute a spec: expand the plan, run every cell, return the report.
 ///
-/// Toolkits are built per cell from a cached building model (one
-/// [`vita_dbi::DbiModel`] per `(building, floors)`), so the plan's row
-/// sets are independent of cell order and of one another.
+/// Every cell's configuration is decoded before the first trial runs, so
+/// a bad value or a key that no cell reads ([`LabError::UnknownKeys`])
+/// fails the spec up front. Toolkits are built per cell from a cached
+/// building model (one [`vita_dbi::DbiModel`] per `(building, floors)`),
+/// so the plan's row sets are independent of cell order and of one
+/// another.
 pub fn run_spec(spec: &Spec) -> Result<LabReport, LabError> {
     let plan = expand(spec);
     let repeats = spec.repeats as usize;
     debug_assert_eq!(plan.len() % repeats.max(1), 0);
+    let cells: Vec<&[Trial]> = plan.chunks(repeats.max(1)).collect();
 
     // Cross-axis row assertion, resolved up front so a typo fails fast.
     let assert_axis = spec
@@ -167,10 +180,11 @@ pub fn run_spec(spec: &Spec) -> Result<LabReport, LabError> {
         }
     }
 
+    let configs = decode_cells(&cells, &spec.defaults)?;
     let mut models: HashMap<(String, usize), vita_dbi::DbiModel> = HashMap::new();
     let mut records: Vec<TrialRecord> = Vec::with_capacity(plan.len());
-    for cell in plan.chunks(repeats.max(1)) {
-        records.extend(run_cell(cell, &mut models)?);
+    for (cell, (lab, scenario)) in cells.iter().zip(configs) {
+        records.extend(run_cell(cell, lab, scenario, &mut models)?);
     }
 
     if let Some(axis) = assert_axis {
@@ -185,18 +199,47 @@ pub fn run_spec(spec: &Spec) -> Result<LabReport, LabError> {
     })
 }
 
+/// Decode every cell's runner keys and scenario, then check that each key
+/// the spec sets is read by at least one cell (or, like
+/// `assert.cross_axis_rows`, by the runner from `head`). What counts as
+/// read is whatever the decoders looked up, so a key a loader learns is
+/// known here without a list kept by hand.
+fn decode_cells(
+    cells: &[&[Trial]],
+    head: &Properties,
+) -> Result<Vec<(CellConfig, ScenarioConfig)>, LabError> {
+    let mut set = BTreeSet::new();
+    let mut read: BTreeSet<String> = head.keys_read().into_iter().collect();
+    let mut configs = Vec::with_capacity(cells.len());
+    for cell in cells {
+        let first = &cell[0];
+        let props = &first.props;
+        let lab = CellConfig::decode(&first.id, props)?;
+        let scenario = load_scenario(props).map_err(|err| LabError::Config {
+            trial: first.id.clone(),
+            err,
+        })?;
+        set.extend(props.iter().map(|(k, _)| k.to_string()));
+        read.extend(props.keys_read());
+        configs.push((lab, scenario));
+    }
+    let unknown: Vec<String> = set.difference(&read).cloned().collect();
+    if unknown.is_empty() {
+        Ok(configs)
+    } else {
+        Err(LabError::UnknownKeys(unknown))
+    }
+}
+
 /// Run one plan cell — all repeats of one scenario × variant combination —
 /// and emit its trial records in repeat order.
 fn run_cell(
     cell: &[Trial],
+    lab: CellConfig,
+    scenario_cfg: ScenarioConfig,
     models: &mut HashMap<(String, usize), vita_dbi::DbiModel>,
 ) -> Result<Vec<TrialRecord>, LabError> {
     let first = &cell[0];
-    let lab = CellConfig::decode(&first.id, &first.props)?;
-    let scenario_cfg = load_scenario(&first.props).map_err(|err| LabError::Config {
-        trial: first.id.clone(),
-        err,
-    })?;
 
     let model = models
         .entry((lab.building.clone(), lab.floors))
@@ -433,6 +476,40 @@ values = single, segmented
         let spec =
             parse_spec("assert.cross_axis_rows = nope\n[scenario s]\nobjects.count = 1\n").unwrap();
         assert!(matches!(run_spec(&spec), Err(LabError::Lab { .. })));
+    }
+
+    /// Keys no cell reads — misspellings in the head, a scenario body or
+    /// an axis `key =`, or a real key only other configurations read —
+    /// fail the whole spec before any trial runs, all named at once.
+    #[test]
+    fn keys_no_cell_reads_fail_the_spec() {
+        let unread = |text: &str| match run_spec(&parse_spec(text).unwrap()) {
+            Err(LabError::UnknownKeys(keys)) => keys,
+            other => panic!("expected UnknownKeys, got {other:?}"),
+        };
+        let head = TINY.replace("run.duration_s", "run.duraton_s");
+        assert_eq!(unread(&head), ["run.duraton_s"]);
+        let body = TINY.replace("objects.count", "objects.cuont");
+        assert_eq!(unread(&body), ["objects.cuont"]);
+        let axis = TINY.replace("key = storage.backend", "key = storage.backnd");
+        assert_eq!(unread(&axis), ["storage.backnd"]);
+        let all = format!(
+            "bogus.key = 3\n{}",
+            body.replace("run.duration_s", "run.duraton_s")
+        );
+        assert_eq!(
+            unread(&all),
+            ["bogus.key", "objects.cuont", "run.duraton_s"]
+        );
+        // `proximity.gap_grace` is read only by proximity cells: fine with
+        // one in the plan, unread without.
+        let gap = format!("proximity.gap_grace = 2.0\n{TINY}");
+        let mixed = gap
+            .replace("assert.cross_axis_rows = backend\n", "")
+            .replace("key = storage.backend", "key = positioning.method")
+            .replace("single, segmented", "trilateration, proximity");
+        assert!(run_spec(&parse_spec(&mixed).unwrap()).is_ok());
+        assert_eq!(unread(&gap), ["proximity.gap_grace"]);
     }
 
     #[test]

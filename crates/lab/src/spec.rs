@@ -304,9 +304,9 @@ pub fn parse_spec(text: &str) -> Result<Spec, SpecError> {
     // The reserved runner keys are consumed here; everything else in the
     // head is a default property.
     let mut cleaned = Properties::new();
-    for key in keys_of(&defaults) {
+    for (key, value) in defaults.iter() {
         if key != "name" && key != "seed" && key != "repeats" {
-            cleaned.set(&key, defaults.str_or(&key, ""));
+            cleaned.set(key, value);
         }
     }
     defaults = cleaned;
@@ -345,16 +345,6 @@ pub fn parse_spec(text: &str) -> Result<Spec, SpecError> {
     })
 }
 
-/// The keys of a properties set, in sorted order. (`Properties` exposes
-/// no iterator; round-tripping through its text form keeps this crate on
-/// the public surface.)
-pub(crate) fn keys_of(p: &Properties) -> Vec<String> {
-    p.to_text()
-        .lines()
-        .filter_map(|l| l.split_once('=').map(|(k, _)| k.trim().to_string()))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -374,7 +364,7 @@ positioning.method = proximity
 
 [axis backend]
 key = storage.backend
-values = single, sharded(4)
+values = single, segmented
 
 [axis workers]
 variant w1 = stream.workers=1
@@ -395,7 +385,7 @@ variant w2 = stream.workers=2
         assert_eq!(axes, ["backend", "workers"]);
         assert_eq!(
             spec.axes[0].variants[1].bindings,
-            vec![("storage.backend".to_string(), "sharded(4)".to_string())]
+            vec![("storage.backend".to_string(), "segmented".to_string())]
         );
         assert_eq!(
             spec.axes[1].variants[0].bindings,

@@ -23,9 +23,10 @@
 //!   max sustainable RPS ([`RampReport`]).
 //!
 //! Every query answers from a **prefix-consistent snapshot**: each table
-//! read takes that table's read lock (per shard on the sharded backend),
-//! so a response never contains a torn batch — it reflects every batch
-//! appended before some point and none after.
+//! read takes that table's read lock (single backend) or pins its current
+//! published snapshot (segmented backend), so a response never contains a
+//! torn batch — it reflects every batch appended before some point and
+//! none after.
 
 pub mod load;
 pub mod query;

@@ -112,8 +112,9 @@ impl QueryResponse {
 /// The query front-end: executes [`QueryRequest`]s against a shared
 /// repository handle. Cloning is one `Arc` bump, so a worker pool holds
 /// one clone per thread while ingestion keeps appending to the same
-/// repository — reads take the table (or shard) read locks, giving every
-/// response a prefix-consistent snapshot of the ingestion stream.
+/// repository — reads take the table read locks or pin a segment
+/// snapshot, giving every response a prefix-consistent snapshot of the
+/// ingestion stream.
 #[derive(Clone)]
 pub struct QueryService {
     repo: Arc<AnyRepository>,

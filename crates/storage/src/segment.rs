@@ -1,10 +1,9 @@
 //! The segmented storage backend: immutable run-segmented segments with
 //! epoch-pinned snapshot reads and a background sealer/compactor.
 //!
-//! [`Repository`](crate::Repository) and
-//! [`ShardedRepository`](crate::ShardedRepository) both sit readers and
-//! writers on the same `RwLock`s, so under live ingestion the read tail
-//! inherits every writer pause — and each append throws away cached
+//! The single [`Repository`](crate::Repository) sits readers and writers
+//! on the same `RwLock`s, so under live ingestion the read tail inherits
+//! every writer pause — and each append throws away cached
 //! spatial indexes, forcing O(n) rebuilds mid-ingest. This module takes
 //! the modern-engine answer instead: make the data immutable and publish
 //! it by pointer swap.
@@ -35,8 +34,8 @@
 //! answers *bit-identical* to the single [`Repository`](crate::Repository)
 //! under deterministic ingestion — arrival order is reconstructed from
 //! the seqs no matter how sealing and compaction have rearranged the
-//! physical rows. The cross-backend parity suites hold all three backends
-//! to that standard.
+//! physical rows. The cross-backend parity suites hold the segmented
+//! backend to that standard against the single one.
 //!
 //! ## Tiered storage (spill)
 //!
@@ -86,7 +85,7 @@ use crate::codec::{
 };
 use crate::{
     borrow_sections, run_sections, CodecError, ProductBatch, ProductSink, RepositoryExport,
-    RunScope, ShardCounts, TableCounts,
+    RunScope, TableCounts,
 };
 
 /// Per-table arrival stamp; ties in every query order by it, which is what
@@ -1249,8 +1248,9 @@ struct SpillShared {
     /// (created at build time, removed on drop).
     cfg: SpillConfig,
     /// The config as the caller passed it, for
-    /// [`SegmentedRepository::spill_config`].
-    original: SpillConfig,
+    /// [`SegmentedRepository::spill_config`]; `None` when the
+    /// `VITA_SPILL_*` environment supplied it.
+    requested: Option<SpillConfig>,
     /// Monotone heat clock: queries stamp the segments their plan
     /// touches, and the spiller evicts the coldest stamp first.
     touch: AtomicU64,
@@ -2259,17 +2259,19 @@ impl SegmentedRepository {
     /// A segmented repository with explicit sealer/compactor tuning (and
     /// the spill tier if [`SpillConfig::from_env`] finds one).
     pub fn with_config(config: SegmentConfig) -> Self {
-        Self::build(config, SpillConfig::from_env())
+        Self::build(config, SpillConfig::from_env(), true)
     }
 
     /// A segmented repository with the spill tier on: sealed segments
     /// past `spill.memory_budget_rows` are evicted to disk and paged
     /// back on demand. Ignores the environment.
     pub fn with_spill(config: SegmentConfig, spill: SpillConfig) -> Self {
-        Self::build(config, Some(spill))
+        Self::build(config, Some(spill), false)
     }
 
-    fn build(config: SegmentConfig, spill: Option<SpillConfig>) -> Self {
+    /// `from_env`: `spill` came from [`SpillConfig::from_env`] rather than
+    /// from the caller, so [`Self::spill_config`] does not report it.
+    fn build(config: SegmentConfig, spill: Option<SpillConfig>, from_env: bool) -> Self {
         // Distinguishes repositories sharing one configured dir (and one
         // process): each instance spills into its own subdirectory and
         // removes exactly that on drop.
@@ -2285,7 +2287,7 @@ impl SegmentedRepository {
             cfg.dir = dir;
             Arc::new(SpillShared {
                 cfg,
-                original,
+                requested: (!from_env).then_some(original),
                 touch: AtomicU64::new(0),
                 spills: AtomicU64::new(0),
                 page_ins: AtomicU64::new(0),
@@ -2327,9 +2329,11 @@ impl SegmentedRepository {
     }
 
     /// The spill config this repository was built with, as the caller
-    /// passed it; `None` when running all-resident.
+    /// passed it; `None` when the caller asked for an all-resident store
+    /// — even if the `VITA_SPILL_*` environment then switched the spill
+    /// tier on (see [`SpillConfig::from_env`]).
     pub fn spill_config(&self) -> Option<&SpillConfig> {
-        self.inner.spill.as_ref().map(|sh| &sh.original)
+        self.inner.spill.as_ref()?.requested.as_ref()
     }
 
     /// Decoded sealed rows past the memory budget, still waiting for
@@ -2381,12 +2385,6 @@ impl SegmentedRepository {
             fixes: self.inner.fixes.pin().len(scope),
             proximity: self.inner.proximity.pin().len(scope),
         }
-    }
-
-    /// The whole-repository counts, shaped like one shard (the segmented
-    /// backend does not partition).
-    pub fn per_shard_counts(&self) -> Vec<ShardCounts> {
-        vec![self.counts(RunScope::All)]
     }
 
     /// Every run with at least one row in any table, ascending.
@@ -2822,7 +2820,7 @@ impl SegmentedRepository {
     /// backend-agnostic). Consults [`SpillConfig::from_env`] like
     /// [`Self::new`].
     pub fn import(export: &RepositoryExport) -> Result<Self, CodecError> {
-        Self::import_with(export, SegmentConfig::default(), SpillConfig::from_env())
+        Self::new().ingest_export(export)
     }
 
     /// [`Self::import`] with explicit tuning and an optional spill tier.
@@ -2831,20 +2829,24 @@ impl SegmentedRepository {
         config: SegmentConfig,
         spill: Option<SpillConfig>,
     ) -> Result<Self, CodecError> {
-        let repo = Self::build(config, spill);
+        Self::build(config, spill, false).ingest_export(export)
+    }
+
+    /// Replay an export into this repository, run by run.
+    fn ingest_export(self, export: &RepositoryExport) -> Result<Self, CodecError> {
         for (run, rows) in decode_trajectories_runs(export.trajectories.clone())? {
-            repo.accept_run(run, ProductBatch::Trajectories(rows));
+            self.accept_run(run, ProductBatch::Trajectories(rows));
         }
         for (run, rows) in decode_rssi_runs(export.rssi.clone())? {
-            repo.accept_run(run, ProductBatch::Rssi(rows));
+            self.accept_run(run, ProductBatch::Rssi(rows));
         }
         for (run, rows) in decode_fixes_runs(export.fixes.clone())? {
-            repo.accept_run(run, ProductBatch::Fixes(rows));
+            self.accept_run(run, ProductBatch::Fixes(rows));
         }
         for (run, rows) in decode_proximity_runs(export.proximity.clone())? {
-            repo.accept_run(run, ProductBatch::Proximity(rows));
+            self.accept_run(run, ProductBatch::Proximity(rows));
         }
-        Ok(repo)
+        Ok(self)
     }
 }
 
@@ -3147,7 +3149,7 @@ mod tests {
         };
         // `build(.., None)` rather than `with_config`: the baseline must
         // stay all-resident even when the suite runs with VITA_SPILL_DIR.
-        let baseline = SegmentedRepository::build(cfg, None);
+        let baseline = SegmentedRepository::build(cfg, None, false);
         fill(&baseline);
         baseline.seal_now();
         let repo = SegmentedRepository::with_spill(cfg, tiny_spill("parity", 30));
@@ -3229,7 +3231,7 @@ mod tests {
     /// An all-resident repository (whatever the environment says) with
     /// sealed trajectory and RSSI sections.
     fn sealed_resident() -> SegmentedRepository {
-        let repo = SegmentedRepository::build(SegmentConfig::default(), None);
+        let repo = SegmentedRepository::build(SegmentConfig::default(), None, false);
         fill(&repo);
         let rssi = (0..40)
             .map(|i| RssiMeasurement {
@@ -3402,7 +3404,7 @@ mod tests {
         };
 
         // One sealed resident section, raced through the public queries.
-        let repo = SegmentedRepository::build(SegmentConfig::default(), None);
+        let repo = SegmentedRepository::build(SegmentConfig::default(), None, false);
         repo.accept_run(RunId(0), ProductBatch::Trajectories(rows.clone()));
         repo.seal_now();
         assert_eq!(

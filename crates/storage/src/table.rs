@@ -29,13 +29,13 @@ pub type RowId = u32;
 /// `as` cast, aliasing old rows in every index that stores row ids and
 /// corrupting query answers from then on. Panic loudly instead: the
 /// embedded engine does not support tables that large, and callers that
-/// need more rows should shard (see [`crate::ShardedRepository`]).
+/// need more rows should split the data across several repositories.
 #[inline]
 pub(crate) fn checked_row_id(index: usize) -> RowId {
     RowId::try_from(index).unwrap_or_else(|_| {
         panic!(
             "table row index {index} exceeds RowId capacity ({}); \
-             split the data across shards (ShardedRepository) or widen RowId",
+             split the data across several repositories or widen RowId",
             u32::MAX
         )
     })
@@ -234,9 +234,8 @@ impl TrajectoryTable {
     /// Every `time_window` across the storage tables uses this half-open
     /// contract, and [`ProximityTable::overlapping`] intersects against the
     /// same half-open window, so adjacent windows partition a run with no
-    /// row counted twice — and shard-merge queries
-    /// ([`crate::ShardedRepository`]) cannot diverge from single-table
-    /// answers at window edges.
+    /// row counted twice — and the segmented backend's per-segment merges
+    /// cannot diverge from single-table answers at window edges.
     ///
     /// The scoped form walks the time index and filters per row — cost is
     /// `O(all runs' rows inside the window)`, which beats a per-run scan
@@ -403,8 +402,7 @@ impl TrajectoryTable {
             };
             // Expanding-radius search over the grid. The cap must reach
             // the farthest indexed point even when `p` lies outside the
-            // domain (a shard's domain covers only its own points, and
-            // callers may query anywhere), so it is anchored at the
+            // domain (callers may query anywhere), so it is anchored at the
             // query's distance to the domain, not the domain size alone.
             let dom = g.domain();
             // Every indexed point is within this of `p` (distance to the
@@ -840,8 +838,8 @@ impl ProximityTable {
     /// detection ending exactly at `from` is included (the instant `from`
     /// lies in the window), one starting exactly at `to` is not. Adjacent
     /// windows therefore agree with point-event queries at their shared
-    /// boundary, and shard-merge queries cannot diverge from single-table
-    /// answers at window edges.
+    /// boundary, and the segmented backend's per-segment merges cannot
+    /// diverge from single-table answers at window edges.
     ///
     /// The run-scoped form walks the run's own index (`by_run` ids are in
     /// insertion order): cost is `O(this run's rows)`, independent of how

@@ -1,8 +1,8 @@
 //! Concurrent-ingestion stress: many producer threads drive identical
-//! batch streams into a single [`Repository`], a [`ShardedRepository`]
-//! and a [`SegmentedRepository`] while reader threads hammer the read
-//! paths. Afterwards all three backends must hold bit-identical row sets,
-//! and every object's trace must be in time order on each.
+//! batch streams into a single [`Repository`] and a
+//! [`SegmentedRepository`] while reader threads hammer the read paths.
+//! Afterwards both backends must hold bit-identical row sets, and every
+//! object's trace must be in time order on each.
 //!
 //! This also exercises the read-path locking fix end to end (the readers
 //! run `range_query` / `knn` through a table **read** lock, concurrently
@@ -20,7 +20,6 @@ use vita_positioning::{Fix, ProximityRecord};
 use vita_rssi::RssiMeasurement;
 use vita_storage::{
     ProductBatch, ProductSink, Repository, RunScope, SegmentConfig, SegmentedRepository,
-    ShardedRepository,
 };
 
 const PRODUCERS: u32 = 8;
@@ -81,7 +80,6 @@ fn object_batches(
 #[test]
 fn concurrent_producers_yield_identical_backends() {
     let single = Arc::new(Repository::new());
-    let sharded = Arc::new(ShardedRepository::new(4));
     // Aggressive seal/compaction thresholds so the stress run churns
     // through many seal and compaction rounds while readers hold pins.
     let segmented = Arc::new(SegmentedRepository::with_config(SegmentConfig {
@@ -99,7 +97,6 @@ fn concurrent_producers_yield_identical_backends() {
         let mut readers = Vec::new();
         for _ in 0..2 {
             let single = Arc::clone(&single);
-            let sharded = Arc::clone(&sharded);
             let segmented = Arc::clone(&segmented);
             let done = Arc::clone(&done);
             readers.push(scope.spawn(move || {
@@ -115,9 +112,6 @@ fn concurrent_producers_yield_identical_backends() {
                         .trajectories
                         .read()
                         .knn(RunScope::All, FloorId(0), Point::new(10.0, 3.0), 5)
-                        .len();
-                    seen += sharded
-                        .trajectories_range_query(RunScope::All, FloorId(0), &q)
                         .len();
                     seen += single
                         .rssi
@@ -141,23 +135,18 @@ fn concurrent_producers_yield_identical_backends() {
         let producers: Vec<_> = (0..PRODUCERS)
             .map(|p| {
                 let single = Arc::clone(&single);
-                let sharded = Arc::clone(&sharded);
                 let segmented = Arc::clone(&segmented);
                 scope.spawn(move || {
                     for k in 0..OBJECTS_PER_PRODUCER {
                         let o = p * OBJECTS_PER_PRODUCER + k;
                         for (samples, rssi, fix, prox) in object_batches(o) {
                             single.accept(ProductBatch::Trajectories(samples.clone()));
-                            sharded.accept(ProductBatch::Trajectories(samples.clone()));
                             segmented.accept(ProductBatch::Trajectories(samples));
                             single.accept(ProductBatch::Rssi(rssi.clone()));
-                            sharded.accept(ProductBatch::Rssi(rssi.clone()));
                             segmented.accept(ProductBatch::Rssi(rssi));
                             single.accept(ProductBatch::Fixes(vec![fix]));
-                            sharded.accept(ProductBatch::Fixes(vec![fix]));
                             segmented.accept(ProductBatch::Fixes(vec![fix]));
                             single.accept(ProductBatch::Proximity(vec![prox]));
-                            sharded.accept(ProductBatch::Proximity(vec![prox]));
                             segmented.accept(ProductBatch::Proximity(vec![prox]));
                         }
                     }
@@ -173,11 +162,10 @@ fn concurrent_producers_yield_identical_backends() {
         }
     });
 
-    // Totals match on all three backends.
+    // Totals match on both backends.
     let objects = PRODUCERS * OBJECTS_PER_PRODUCER;
     let rows = (objects as usize) * (BATCHES_PER_OBJECT * ROWS_PER_BATCH) as usize;
     assert_eq!(single.counts(RunScope::All).trajectories, rows);
-    assert_eq!(single.counts(RunScope::All), sharded.counts(RunScope::All));
     assert_eq!(
         single.counts(RunScope::All),
         segmented.counts(RunScope::All)
@@ -185,12 +173,6 @@ fn concurrent_producers_yield_identical_backends() {
     // The aggressive thresholds must have exercised the sealer for real.
     let stats = segmented.stats();
     assert!(stats.seals > 0, "sealer never sealed: {stats:?}");
-    let per_shard = sharded.per_shard_counts();
-    assert_eq!(per_shard.len(), 4);
-    assert_eq!(
-        per_shard.iter().map(|c| c.trajectories).sum::<usize>(),
-        rows
-    );
 
     // Per-object time order is preserved on both backends, and each
     // object's rows match bit-identically (one producer per object ⇒
@@ -203,13 +185,11 @@ fn concurrent_producers_yield_identical_backends() {
             .into_iter()
             .copied()
             .collect();
-        let b = sharded.object_trace(RunScope::All, ObjectId(o));
         assert!(!a.is_empty());
         assert!(
             a.windows(2).all(|w| w[0].t <= w[1].t),
             "object {o} trace out of order"
         );
-        assert_eq!(a, b, "object {o} trace differs across backends");
         let c = segmented.object_trace(RunScope::All, ObjectId(o));
         assert_eq!(a, c, "object {o} trace differs on segmented backend");
 
@@ -220,7 +200,6 @@ fn concurrent_producers_yield_identical_backends() {
             .into_iter()
             .copied()
             .collect();
-        assert_eq!(ra, sharded.rssi_of_object(RunScope::All, ObjectId(o)));
         assert_eq!(ra, segmented.rssi_of_object(RunScope::All, ObjectId(o)));
         let fa: Vec<Fix> = single
             .fixes
@@ -229,7 +208,6 @@ fn concurrent_producers_yield_identical_backends() {
             .into_iter()
             .copied()
             .collect();
-        assert_eq!(fa, sharded.fixes_of_object(RunScope::All, ObjectId(o)));
         assert_eq!(fa, segmented.fixes_of_object(RunScope::All, ObjectId(o)));
         let pa: Vec<ProximityRecord> = single
             .proximity
@@ -238,7 +216,6 @@ fn concurrent_producers_yield_identical_backends() {
             .into_iter()
             .copied()
             .collect();
-        assert_eq!(pa, sharded.proximity_of_object(RunScope::All, ObjectId(o)));
         assert_eq!(
             pa,
             segmented.proximity_of_object(RunScope::All, ObjectId(o))
@@ -252,42 +229,30 @@ fn concurrent_producers_yield_identical_backends() {
         (s.t.0, s.object.0, p.x.to_bits(), p.y.to_bits())
     };
     let mut a: Vec<TrajectorySample> = single.trajectories.read().scan().copied().collect();
-    let mut b = sharded.trajectories_scan(RunScope::All);
     let mut c = segmented.trajectories_scan(RunScope::All);
     a.sort_by_key(key);
-    b.sort_by_key(key);
     c.sort_by_key(key);
-    assert_eq!(a, b);
     assert_eq!(a, c);
 
     let mut ra: Vec<RssiMeasurement> = single.rssi.read().scan().copied().collect();
-    let mut rb = sharded.rssi_scan(RunScope::All);
     let rkey = |m: &RssiMeasurement| (m.t.0, m.object.0, m.device.0, m.rssi.to_bits());
     let mut rc = segmented.rssi_scan(RunScope::All);
     ra.sort_by_key(rkey);
-    rb.sort_by_key(rkey);
     rc.sort_by_key(rkey);
-    assert_eq!(ra, rb);
     assert_eq!(ra, rc);
 
     let mut fa: Vec<Fix> = single.fixes.read().scan().copied().collect();
-    let mut fb = sharded.fixes_scan(RunScope::All);
     let fkey = |f: &Fix| (f.t.0, f.object.0);
     let mut fc = segmented.fixes_scan(RunScope::All);
     fa.sort_by_key(fkey);
-    fb.sort_by_key(fkey);
     fc.sort_by_key(fkey);
-    assert_eq!(fa, fb);
     assert_eq!(fa, fc);
 
     let mut pa: Vec<ProximityRecord> = single.proximity.read().scan().copied().collect();
-    let mut pb = sharded.proximity_scan(RunScope::All);
     let pkey = |r: &ProximityRecord| (r.ts.0, r.te.0, r.object.0, r.device.0);
     let mut pc = segmented.proximity_scan(RunScope::All);
     pa.sort_by_key(pkey);
-    pb.sort_by_key(pkey);
     pc.sort_by_key(pkey);
-    assert_eq!(pa, pb);
     assert_eq!(pa, pc);
     // A final forced maintenance round must not change any answer.
     segmented.seal_now();

@@ -2,13 +2,15 @@
 //! **interleaved** into one repository through
 //! [`ProductSink::accept_run`], every run-scoped query must return row
 //! sets **bit-identical** to a repository that only ever saw that run —
-//! on both the single and the sharded backend. This is the storage half
-//! of the multi-scenario concurrency contract (the pipeline half lives in
+//! on both the single and the segmented backend (the latter either with
+//! everything still in unsealed head segments or after a forced
+//! seal/compaction round). This is the storage half of the multi-scenario
+//! concurrency contract (the pipeline half lives in
 //! `tests/run_many_parity.rs` at the repo root).
 //!
-//! Comparisons sort on a full key where an order is not part of the
-//! query's contract (scans across shards), and compare exactly where it
-//! is (object-keyed queries, time windows within one backend).
+//! Comparisons sort on a full key where the single backend's run-scoped
+//! order is not the solo repository's (spatial and per-device lookups),
+//! and compare exactly everywhere else.
 
 use proptest::prelude::*;
 
@@ -17,7 +19,7 @@ use vita_indoor::{BuildingId, DeviceId, FloorId, Loc, ObjectId, RunId, Timestamp
 use vita_mobility::TrajectorySample;
 use vita_positioning::{Fix, ProximityRecord};
 use vita_rssi::RssiMeasurement;
-use vita_storage::{ProductBatch, ProductSink, Repository, RunScope, ShardedRepository};
+use vita_storage::{ProductBatch, ProductSink, Repository, RunScope, SegmentedRepository};
 
 const OBJECTS: u32 = 16;
 const DEVICES: u32 = 4;
@@ -130,11 +132,6 @@ fn rssi_key(m: &RssiMeasurement) -> (u64, u32, u32, u64) {
     (m.t.0, m.object.0, m.device.0, m.rssi.to_bits())
 }
 
-fn fix_key(f: &Fix) -> (u64, u32, u64, u64) {
-    let p = f.loc.as_point().unwrap();
-    (f.t.0, f.object.0, p.x.to_bits(), p.y.to_bits())
-}
-
 fn prox_key(r: &ProximityRecord) -> (u64, u64, u32, u32) {
     (r.ts.0, r.te.0, r.object.0, r.device.0)
 }
@@ -154,7 +151,7 @@ proptest! {
         rows_a in proptest::collection::vec(sample_strategy(), 1..150),
         rows_b in proptest::collection::vec(sample_strategy(), 1..150),
         order in proptest::collection::vec(0u32..2, 0..40),
-        shards in 1usize..5,
+        sealed in 0u32..2,
         batch in 1usize..30,
         from in 0u64..T_MAX,
         width in 0u64..T_MAX,
@@ -162,7 +159,7 @@ proptest! {
         k in 1usize..8,
     ) {
         let single = Repository::new();
-        let sharded = ShardedRepository::new(shards);
+        let segmented = SegmentedRepository::new();
         let solo = [Repository::new(), Repository::new()];
         ingest_interleaved(
             [
@@ -170,31 +167,30 @@ proptest! {
                 batches(&rows_b, batch, ProductBatch::Trajectories),
             ],
             &order,
-            &[&single, &sharded],
+            &[&single, &segmented],
             [&solo[0], &solo[1]],
         );
+        if sealed == 1 {
+            segmented.seal_now();
+        }
         prop_assert_eq!(single.run_ids(), vec![RunId(0), RunId(1)]);
-        prop_assert_eq!(sharded.run_ids(), vec![RunId(0), RunId(1)]);
+        prop_assert_eq!(segmented.run_ids(), vec![RunId(0), RunId(1)]);
 
         for (which, solo) in solo.iter().enumerate() {
             let run = RunId(which as u32);
             let want_rows: Vec<TrajectorySample> =
                 solo.trajectories.read().scan().copied().collect();
             prop_assert_eq!(single.counts(run.into()), solo.counts(RunScope::All));
-            prop_assert_eq!(sharded.counts(run.into()), solo.counts(RunScope::All));
+            prop_assert_eq!(segmented.counts(run.into()), solo.counts(RunScope::All));
 
-            // Scan: same row set (single preserves arrival order exactly;
-            // the shard merge is order-free, so sort on a full key).
+            // Scan: exact, arrival order included.
             let got: Vec<TrajectorySample> =
                 single.trajectories.read().scan_run(run).into_iter().copied().collect();
             prop_assert_eq!(&got, &want_rows);
-            prop_assert_eq!(
-                sorted_by(sharded.trajectories_scan(run.into()), sample_key),
-                sorted_by(want_rows.clone(), sample_key)
-            );
+            prop_assert_eq!(&segmented.trajectories_scan(run.into()), &want_rows);
 
             // Half-open time window (arrival order among equal timestamps
-            // is preserved by run-scoped filtering on the single backend).
+            // is preserved by run-scoped filtering on both backends).
             let (lo, hi) = (Timestamp(from), Timestamp(from + width));
             let want: Vec<TrajectorySample> =
                 solo.trajectories.read().time_window(RunScope::All, lo, hi).into_iter().copied().collect();
@@ -202,10 +198,7 @@ proptest! {
                 single.trajectories.read().time_window(run.into(), lo, hi)
                     .into_iter().copied().collect();
             prop_assert_eq!(&got, &want);
-            prop_assert_eq!(
-                sorted_by(sharded.trajectories_time_window(run.into(), lo, hi), sample_key),
-                sorted_by(want, sample_key)
-            );
+            prop_assert_eq!(segmented.trajectories_time_window(run.into(), lo, hi), want);
 
             // Snapshot (inclusive bound) — exact on both backends.
             let want: Vec<TrajectorySample> =
@@ -214,7 +207,7 @@ proptest! {
                 single.trajectories.read().snapshot_at(run.into(), Timestamp(at))
                     .into_iter().copied().collect();
             prop_assert_eq!(&got, &want);
-            prop_assert_eq!(sharded.trajectories_snapshot_at(run.into(), Timestamp(at)), want);
+            prop_assert_eq!(segmented.trajectories_snapshot_at(run.into(), Timestamp(at)), want);
 
             // Per-object traces — exact.
             for o in 0..OBJECTS {
@@ -225,7 +218,7 @@ proptest! {
                     single.trajectories.read().object_trace(run.into(), ObjectId(o))
                         .into_iter().copied().collect();
                 prop_assert_eq!(&got, &want);
-                prop_assert_eq!(sharded.object_trace(run.into(), ObjectId(o)), want);
+                prop_assert_eq!(segmented.object_trace(run.into(), ObjectId(o)), want);
             }
 
             // Spatial: range query + kNN distance multiset.
@@ -242,7 +235,7 @@ proptest! {
             );
             prop_assert_eq!(&got, &want);
             prop_assert_eq!(
-                sorted_by(sharded.trajectories_range_query(run.into(), FloorId(0), &q), sample_key),
+                sorted_by(segmented.trajectories_range_query(run.into(), FloorId(0), &q), sample_key),
                 want
             );
 
@@ -252,7 +245,7 @@ proptest! {
             let got: Vec<u64> = single.trajectories.read().knn(run.into(), FloorId(0), p, k)
                 .iter().map(|(_, d)| d.to_bits()).collect();
             prop_assert_eq!(&got, &want);
-            let got: Vec<u64> = sharded.trajectories_knn(run.into(), FloorId(0), p, k)
+            let got: Vec<u64> = segmented.trajectories_knn(run.into(), FloorId(0), p, k)
                 .iter().map(|(_, d)| d.to_bits()).collect();
             prop_assert_eq!(got, want);
         }
@@ -269,13 +262,13 @@ proptest! {
         prox_a in proptest::collection::vec(proximity_strategy(), 1..80),
         prox_b in proptest::collection::vec(proximity_strategy(), 1..80),
         order in proptest::collection::vec(0u32..2, 0..60),
-        shards in 1usize..5,
+        sealed in 0u32..2,
         batch in 1usize..30,
         from in 0u64..T_MAX,
         width in 0u64..T_MAX,
     ) {
         let single = Repository::new();
-        let sharded = ShardedRepository::new(shards);
+        let segmented = SegmentedRepository::new();
         let solo = [Repository::new(), Repository::new()];
         let mix = |r: &[RssiMeasurement], f: &[Fix], p: &[ProximityRecord]| {
             let mut v = batches(r, batch, ProductBatch::Rssi);
@@ -286,15 +279,18 @@ proptest! {
         ingest_interleaved(
             [mix(&rssi_a, &fixes_a, &prox_a), mix(&rssi_b, &fixes_b, &prox_b)],
             &order,
-            &[&single, &sharded],
+            &[&single, &segmented],
             [&solo[0], &solo[1]],
         );
+        if sealed == 1 {
+            segmented.seal_now();
+        }
 
         let (lo, hi) = (Timestamp(from), Timestamp(from + width));
         for (which, solo) in solo.iter().enumerate() {
             let run = RunId(which as u32);
             prop_assert_eq!(single.counts(run.into()), solo.counts(RunScope::All));
-            prop_assert_eq!(sharded.counts(run.into()), solo.counts(RunScope::All));
+            prop_assert_eq!(segmented.counts(run.into()), solo.counts(RunScope::All));
 
             // RSSI: time window + per-object + per-device.
             let want: Vec<RssiMeasurement> =
@@ -302,10 +298,7 @@ proptest! {
             let got: Vec<RssiMeasurement> =
                 single.rssi.read().time_window(run.into(), lo, hi).into_iter().copied().collect();
             prop_assert_eq!(&got, &want);
-            prop_assert_eq!(
-                sorted_by(sharded.rssi_time_window(run.into(), lo, hi), rssi_key),
-                sorted_by(want, rssi_key)
-            );
+            prop_assert_eq!(segmented.rssi_time_window(run.into(), lo, hi), want);
             for o in 0..OBJECTS {
                 let want: Vec<RssiMeasurement> =
                     solo.rssi.read().of_object(RunScope::All, ObjectId(o)).into_iter().copied().collect();
@@ -313,7 +306,7 @@ proptest! {
                     single.rssi.read().of_object(run.into(), ObjectId(o))
                         .into_iter().copied().collect();
                 prop_assert_eq!(&got, &want);
-                prop_assert_eq!(sharded.rssi_of_object(run.into(), ObjectId(o)), want);
+                prop_assert_eq!(segmented.rssi_of_object(run.into(), ObjectId(o)), want);
             }
             for d in 0..DEVICES {
                 let want = sorted_by(
@@ -327,7 +320,7 @@ proptest! {
                 );
                 prop_assert_eq!(&got, &want);
                 prop_assert_eq!(
-                    sorted_by(sharded.rssi_of_device(run.into(), DeviceId(d)), rssi_key),
+                    sorted_by(segmented.rssi_of_device(run.into(), DeviceId(d)), rssi_key),
                     want
                 );
             }
@@ -337,19 +330,13 @@ proptest! {
             let got: Vec<Fix> =
                 single.fixes.read().scan_run(run).into_iter().copied().collect();
             prop_assert_eq!(&got, &want);
-            prop_assert_eq!(
-                sorted_by(sharded.fixes_scan(run.into()), fix_key),
-                sorted_by(want, fix_key)
-            );
+            prop_assert_eq!(segmented.fixes_scan(run.into()), want);
             let want: Vec<Fix> =
                 solo.fixes.read().time_window(RunScope::All, lo, hi).into_iter().copied().collect();
             let got: Vec<Fix> =
                 single.fixes.read().time_window(run.into(), lo, hi).into_iter().copied().collect();
             prop_assert_eq!(&got, &want);
-            prop_assert_eq!(
-                sorted_by(sharded.fixes_time_window(run.into(), lo, hi), fix_key),
-                sorted_by(want, fix_key)
-            );
+            prop_assert_eq!(segmented.fixes_time_window(run.into(), lo, hi), want);
             for o in 0..OBJECTS {
                 let want: Vec<Fix> =
                     solo.fixes.read().of_object(RunScope::All, ObjectId(o)).into_iter().copied().collect();
@@ -357,7 +344,7 @@ proptest! {
                     single.fixes.read().of_object(run.into(), ObjectId(o))
                         .into_iter().copied().collect();
                 prop_assert_eq!(&got, &want);
-                prop_assert_eq!(sharded.fixes_of_object(run.into(), ObjectId(o)), want);
+                prop_assert_eq!(segmented.fixes_of_object(run.into(), ObjectId(o)), want);
             }
 
             // Proximity: overlap + per-object + per-device.
@@ -367,10 +354,7 @@ proptest! {
                 single.proximity.read().overlapping(run.into(), lo, hi)
                     .into_iter().copied().collect();
             prop_assert_eq!(&got, &want);
-            prop_assert_eq!(
-                sorted_by(sharded.proximity_overlapping(run.into(), lo, hi), prox_key),
-                sorted_by(want, prox_key)
-            );
+            prop_assert_eq!(segmented.proximity_overlapping(run.into(), lo, hi), want);
             for o in 0..OBJECTS {
                 let want: Vec<ProximityRecord> =
                     solo.proximity.read().of_object(RunScope::All, ObjectId(o)).into_iter().copied().collect();
@@ -378,7 +362,7 @@ proptest! {
                     single.proximity.read().of_object(run.into(), ObjectId(o))
                         .into_iter().copied().collect();
                 prop_assert_eq!(&got, &want);
-                prop_assert_eq!(sharded.proximity_of_object(run.into(), ObjectId(o)), want);
+                prop_assert_eq!(segmented.proximity_of_object(run.into(), ObjectId(o)), want);
             }
             for d in 0..DEVICES {
                 let want = sorted_by(
@@ -393,7 +377,7 @@ proptest! {
                 );
                 prop_assert_eq!(&got, &want);
                 prop_assert_eq!(
-                    sorted_by(sharded.proximity_of_device(run.into(), DeviceId(d)), prox_key),
+                    sorted_by(segmented.proximity_of_device(run.into(), DeviceId(d)), prox_key),
                     want
                 );
             }

@@ -1,15 +1,14 @@
-//! Cross-backend parity, all three backends: a [`SegmentedRepository`] fed
-//! the same batches as a single [`Repository`] and a [`ShardedRepository`]
-//! must agree on every query path of all four tables — with `seal_now()`
+//! Cross-backend parity: a [`SegmentedRepository`] fed the same batches as
+//! a single [`Repository`] must agree on every query path of all four
+//! tables — with `seal_now()`
 //! forced at proptest-chosen points, so answers are checked across the
 //! whole segment lifecycle (unsealed minis, sealed segments, compacted
 //! segments, and mixtures).
 //!
 //! Under deterministic sequential ingestion the segmented backend's
 //! per-row sequence numbers reconstruct the single repository's arrival
-//! order exactly, so — unlike the sharded comparisons, which must sort on
-//! a full key — almost every segmented comparison here is **exact**,
-//! including tie order inside time windows and scans. The one exception is
+//! order exactly, so almost every comparison here is **exact**, including
+//! tie order inside time windows and scans. The one exception is
 //! kNN, where the locked backend breaks distance ties in grid-candidate
 //! order: there the distance multiset is compared bit-for-bit.
 
@@ -20,9 +19,7 @@ use vita_indoor::{BuildingId, DeviceId, FloorId, Loc, ObjectId, RunId, Timestamp
 use vita_mobility::TrajectorySample;
 use vita_positioning::{Fix, ProximityRecord};
 use vita_rssi::RssiMeasurement;
-use vita_storage::{
-    ProductBatch, ProductSink, Repository, RunScope, SegmentedRepository, ShardedRepository,
-};
+use vita_storage::{ProductBatch, ProductSink, Repository, RunScope, SegmentedRepository};
 
 const OBJECTS: u32 = 24;
 const DEVICES: u32 = 5;
@@ -78,22 +75,20 @@ fn proximity_strategy() -> impl Strategy<Value = ProximityRecord> {
     })
 }
 
-/// Feed identical batches to all three backends, rotating the run tag per
+/// Feed identical batches to both backends, rotating the run tag per
 /// chunk and forcing a segmented seal/compaction round every `seal_every`
 /// chunks so the query checks hit every segment-lifecycle state.
-fn fill3<T: Clone>(
+fn fill<T: Clone>(
     rows: &[T],
     batch: usize,
     seal_every: usize,
     wrap: impl Fn(Vec<T>) -> ProductBatch,
     single: &Repository,
-    sharded: &ShardedRepository,
     segmented: &SegmentedRepository,
 ) {
     for (i, chunk) in rows.chunks(batch.max(1)).enumerate() {
         let run = RunId((i as u32) % RUNS);
         single.accept_run(run, wrap(chunk.to_vec()));
-        sharded.accept_run(run, wrap(chunk.to_vec()));
         segmented.accept_run(run, wrap(chunk.to_vec()));
         if (i + 1) % seal_every.max(1) == 0 {
             segmented.seal_now();
@@ -115,7 +110,6 @@ proptest! {
     #[test]
     fn trajectory_paths_agree_exactly(
         rows in proptest::collection::vec(sample_strategy(), 1..250),
-        shards in 1usize..5,
         batch in 1usize..40,
         seal_every in 1usize..6,
         from in 0u64..T_MAX,
@@ -123,13 +117,11 @@ proptest! {
         at in 0u64..T_MAX,
     ) {
         let single = Repository::new();
-        let sharded = ShardedRepository::new(shards);
         let segmented = SegmentedRepository::new();
-        fill3(&rows, batch, seal_every, ProductBatch::Trajectories, &single, &sharded, &segmented);
+        fill(&rows, batch, seal_every, ProductBatch::Trajectories, &single, &segmented);
 
         for scope in scopes() {
             prop_assert_eq!(single.counts(scope), segmented.counts(scope));
-            prop_assert_eq!(sharded.counts(scope), segmented.counts(scope));
 
             // Scan: exact, including arrival order, on every scope.
             let a: Vec<TrajectorySample> = match scope.run() {
@@ -172,16 +164,14 @@ proptest! {
     #[test]
     fn spatial_paths_agree(
         rows in proptest::collection::vec(sample_strategy(), 1..150),
-        shards in 1usize..5,
         seal_every in 1usize..6,
         x0 in -40.0f64..40.0, y0 in -40.0f64..40.0,
         w in 1.0f64..50.0, h in 1.0f64..50.0,
         k in 1usize..12,
     ) {
         let single = Repository::new();
-        let sharded = ShardedRepository::new(shards);
         let segmented = SegmentedRepository::new();
-        fill3(&rows, 16, seal_every, ProductBatch::Trajectories, &single, &sharded, &segmented);
+        fill(&rows, 16, seal_every, ProductBatch::Trajectories, &single, &segmented);
 
         let q = Aabb::new(Point::new(x0, y0), Point::new(x0 + w, y0 + h));
         let p = Point::new(x0, y0);
@@ -193,14 +183,11 @@ proptest! {
                 prop_assert_eq!(a, segmented.trajectories_range_query(scope, floor, &q));
             }
 
-            // kNN: distance multiset bit-identical across all three.
+            // kNN: distance multiset bit-identical across both.
             let a: Vec<u64> = single.trajectories.read().knn(scope, FloorId(0), p, k)
-                .iter().map(|(_, d)| d.to_bits()).collect();
-            let b: Vec<u64> = sharded.trajectories_knn(scope, FloorId(0), p, k)
                 .iter().map(|(_, d)| d.to_bits()).collect();
             let c: Vec<u64> = segmented.trajectories_knn(scope, FloorId(0), p, k)
                 .iter().map(|(_, d)| d.to_bits()).collect();
-            prop_assert_eq!(&a, &b);
             prop_assert_eq!(&a, &c);
         }
     }
@@ -209,17 +196,15 @@ proptest! {
     fn rssi_and_fix_paths_agree_exactly(
         rssi in proptest::collection::vec(rssi_strategy(), 1..250),
         fixes in proptest::collection::vec(fix_strategy(), 1..250),
-        shards in 1usize..5,
         batch in 1usize..40,
         seal_every in 1usize..6,
         from in 0u64..T_MAX,
         width in 0u64..T_MAX,
     ) {
         let single = Repository::new();
-        let sharded = ShardedRepository::new(shards);
         let segmented = SegmentedRepository::new();
-        fill3(&rssi, batch, seal_every, ProductBatch::Rssi, &single, &sharded, &segmented);
-        fill3(&fixes, batch, seal_every, ProductBatch::Fixes, &single, &sharded, &segmented);
+        fill(&rssi, batch, seal_every, ProductBatch::Rssi, &single, &segmented);
+        fill(&fixes, batch, seal_every, ProductBatch::Fixes, &single, &segmented);
 
         let (lo, hi) = (Timestamp(from), Timestamp(from + width));
         for scope in scopes() {
@@ -251,21 +236,18 @@ proptest! {
     #[test]
     fn proximity_paths_agree_exactly(
         rows in proptest::collection::vec(proximity_strategy(), 1..250),
-        shards in 1usize..5,
         batch in 1usize..40,
         seal_every in 1usize..6,
         from in 0u64..T_MAX,
         width in 0u64..T_MAX,
     ) {
         let single = Repository::new();
-        let sharded = ShardedRepository::new(shards);
         let segmented = SegmentedRepository::new();
-        fill3(&rows, batch, seal_every, ProductBatch::Proximity, &single, &sharded, &segmented);
+        fill(&rows, batch, seal_every, ProductBatch::Proximity, &single, &segmented);
 
         let (lo, hi) = (Timestamp(from), Timestamp(from + width));
         for scope in scopes() {
             prop_assert_eq!(single.counts(scope), segmented.counts(scope));
-            prop_assert_eq!(sharded.counts(scope), segmented.counts(scope));
 
             let a: Vec<ProximityRecord> = single.proximity.read()
                 .overlapping(scope, lo, hi).into_iter().copied().collect();
@@ -291,9 +273,8 @@ proptest! {
         seal_every in 1usize..6,
     ) {
         let single = Repository::new();
-        let sharded = ShardedRepository::new(4);
         let segmented = SegmentedRepository::new();
-        fill3(&rows, batch, seal_every, ProductBatch::Trajectories, &single, &sharded, &segmented);
+        fill(&rows, batch, seal_every, ProductBatch::Trajectories, &single, &segmented);
 
         // Segmented export decodes into an identical single repository, and
         // a single export rebuilds an identical segmented repository. Exports

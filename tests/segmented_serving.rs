@@ -201,7 +201,9 @@ fn migrating_through_segmented_is_lossless() {
         assert!(vita.repository().counts(RunId(r).into()).total() > 0);
     }
 
-    vita.migrate_backend(StorageBackend::Sharded { shards: 4 });
+    // And back to the single backend.
+    vita.migrate_backend(StorageBackend::Single);
+    assert_eq!(vita.repository().backend(), StorageBackend::Single);
     assert_eq!(vita.repository().counts(RunScope::All), counts);
     assert_eq!(sorted_fixes(&vita, RunScope::All), fixes);
 }
