@@ -1,11 +1,18 @@
 //! E10 — Storage: insert throughput and query latency (time window, object
-//! trace, spatial kNN) vs table size, plus codec throughput.
+//! trace, snapshot, spatial kNN) vs table size on the indexed engine, the
+//! segmented trajectory table, plus codec throughput.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use vita_geometry::Point;
-use vita_indoor::{BuildingId, FloorId, ObjectId, Timestamp};
+use vita_indoor::{BuildingId, FloorId, ObjectId, RunId, Timestamp};
 use vita_mobility::TrajectorySample;
-use vita_storage::{decode_trajectories, encode_trajectories, RunScope, TrajectoryTable};
+use vita_storage::{
+    decode_trajectories, encode_trajectories, ProductBatch, ProductSink, RunScope,
+    SegmentedRepository,
+};
+
+/// Rows per `accept_run` batch: the pipeline's hundreds-to-thousands.
+const BATCH: usize = 1_000;
 
 fn make_samples(n: usize) -> Vec<TrajectorySample> {
     (0..n)
@@ -21,6 +28,16 @@ fn make_samples(n: usize) -> Vec<TrajectorySample> {
         .collect()
 }
 
+/// `samples` ingested as `accept_run` batches, then sealed.
+fn ingest(samples: &[TrajectorySample]) -> SegmentedRepository {
+    let repo = SegmentedRepository::new();
+    for batch in samples.chunks(BATCH) {
+        repo.accept_run(RunId::DEFAULT, ProductBatch::Trajectories(batch.to_vec()));
+    }
+    repo.seal_now();
+    repo
+}
+
 fn bench_insert(c: &mut Criterion) {
     let mut g = c.benchmark_group("e10/insert");
     g.sample_size(10);
@@ -28,43 +45,36 @@ fn bench_insert(c: &mut Criterion) {
         let samples = make_samples(n);
         g.throughput(Throughput::Elements(n as u64));
         g.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
-            b.iter(|| {
-                let mut t = TrajectoryTable::new();
-                t.insert_bulk(samples.iter().copied());
-                t
-            });
+            b.iter(|| ingest(&samples));
         });
     }
     g.finish();
 }
 
 fn bench_queries(c: &mut Criterion) {
-    let samples = make_samples(200_000);
-    let mut table = TrajectoryTable::new();
-    table.insert_bulk(samples);
-    // Warm the spatial index once so kNN measures query cost, not build.
-    let _ = table.knn(RunScope::All, FloorId(0), Point::new(20.0, 8.0), 1);
-
+    let repo = ingest(&make_samples(200_000));
+    // Every query runs untimed in the shim's warm-up iterations first, so
+    // the object and spatial indexes they read are built before timing.
     let mut g = c.benchmark_group("e10/query");
     g.sample_size(20);
     g.bench_function("time_window_1pct", |b| {
-        b.iter(|| table.time_window(RunScope::All, Timestamp(100_000), Timestamp(114_000)));
+        b.iter(|| {
+            repo.trajectories_time_window(RunScope::All, Timestamp(100_000), Timestamp(114_000))
+        });
     });
     g.bench_function("object_trace", |b| {
-        b.iter(|| table.object_trace(RunScope::All, ObjectId(42)));
+        b.iter(|| repo.object_trace(RunScope::All, ObjectId(42)));
     });
     g.bench_function("snapshot", |b| {
-        b.iter(|| table.snapshot_at(RunScope::All, Timestamp(700_000)));
+        b.iter(|| repo.trajectories_snapshot_at(RunScope::All, Timestamp(700_000)));
     });
     g.finish();
 
-    // kNN needs &mut self; bench separately.
     let mut g = c.benchmark_group("e10/knn");
     g.sample_size(20);
     g.bench_function("knn10", |b| {
         b.iter(|| {
-            table
-                .knn(RunScope::All, FloorId(0), Point::new(20.0, 8.0), 10)
+            repo.trajectories_knn(RunScope::All, FloorId(0), Point::new(20.0, 8.0), 10)
                 .len()
         });
     });

@@ -1,5 +1,5 @@
 //! E15 — query serving micro-bench: one `QueryService::execute` over a
-//! pre-populated multi-run repository, per backend, for the default query
+//! pre-populated multi-run segmented repository, for the default query
 //! mix and for the two extreme requests (cheap `Counts` vs scan-heavy
 //! `TimeWindow`). Pure read path: ingestion happens once at setup, so the
 //! measurement isolates dispatch + repository query cost. The ramped-load
@@ -21,10 +21,10 @@ const OBJECTS: u32 = 64;
 const SAMPLES_PER_OBJECT: u64 = 512;
 const T_MAX: u64 = SAMPLES_PER_OBJECT * 10;
 
-/// A multi-run repository with `RUNS × OBJECTS × SAMPLES_PER_OBJECT`
-/// trajectory rows, time-ordered per object.
-fn populated(backend: StorageBackend) -> Arc<AnyRepository> {
-    let repo = AnyRepository::new(backend);
+/// A multi-run segmented repository with `RUNS × OBJECTS ×
+/// SAMPLES_PER_OBJECT` trajectory rows, time-ordered per object.
+fn populated() -> Arc<AnyRepository> {
+    let repo = AnyRepository::new(StorageBackend::segmented());
     for run in 0..RUNS {
         for o in 0..OBJECTS {
             let rows = (0..SAMPLES_PER_OBJECT)
@@ -41,8 +41,8 @@ fn populated(backend: StorageBackend) -> Arc<AnyRepository> {
             repo.accept_run(RunId(run), ProductBatch::Trajectories(rows));
         }
     }
-    // Measure the segmented backend's steady state: everything sealed and
-    // indexed, nothing left in the unsealed tail.
+    // Measure the steady state: everything sealed, nothing left in the
+    // unsealed tail.
     if let Some(s) = repo.as_segmented() {
         s.seal_now();
         s.seal_now();
@@ -51,42 +51,36 @@ fn populated(backend: StorageBackend) -> Arc<AnyRepository> {
 }
 
 fn bench_serving(c: &mut Criterion) {
-    let backends = [
-        ("single", StorageBackend::Single),
-        ("segmented", StorageBackend::segmented()),
-    ];
     let mut g = c.benchmark_group("e15/query_serving");
     g.sample_size(20);
-    for (name, backend) in backends {
-        let service = QueryService::new(populated(backend));
-        let spec = WorkloadSpec {
-            scopes: vec![RunScope::All, RunId(0).into(), RunId(1).into()],
-            objects: OBJECTS,
-            floors: 2,
-            t_max: T_MAX,
-            window: T_MAX / 8,
-            ..Default::default()
-        };
+    let service = QueryService::new(populated());
+    let spec = WorkloadSpec {
+        scopes: vec![RunScope::All, RunId(0).into(), RunId(1).into()],
+        objects: OBJECTS,
+        floors: 2,
+        t_max: T_MAX,
+        window: T_MAX / 8,
+        ..Default::default()
+    };
 
-        g.bench_function(format!("mixed_workload/{name}"), |b| {
-            let mut rng = spec.rng();
-            b.iter(|| service.execute(&spec.sample(&mut rng)).len());
-        });
-        g.bench_function(format!("counts_all/{name}"), |b| {
-            let req = QueryRequest::Counts {
-                scope: RunScope::All,
-            };
-            b.iter(|| service.execute(&req).len());
-        });
-        g.bench_function(format!("time_window_all/{name}"), |b| {
-            let req = QueryRequest::TimeWindow {
-                scope: RunScope::All,
-                from: Timestamp(T_MAX / 4),
-                to: Timestamp(T_MAX / 2),
-            };
-            b.iter(|| service.execute(&req).len());
-        });
-    }
+    g.bench_function("mixed_workload/segmented", |b| {
+        let mut rng = spec.rng();
+        b.iter(|| service.execute(&spec.sample(&mut rng)).len());
+    });
+    g.bench_function("counts_all/segmented", |b| {
+        let req = QueryRequest::Counts {
+            scope: RunScope::All,
+        };
+        b.iter(|| service.execute(&req).len());
+    });
+    g.bench_function("time_window_all/segmented", |b| {
+        let req = QueryRequest::TimeWindow {
+            scope: RunScope::All,
+            from: Timestamp(T_MAX / 4),
+            to: Timestamp(T_MAX / 2),
+        };
+        b.iter(|| service.execute(&req).len());
+    });
     g.finish();
 }
 

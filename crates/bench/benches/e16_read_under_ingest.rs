@@ -1,9 +1,8 @@
 //! E16 — read latency under live ingestion, micro-bench form: one
-//! `QueryService::execute` over a pre-populated multi-run repository
-//! while a writer thread keeps appending batches, per backend. The single
-//! backend makes readers wait out the writer's lock; the segmented
-//! backend answers from an epoch-pinned snapshot and never blocks. The
-//! macro companion (offered-rate step with `run_many` ingesting through
+//! `QueryService::execute` over a pre-populated multi-run segmented
+//! repository while a writer thread keeps appending batches. Every query
+//! answers from an epoch-pinned snapshot and never blocks on the writer.
+//! The macro companion (offered-rate step with `run_many` ingesting through
 //! the whole pipeline) is experiment E16 in
 //! `cargo run --release -p vita-bench --bin experiments`.
 
@@ -37,8 +36,8 @@ fn rows(o: u32, t0: u64, n: u64) -> Vec<TrajectorySample> {
         .collect()
 }
 
-fn populated(backend: StorageBackend) -> Arc<AnyRepository> {
-    let repo = AnyRepository::new(backend);
+fn populated() -> Arc<AnyRepository> {
+    let repo = AnyRepository::new(StorageBackend::segmented());
     for o in 0..OBJECTS {
         repo.accept_run(
             RunId(0),
@@ -49,63 +48,57 @@ fn populated(backend: StorageBackend) -> Arc<AnyRepository> {
 }
 
 fn bench_read_under_ingest(c: &mut Criterion) {
-    let backends = [
-        ("single", StorageBackend::Single),
-        ("segmented", StorageBackend::segmented()),
-    ];
     let mut g = c.benchmark_group("e16/read_under_ingest");
     g.sample_size(20);
-    for (name, backend) in backends {
-        let repo = populated(backend);
-        let service = QueryService::new(Arc::clone(&repo));
-        let spec = WorkloadSpec {
-            scopes: vec![RunScope::All, RunId(0).into(), RunId(1).into()],
-            objects: OBJECTS,
-            floors: 2,
-            t_max: T_MAX,
-            window: T_MAX / 8,
-            ..Default::default()
-        };
+    let repo = populated();
+    let service = QueryService::new(Arc::clone(&repo));
+    let spec = WorkloadSpec {
+        scopes: vec![RunScope::All, RunId(0).into(), RunId(1).into()],
+        objects: OBJECTS,
+        floors: 2,
+        t_max: T_MAX,
+        window: T_MAX / 8,
+        ..Default::default()
+    };
 
-        // A writer hammering appends for the whole measurement: paced just
-        // enough that the repository grows steadily instead of exploding.
-        let done = Arc::new(AtomicBool::new(false));
-        let writer = {
-            let repo = Arc::clone(&repo);
-            let done = Arc::clone(&done);
-            std::thread::spawn(move || {
-                let mut t0 = T_MAX;
-                let mut o = 0u32;
-                while !done.load(Ordering::Relaxed) {
-                    repo.accept_run(
-                        RunId(1),
-                        ProductBatch::Trajectories(rows(o, t0, INGEST_BATCH)),
-                    );
-                    o = (o + 1) % OBJECTS;
-                    if o == 0 {
-                        t0 += INGEST_BATCH * 10;
-                    }
-                    std::thread::sleep(std::time::Duration::from_micros(200));
+    // A writer hammering appends for the whole measurement: paced just
+    // enough that the repository grows steadily instead of exploding.
+    let done = Arc::new(AtomicBool::new(false));
+    let writer = {
+        let repo = Arc::clone(&repo);
+        let done = Arc::clone(&done);
+        std::thread::spawn(move || {
+            let mut t0 = T_MAX;
+            let mut o = 0u32;
+            while !done.load(Ordering::Relaxed) {
+                repo.accept_run(
+                    RunId(1),
+                    ProductBatch::Trajectories(rows(o, t0, INGEST_BATCH)),
+                );
+                o = (o + 1) % OBJECTS;
+                if o == 0 {
+                    t0 += INGEST_BATCH * 10;
                 }
-            })
+                std::thread::sleep(std::time::Duration::from_micros(200));
+            }
+        })
+    };
+
+    g.bench_function("mixed_workload/segmented", |b| {
+        let mut rng = spec.rng();
+        b.iter(|| service.execute(&spec.sample(&mut rng)).len());
+    });
+    g.bench_function("time_window_all/segmented", |b| {
+        let req = QueryRequest::TimeWindow {
+            scope: RunScope::All,
+            from: Timestamp(T_MAX / 4),
+            to: Timestamp(T_MAX / 2),
         };
+        b.iter(|| service.execute(&req).len());
+    });
 
-        g.bench_function(format!("mixed_workload/{name}"), |b| {
-            let mut rng = spec.rng();
-            b.iter(|| service.execute(&spec.sample(&mut rng)).len());
-        });
-        g.bench_function(format!("time_window_all/{name}"), |b| {
-            let req = QueryRequest::TimeWindow {
-                scope: RunScope::All,
-                from: Timestamp(T_MAX / 4),
-                to: Timestamp(T_MAX / 2),
-            };
-            b.iter(|| service.execute(&req).len());
-        });
-
-        done.store(true, Ordering::Relaxed);
-        writer.join().expect("ingest thread");
-    }
+    done.store(true, Ordering::Relaxed);
+    writer.join().expect("ingest thread");
     g.finish();
 }
 

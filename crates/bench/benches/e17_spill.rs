@@ -44,6 +44,12 @@ fn fill(repo: &SegmentedRepository) {
     repo.seal_now();
 }
 
+/// The shared spill parent `StorageBackend::from_str` uses: each
+/// repository spills into its own subdirectory and removes it on drop.
+fn spill_dir() -> std::path::PathBuf {
+    std::env::temp_dir().join("vita-spill")
+}
+
 fn spilled() -> SegmentedRepository {
     let repo = SegmentedRepository::with_spill(
         SegmentConfig {
@@ -51,7 +57,7 @@ fn spilled() -> SegmentedRepository {
             ..SegmentConfig::default()
         },
         SpillConfig {
-            dir: std::env::temp_dir().join(format!("vita-e17-bench-{}", std::process::id())),
+            dir: spill_dir(),
             memory_budget_rows: SEAL_ROWS * 2,
             cache_segments: 2,
         },
@@ -68,7 +74,7 @@ fn resident() -> SegmentedRepository {
             ..SegmentConfig::default()
         },
         SpillConfig {
-            dir: std::env::temp_dir().join(format!("vita-e17-bench-{}", std::process::id())),
+            dir: spill_dir(),
             memory_budget_rows: usize::MAX,
             cache_segments: 2,
         },

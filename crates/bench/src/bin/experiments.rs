@@ -29,6 +29,7 @@ use vita_devices::{
 };
 use vita_geometry::Point;
 use vita_indoor::{FloorId, Hz, RoutePlanner, RoutingSchema, Timestamp};
+use vita_lab::json_string;
 use vita_mobility::{initial_positions, InitialDistribution};
 use vita_positioning::{
     build_radio_map, default_conversion, evaluate_fixes, evaluate_prob_fixes, evaluate_proximity,
@@ -36,7 +37,7 @@ use vita_positioning::{
     FingerprintConfig, ProximityConfig, SurveyConfig, TrilaterationConfig,
 };
 use vita_rssi::PathLossModel;
-use vita_storage::{RunScope, TrajectoryTable};
+use vita_storage::RunScope;
 
 /// Every experiment the harness runs, by id, in report order.
 const EXPERIMENTS: [(&str, fn()); 17] = [
@@ -153,25 +154,6 @@ fn write_json_report(path: &str, args: &[String]) {
     );
     std::fs::write(path, json).expect("write json report");
     eprintln!("wrote {path}");
-}
-
-/// Minimal JSON string escaping (quotes, backslashes, control characters).
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 /// `lab SPEC [--trials PATH] [--schema GOLDEN]` — run a scenario-matrix
@@ -352,13 +334,11 @@ fn e14_persistence() {
 /// E15 — online query serving over live ingestion: a closed-feedback load
 /// generator ramps a mixed query workload (counts / snapshot / window /
 /// trace / range / kNN over `All` and per-run scopes) against
-/// `Vita::serve` while a writer thread keeps `run_many` ingesting new
-/// runs into the same repository. The ramp steps the offered rate until a
-/// step achieves less than 90% of its target; the last sustained step is
-/// the backend's max sustainable RPS. Single vs segmented isolates what
-/// lock-free snapshot reads buy the read path under write contention.
-/// Absolute rates are container-sensitive; compare backends within one
-/// run, not across BENCH files.
+/// `Vita::serve` on the segmented backend while a writer thread keeps
+/// `run_many` ingesting new runs into the same repository. The ramp steps
+/// the offered rate until a step achieves less than 90% of its target;
+/// the last sustained step is the max sustainable RPS. Absolute rates are
+/// container-sensitive; compare within one run, not across BENCH files.
 fn e15_query_serving() {
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::time::Duration;
@@ -376,28 +356,145 @@ fn e15_query_serving() {
 
     println!(
         "## E15 — online query serving under live ingestion \
-         (ramped load, {QUERY_WORKERS} query workers vs continuous run_many, \
-         office 2F, 10 APs, trilateration)\n"
+         (segmented backend, ramped load, {QUERY_WORKERS} query workers vs \
+         continuous run_many, office 2F, 10 APs, trilateration)\n"
     );
-    println!("| backend | target RPS | achieved RPS | issued | p50 µs | p99 µs | p999 µs |");
-    println!("|---|---|---|---|---|---|---|");
+    println!("| target RPS | achieved RPS | issued | p50 µs | p99 µs | p999 µs |");
+    println!("|---|---|---|---|---|---|");
     let text = e11::office_text();
-    let backends = [
-        ("single", StorageBackend::Single),
-        ("segmented", StorageBackend::segmented()),
-    ];
-    let mut summary = Vec::new();
-    for (name, backend) in &backends {
+    let backend = StorageBackend::segmented();
+    let mut vita = e11::toolkit(&text).with_backend(backend.clone());
+    // Pre-ingest one run so the first ramp steps query real rows rather
+    // than empty tables.
+    vita.run_streaming(&e11::scenario_with(
+        OBJECTS,
+        SECS,
+        STAGE_WORKERS,
+        backend.clone(),
+    ))
+    .unwrap();
+    let service = vita.serve();
+    let workload = WorkloadSpec {
+        scopes: vec![RunScope::All, RunId(0).into(), RunId(1).into()],
+        objects: OBJECTS as u32,
+        floors: 2,
+        t_max: SECS * 1000,
+        window: 2_000,
+        ..Default::default()
+    };
+    let profile = LoadProfile {
+        initial_rps: 1_000.0,
+        increment_rps: 1_000.0,
+        max_rps: 8_000.0,
+        step_duration: Duration::from_millis(400),
+        workers: QUERY_WORKERS,
+        satisfaction: 0.85,
+    };
+
+    let done = AtomicBool::new(false);
+    let report = std::thread::scope(|scope| {
+        let done = &done;
+        let backend = &backend;
+        let writer = scope.spawn(move || {
+            // Keep ingestion live for the whole ramp: schedule pairs of
+            // small runs back to back until the ramp finishes. Same backend
+            // as the toolkit, so the serve handle stays attached to the
+            // live repository.
+            let mut runs = 0usize;
+            while !done.load(Ordering::Relaxed) {
+                let reports = vita
+                    .run_many(&[
+                        e11::scenario_with(OBJECTS / 4, 5, STAGE_WORKERS, backend.clone()),
+                        e11::scenario_with(OBJECTS / 4, 5, STAGE_WORKERS, backend.clone()),
+                    ])
+                    .unwrap();
+                runs += reports.len();
+            }
+            runs
+        });
+        let report = run_ramp(&service, &workload, &profile);
+        done.store(true, Ordering::Relaxed);
+        let runs = writer.join().expect("ingestion thread");
+        assert!(runs > 0, "ingestion never completed a run during the ramp");
+        report
+    });
+
+    for s in &report.steps {
+        println!(
+            "| {:.0} | {:.0} | {} | {} | {} | {} |",
+            s.target_rps, s.achieved_rps, s.issued, s.p50_us, s.p99_us, s.p999_us
+        );
+    }
+    println!();
+    println!(
+        "- max sustainable RPS: **{:.0}**",
+        report.max_sustainable_rps
+    );
+    println!();
+}
+
+/// E16 — fixed-rate read latency under live ingestion: the same mixed
+/// query workload as E15, pinned at one offered rate on the segmented
+/// backend while a writer thread keeps `run_many` ingesting. Every query
+/// answers from an epoch-pinned immutable snapshot, so the read tail
+/// should stay flat while the writer runs; the seal / compaction columns
+/// count the sealer's in-step work, confirming it was actually churning
+/// during the measurement, not idle. The row is the median-p99 rep of
+/// three independent reps, each over a freshly built repository.
+/// Absolute numbers are container-sensitive; compare within one run.
+fn e16_read_under_ingest() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::time::Duration;
+    use vita_bench::e11;
+    use vita_core::{RunId, StorageBackend};
+    use vita_serve::{run_ramp, LoadProfile, WorkloadSpec};
+
+    // The fixed rate is high enough that reads overlap the writer's
+    // ingest, low enough that the step is not in open-loop overload — in
+    // overload the percentiles measure queue depth, not the backend.
+    const STAGE_WORKERS: usize = 1;
+    const QUERY_WORKERS: usize = 2;
+    const SECS: u64 = 30;
+    const OBJECTS: usize = 100;
+    const FIXED_RPS: f64 = 2_000.0;
+    /// The pre-ingested corpus samples trajectories at this rate (the live
+    /// trickle stays at the 1 Hz default, so offered write load during the
+    /// step is unchanged).
+    const PRELOAD_HZ: f64 = 20.0;
+    /// One `run_many` scenario pair is ingested per period, on an absolute
+    /// schedule — the same offered write load in every rep.
+    const INGEST_PERIOD: Duration = Duration::from_millis(20);
+    /// One 4 s step is a noisy sample on a small shared host; the median
+    /// of three independent reps (fresh repository each) is stable enough
+    /// to read a p99 a few hundred µs wide.
+    const STEP_REPS: usize = 3;
+
+    println!(
+        "## E16 — fixed-rate read latency under live ingestion \
+         (segmented backend, {FIXED_RPS:.0} RPS × {QUERY_WORKERS} query \
+         workers vs paced run_many, one scenario pair / {} ms, median of \
+         {STEP_REPS} reps, office 2F, 10 APs, trilateration)\n",
+        INGEST_PERIOD.as_millis()
+    );
+    println!(
+        "| target RPS | achieved RPS | issued | p50 µs | p99 µs | p999 µs \
+         | seals | compactions |"
+    );
+    println!("|---|---|---|---|---|---|---|---|");
+    let text = e11::office_text();
+    let backend = StorageBackend::segmented();
+    // Each rep rebuilds the toolkit from scratch so every sample sees the
+    // same repository size — reusing one repository across reps would let
+    // the continuing ingestion grow the data set until the later steps
+    // saturate and measure queue depth instead.
+    let mut samples = Vec::new();
+    for _ in 0..STEP_REPS {
         let mut vita = e11::toolkit(&text).with_backend(backend.clone());
-        // Pre-ingest one run so the first ramp steps query real rows
-        // rather than empty tables.
-        vita.run_streaming(&e11::scenario_with(
-            OBJECTS,
-            SECS,
-            STAGE_WORKERS,
-            backend.clone(),
-        ))
-        .unwrap();
+        // Pre-ingest one run so the fixed-rate step queries real rows.
+        let mut preload = e11::scenario_with(OBJECTS, SECS, STAGE_WORKERS, backend.clone());
+        preload.mobility.trajectory_hz = Hz(PRELOAD_HZ);
+        vita.run_streaming(&preload).unwrap();
+        let repo = vita.repository_handle();
         let service = vita.serve();
         let workload = WorkloadSpec {
             scopes: vec![RunScope::All, RunId(0).into(), RunId(1).into()],
@@ -407,24 +504,32 @@ fn e15_query_serving() {
             window: 2_000,
             ..Default::default()
         };
+        // increment 0 → exactly one step; satisfaction 0 → it always
+        // counts.
         let profile = LoadProfile {
-            initial_rps: 1_000.0,
-            increment_rps: 1_000.0,
-            max_rps: 8_000.0,
-            step_duration: Duration::from_millis(400),
+            initial_rps: FIXED_RPS,
+            increment_rps: 0.0,
+            max_rps: FIXED_RPS,
+            step_duration: Duration::from_millis(4_000),
             workers: QUERY_WORKERS,
-            satisfaction: 0.85,
+            satisfaction: 0.0,
         };
+        let stats = || repo.as_segmented().expect("a segmented repository").stats();
 
         let done = AtomicBool::new(false);
+        // Stats before the measured step, so the table reports in-step
+        // maintenance work rather than preload churn.
+        let base = stats();
         let report = std::thread::scope(|scope| {
             let done = &done;
+            let backend = &backend;
             let writer = scope.spawn(move || {
-                // Keep ingestion live for the whole ramp: schedule pairs of
-                // small runs back to back until the ramp finishes. Same
-                // backend as the toolkit, so the serve handle stays
-                // attached to the live repository.
+                // Paced ingestion: one scenario pair per fixed slot, on an
+                // absolute schedule, so the offered write load does not
+                // depend on how fast appends happen to be.
+                let t0 = std::time::Instant::now();
                 let mut runs = 0usize;
+                let mut slot = 0u32;
                 while !done.load(Ordering::Relaxed) {
                     let reports = vita
                         .run_many(&[
@@ -433,190 +538,44 @@ fn e15_query_serving() {
                         ])
                         .unwrap();
                     runs += reports.len();
+                    slot += 1;
+                    while !done.load(Ordering::Relaxed) {
+                        let next = INGEST_PERIOD * slot;
+                        let elapsed = t0.elapsed();
+                        if elapsed >= next {
+                            break;
+                        }
+                        std::thread::sleep((next - elapsed).min(Duration::from_millis(5)));
+                    }
                 }
                 runs
             });
             let report = run_ramp(&service, &workload, &profile);
             done.store(true, Ordering::Relaxed);
             let runs = writer.join().expect("ingestion thread");
-            assert!(runs > 0, "ingestion never completed a run during the ramp");
+            assert!(runs > 0, "ingestion never completed a run during the step");
             report
         });
 
-        for s in &report.steps {
-            println!(
-                "| {name} | {:.0} | {:.0} | {} | {} | {} | {} |",
-                s.target_rps, s.achieved_rps, s.issued, s.p50_us, s.p99_us, s.p999_us
-            );
-        }
-        summary.push((name, report.max_sustainable_rps));
+        let after = stats();
+        samples.push((
+            report,
+            after.seals - base.seals,
+            after.compactions - base.compactions,
+        ));
     }
-    println!();
-    for (name, rps) in summary {
-        println!("- max sustainable RPS, {name}: **{rps:.0}**");
-    }
-    println!();
-}
-
-/// E16 — fixed-rate read latency under live ingestion: the same mixed
-/// query workload as E15, but pinned at one offered rate (around where
-/// the single backend saturates in E15's ramp) while a writer thread
-/// keeps `run_many` ingesting — on both backends. The segmented backend
-/// answers every query from an epoch-pinned immutable snapshot, so its
-/// read tail should stay flat where the single backend queues behind the
-/// writer; the seal / compaction columns count the sealer's
-/// in-step work, confirming it was actually churning during the
-/// measurement, not idle. Each backend's row is the median-p99 rep of
-/// three independent reps, each over a freshly built repository. Absolute
-/// numbers are container-sensitive; compare backends within one run.
-fn e16_read_under_ingest() {
-    use std::sync::atomic::{AtomicBool, Ordering};
-    use std::time::Duration;
-    use vita_bench::e11;
-    use vita_core::{RunId, StorageBackend};
-    use vita_serve::{run_ramp, LoadProfile, WorkloadSpec};
-
-    // The fixed rate sits at E15's saturation knee (the last step the
-    // single backend sustains): high enough that the writer's locks are
-    // contended, low enough that the step is not in open-loop overload —
-    // in overload the percentiles measure queue depth, not the backend.
-    const STAGE_WORKERS: usize = 1;
-    const QUERY_WORKERS: usize = 2;
-    const SECS: u64 = 30;
-    const OBJECTS: usize = 100;
-    const FIXED_RPS: f64 = 2_000.0;
-    /// The pre-ingested corpus samples trajectories at this rate (the live
-    /// trickle stays at the 1 Hz default, so offered write load during the
-    /// step is unchanged). A corpus of ~60k point rows is what makes the
-    /// single backend's structural cost visible: any append evicts the
-    /// touched floor's cached grid, so every spatial query mid-ingest
-    /// rebuilds an O(corpus) index, while the segmented backend's sealed
-    /// per-segment grids are immutable and never rebuilt.
-    const PRELOAD_HZ: f64 = 20.0;
-    /// Every backend ingests one `run_many` scenario pair per period, on
-    /// an absolute schedule — identical offered write load across rows.
-    const INGEST_PERIOD: Duration = Duration::from_millis(20);
-    /// One 4 s step is a noisy sample on a small shared host; the median
-    /// of three independent reps (fresh repository each) is stable enough
-    /// to compare backends a few hundred µs apart at p99.
-    const STEP_REPS: usize = 3;
-
+    samples.sort_by_key(|(r, _, _)| r.steps[0].p99_us);
+    let (report, seals, compactions) = &samples[samples.len() / 2];
+    let s = &report.steps[0];
     println!(
-        "## E16 — fixed-rate read latency under live ingestion \
-         ({FIXED_RPS:.0} RPS × {QUERY_WORKERS} query workers vs paced \
-         run_many, one scenario pair / {} ms, median of {STEP_REPS} reps, \
-         office 2F, 10 APs, trilateration)\n",
-        INGEST_PERIOD.as_millis()
+        "| {:.0} | {:.0} | {} | {} | {} | {} | {seals} | {compactions} |",
+        s.target_rps, s.achieved_rps, s.issued, s.p50_us, s.p99_us, s.p999_us
     );
-    println!(
-        "| backend | target RPS | achieved RPS | issued | p50 µs | p99 µs | p999 µs \
-         | seals | compactions |"
-    );
-    println!("|---|---|---|---|---|---|---|---|---|");
-    let text = e11::office_text();
-    let backends = [
-        ("single", StorageBackend::Single),
-        ("segmented", StorageBackend::segmented()),
-    ];
-    let mut summary = Vec::new();
-    for (name, backend) in &backends {
-        // Each rep rebuilds the toolkit from scratch so every sample sees
-        // the same repository size — reusing one repository across reps
-        // would let the continuing ingestion grow the data set until the
-        // later steps saturate and measure queue depth instead.
-        let mut samples = Vec::new();
-        for _ in 0..STEP_REPS {
-            let mut vita = e11::toolkit(&text).with_backend(backend.clone());
-            // Pre-ingest one run so the fixed-rate step queries real rows.
-            let mut preload = e11::scenario_with(OBJECTS, SECS, STAGE_WORKERS, backend.clone());
-            preload.mobility.trajectory_hz = Hz(PRELOAD_HZ);
-            vita.run_streaming(&preload).unwrap();
-            let repo = vita.repository_handle();
-            let service = vita.serve();
-            let workload = WorkloadSpec {
-                scopes: vec![RunScope::All, RunId(0).into(), RunId(1).into()],
-                objects: OBJECTS as u32,
-                floors: 2,
-                t_max: SECS * 1000,
-                window: 2_000,
-                ..Default::default()
-            };
-            // increment 0 → exactly one step; satisfaction 0 → it always
-            // counts.
-            let profile = LoadProfile {
-                initial_rps: FIXED_RPS,
-                increment_rps: 0.0,
-                max_rps: FIXED_RPS,
-                step_duration: Duration::from_millis(4_000),
-                workers: QUERY_WORKERS,
-                satisfaction: 0.0,
-            };
-
-            let done = AtomicBool::new(false);
-            // Stats before the measured step, so the table reports in-step
-            // maintenance work rather than preload churn.
-            let base = repo.as_segmented().map_or((0, 0), |s| {
-                let st = s.stats();
-                (st.seals, st.compactions)
-            });
-            let report = std::thread::scope(|scope| {
-                let done = &done;
-                let writer = scope.spawn(move || {
-                    // Paced ingestion: one scenario pair per fixed slot, on
-                    // an absolute schedule. A free-running loop would let
-                    // the backend with the cheapest appends ingest the most
-                    // data during the step, so the comparison would measure
-                    // generation CPU, not the read path under equal write
-                    // load.
-                    let t0 = std::time::Instant::now();
-                    let mut runs = 0usize;
-                    let mut slot = 0u32;
-                    while !done.load(Ordering::Relaxed) {
-                        let reports = vita
-                            .run_many(&[
-                                e11::scenario_with(OBJECTS / 4, 5, STAGE_WORKERS, backend.clone()),
-                                e11::scenario_with(OBJECTS / 4, 5, STAGE_WORKERS, backend.clone()),
-                            ])
-                            .unwrap();
-                        runs += reports.len();
-                        slot += 1;
-                        while !done.load(Ordering::Relaxed) {
-                            let next = INGEST_PERIOD * slot;
-                            let elapsed = t0.elapsed();
-                            if elapsed >= next {
-                                break;
-                            }
-                            std::thread::sleep((next - elapsed).min(Duration::from_millis(5)));
-                        }
-                    }
-                    runs
-                });
-                let report = run_ramp(&service, &workload, &profile);
-                done.store(true, Ordering::Relaxed);
-                let runs = writer.join().expect("ingestion thread");
-                assert!(runs > 0, "ingestion never completed a run during the step");
-                report
-            });
-
-            let (seals, compactions) = repo.as_segmented().map_or((0, 0), |s| {
-                let st = s.stats();
-                (st.seals - base.0, st.compactions - base.1)
-            });
-            samples.push((report, seals, compactions));
-        }
-        samples.sort_by_key(|(r, _, _)| r.steps[0].p99_us);
-        let (report, seals, compactions) = &samples[samples.len() / 2];
-        let s = &report.steps[0];
-        println!(
-            "| {name} | {:.0} | {:.0} | {} | {} | {} | {} | {seals} | {compactions} |",
-            s.target_rps, s.achieved_rps, s.issued, s.p50_us, s.p99_us, s.p999_us
-        );
-        summary.push((name, s.p99_us, s.p999_us));
-    }
     println!();
-    for (name, p99, p999) in summary {
-        println!("- read latency under ingest, {name}: p99 **{p99} µs**, p999 **{p999} µs**");
-    }
+    println!(
+        "- read latency under ingest: p99 **{} µs**, p999 **{} µs**",
+        s.p99_us, s.p999_us
+    );
     println!();
 }
 
@@ -683,8 +642,9 @@ fn e17_out_of_core() {
             SegmentedRepository::with_spill(
                 config,
                 SpillConfig {
-                    dir: std::env::temp_dir()
-                        .join(format!("vita-e17-spill-{}", std::process::id())),
+                    // The shared parent `StorageBackend::from_str` uses; the
+                    // repository removes its own subdirectory on drop.
+                    dir: std::env::temp_dir().join("vita-spill"),
                     memory_budget_rows: BUDGET,
                     cache_segments: 4,
                 },
@@ -1340,15 +1300,24 @@ fn e9_dbi_processing() {
     println!();
 }
 
-/// E10 — storage quick numbers.
+/// E10 — storage quick numbers on the indexed engine, the segmented
+/// trajectory table: insert is `accept_run` batches plus one `seal_now`,
+/// and each query runs once untimed first, so the index it reads is
+/// built (and the snapshot pinned) outside the timing.
 fn e10_storage() {
-    println!("## E10 — storage insert/query (trajectory table)\n");
+    use vita_indoor::RunId;
+    use vita_mobility::TrajectorySample;
+    use vita_storage::{ProductBatch, ProductSink, SegmentedRepository};
+
+    const BATCH: usize = 1_000;
+
+    println!("## E10 — storage insert/query (segmented trajectory table)\n");
     println!("| rows | insert ms | time-window(1%) µs | object trace µs | kNN(10) µs |");
     println!("|---|---|---|---|---|");
     for &n in &[10_000usize, 100_000, 1_000_000] {
-        let samples: Vec<vita_mobility::TrajectorySample> = (0..n)
+        let samples: Vec<TrajectorySample> = (0..n)
             .map(|i| {
-                vita_mobility::TrajectorySample::new(
+                TrajectorySample::new(
                     vita_indoor::ObjectId((i % 100) as u32),
                     vita_indoor::BuildingId(0),
                     FloorId(0),
@@ -1357,32 +1326,40 @@ fn e10_storage() {
                 )
             })
             .collect();
+        let batches: Vec<Vec<TrajectorySample>> =
+            samples.chunks(BATCH).map(<[_]>::to_vec).collect();
+        drop(samples);
         let t0 = Instant::now();
-        let mut table = TrajectoryTable::new();
-        table.append_batch(samples);
+        let repo = SegmentedRepository::new();
+        for batch in batches {
+            repo.accept_run(RunId::DEFAULT, ProductBatch::Trajectories(batch));
+        }
+        repo.seal_now();
         let insert_ms = t0.elapsed().as_secs_f64() * 1000.0;
 
+        let warm_then_time = |query: &dyn Fn() -> usize| {
+            std::hint::black_box(query());
+            let t = Instant::now();
+            std::hint::black_box(query());
+            t.elapsed().as_secs_f64() * 1e6
+        };
         let span = n as u64 * 7;
-        let t1 = Instant::now();
-        let w = table.time_window(
-            RunScope::All,
-            Timestamp(span / 2),
-            Timestamp(span / 2 + span / 100),
-        );
-        let window_us = t1.elapsed().as_secs_f64() * 1e6;
-        std::hint::black_box(w.len());
-
-        let t2 = Instant::now();
-        let tr = table.object_trace(RunScope::All, vita_indoor::ObjectId(42));
-        let trace_us = t2.elapsed().as_secs_f64() * 1e6;
-        std::hint::black_box(tr.len());
-
-        // Build spatial index outside the timing, then measure the query.
-        let _ = table.knn(RunScope::All, FloorId(0), Point::new(20.0, 8.0), 1);
-        let t3 = Instant::now();
-        let kn = table.knn(RunScope::All, FloorId(0), Point::new(20.0, 8.0), 10);
-        let knn_us = t3.elapsed().as_secs_f64() * 1e6;
-        std::hint::black_box(kn.len());
+        let window_us = warm_then_time(&|| {
+            repo.trajectories_time_window(
+                RunScope::All,
+                Timestamp(span / 2),
+                Timestamp(span / 2 + span / 100),
+            )
+            .len()
+        });
+        let trace_us = warm_then_time(&|| {
+            repo.object_trace(RunScope::All, vita_indoor::ObjectId(42))
+                .len()
+        });
+        let knn_us = warm_then_time(&|| {
+            repo.trajectories_knn(RunScope::All, FloorId(0), Point::new(20.0, 8.0), 10)
+                .len()
+        });
 
         println!("| {n} | {insert_ms:.1} | {window_us:.0} | {trace_us:.0} | {knn_us:.0} |");
     }

@@ -65,8 +65,11 @@ pub struct TrialRecord {
     pub persist: Option<PersistProbe>,
 }
 
-/// Minimal JSON string escaping (quotes, backslashes, control chars).
-fn json_string(s: &str) -> String {
+/// A JSON string literal for `s`, quotes included: minimal escaping
+/// (quotes, backslashes, control characters). The workspace's one JSON
+/// string emitter — trial records and the experiments harness's
+/// `--json` report both write through it.
+pub fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {

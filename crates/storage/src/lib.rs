@@ -1,13 +1,15 @@
 #![forbid(unsafe_code)]
 //! # vita-storage
 //!
-//! The Storage component (paper §2, §4.2): indexed repositories for every
-//! generated data product, Data Stream APIs for the Producer, and binary
-//! persistence. Replaces the paper's PostgreSQL+PostGIS deployment with an
+//! The Storage component (paper §2, §4.2): repositories for every
+//! generated data product (indexed in the segmented engine), Data Stream
+//! APIs for the Producer, and binary persistence. Replaces the paper's PostgreSQL+PostGIS deployment with an
 //! embedded, laptop-scale engine (see DESIGN.md substitution table).
 //!
-//! * [`table`] — typed tables with time / object / device indexes and a
-//!   per-floor spatial index (range + kNN) over trajectory points.
+//! * [`table`] — the single backend's reference store: one append-only
+//!   table per product, every query a linear scan.
+//! * [`segment`] — the segmented engine, whose sealed sections build
+//!   object, device and per-floor spatial indexes on first use.
 //! * [`stream`] — tumbling windows, downsampling, stream merge.
 //! * [`codec`] — compact binary encode/decode for file round-trips.
 //! * [`Repository`] — the thread-safe facade bundling all tables.
@@ -22,16 +24,17 @@
 //! * **Ordering** — rows *within* one batch are time-ordered by their
 //!   producer (one batch per moving object is the pipeline default).
 //!   Batches from concurrent producers may interleave arbitrarily; every
-//!   table indexes by time, object, and device, so the row *sets* any
-//!   query returns are independent of arrival order. Ties are not: rows
+//!   query orders by time, object, device or distance, so the row *sets*
+//!   it returns are independent of arrival order. Ties are not: rows
 //!   sharing a timestamp come back in arrival order, which is
 //!   scheduler-dependent under concurrent producers — consumers needing a
 //!   run-stable total order must sort on a full key, as the parity tests
 //!   do.
 //! * **Batch size** — producers should target hundreds-to-thousands of
 //!   rows per batch. Batches move into the tables wholesale (one `Vec`
-//!   append plus index updates); degenerate one-row batches degrade to the
-//!   per-row insert cost.
+//!   append, plus on the segmented backend one unsealed segment and its
+//!   publication); degenerate one-row batches pay that fixed cost per
+//!   row.
 //! * **Backpressure** — [`ProductSink::accept`] may block briefly on the
 //!   table's write lock but never buffers unboundedly. Producers bound the
 //!   number of in-flight batches upstream (the pipeline uses a bounded
@@ -42,20 +45,20 @@
 //!
 //! Two [`ProductSink`] backends implement the same contract:
 //!
-//! * [`Repository`] — all four tables behind one `RwLock` each. The
-//!   offline default: lowest constant cost, no background thread, and
-//!   queries hand out references instead of owned rows. It is also the
-//!   reference oracle the cross-backend parity suites compare against.
-//! * [`SegmentedRepository`] — each table a list of immutable, run-
-//!   segmented segments published by atomic snapshot swap, with a
-//!   background sealer/compactor that sorts sealed sections by time and
-//!   builds no index: a sealed section's object, device and spatial
-//!   indexes are each built by the first query that needs them (see the
-//!   [`segment`] module docs). Readers pin a snapshot and never block;
-//!   choose it when queries must stay fast *while* ingestion runs (the
-//!   online-serving workload), or when the data must outgrow memory (its
-//!   spill tier). For purely offline workloads the single repository
-//!   skips the sealer thread and the per-query merge.
+//! * [`Repository`] — the reference store: four append-only [`table`]s
+//!   behind one `RwLock` each, with no index, so every query is a linear
+//!   scan. The offline default: ingest is a `Vec` append, there is no
+//!   background thread, and export and import are single passes. It is
+//!   also the oracle the cross-backend parity suites compare against, and
+//!   it shares no index or grid code with the engine it checks.
+//! * [`SegmentedRepository`] — the indexed engine. Each table is a list of
+//!   immutable, run-segmented segments published by atomic snapshot swap,
+//!   with a background sealer/compactor that sorts sealed sections by
+//!   time; a sealed section's object, device and spatial indexes are each
+//!   built by the first query that needs them (see the [`segment`] module
+//!   docs). Readers pin a snapshot and never block. Choose it whenever
+//!   queries matter: for serving, for queries *while* ingestion runs, and
+//!   for data that must outgrow memory (its spill tier).
 //!
 //! [`StorageBackend`] names the choice for configuration surfaces and
 //! [`AnyRepository`] dispatches between the two at runtime (this is what
@@ -66,10 +69,9 @@
 //! Both backends store data from **many concurrent generation runs** in
 //! one repository: every ingested row carries the [`RunId`] passed to
 //! [`ProductSink::accept_run`] (plain [`ProductSink::accept`] writes under
-//! [`RunId::DEFAULT`]). Each table keeps a run index next to its time /
-//! object / device indexes, so
-//!
-//! every query takes a [`RunScope`] naming the runs it answers over:
+//! [`RunId::DEFAULT`]). The reference tables keep the tag next to each
+//! row; the segmented engine keeps one section per run in every segment.
+//! Every query takes a [`RunScope`] naming the runs it answers over:
 //!
 //! * [`RunScope::All`] merges **all runs** — what a repository that ignored
 //!   run tags would return, and
@@ -104,6 +106,7 @@
 //! a directory on disk.
 
 pub mod codec;
+mod row;
 pub mod segment;
 pub mod stream;
 pub mod table;
@@ -117,7 +120,7 @@ pub use codec::{
 };
 pub use segment::{SegmentConfig, SegmentStats, SegmentedRepository, SpillConfig, SpillError};
 pub use stream::{downsample, merge_by_time, record_rate, Timed, TumblingWindow};
-pub use table::{FixTable, ProximityTable, RowId, RssiTable, TrajectoryTable};
+pub use table::{FixTable, ProximityTable, RssiTable, TrajectoryTable};
 
 use parking_lot::RwLock;
 
@@ -261,7 +264,8 @@ pub trait ProductSink: Send + Sync {
 
 /// The data keeper for one generation run: all repositories behind one
 /// thread-safe facade ("Storage serves as both the data provider and data
-/// keeper").
+/// keeper"). The tables are the [`table`] module's linear-scan reference
+/// store.
 #[derive(Debug, Default)]
 pub struct Repository {
     pub trajectories: RwLock<TrajectoryTable>,
@@ -341,24 +345,19 @@ impl Repository {
 
     /// Serialize every table into one buffer per table, one wire-format
     /// section per run: run tags survive the export (see the crate-level
-    /// "Persistence & wire format" docs).
+    /// "Persistence & wire format" docs). Each table is bucketed by run in
+    /// one pass.
     pub fn export(&self) -> RepositoryExport {
+        // All four read locks at once: the export is one consistent cut
+        // across the tables even while ingestion runs.
         let trajectories = self.trajectories.read();
         let rssi = self.rssi.read();
         let fixes = self.fixes.read();
         let proximity = self.proximity.read();
-        let t_sections = run_sections(trajectories.run_ids(), |r| {
-            trajectories.scan_run(r).into_iter().copied().collect()
-        });
-        let r_sections = run_sections(rssi.run_ids(), |r| {
-            rssi.scan_run(r).into_iter().copied().collect()
-        });
-        let f_sections = run_sections(fixes.run_ids(), |r| {
-            fixes.scan_run(r).into_iter().copied().collect()
-        });
-        let p_sections = run_sections(proximity.run_ids(), |r| {
-            proximity.scan_run(r).into_iter().copied().collect()
-        });
+        let t_sections = trajectories.export_sections();
+        let r_sections = rssi.export_sections();
+        let f_sections = fixes.export_sections();
+        let p_sections = proximity.export_sections();
         RepositoryExport {
             trajectories: encode_trajectories_runs(&borrow_sections(&t_sections)),
             rssi: encode_rssi_runs(&borrow_sections(&r_sections)),
@@ -389,7 +388,7 @@ impl Repository {
 }
 
 /// Collect one owned row set per run, ready for the sectioned encoders
-/// (shared by both backends' `export` implementations).
+/// (the segmented backend's typed `export`).
 pub(crate) fn run_sections<T>(
     runs: Vec<RunId>,
     rows_of: impl Fn(RunId) -> Vec<T>,
@@ -397,7 +396,8 @@ pub(crate) fn run_sections<T>(
     runs.into_iter().map(|r| (r, rows_of(r))).collect()
 }
 
-/// The borrowed view the sectioned encoders take.
+/// The borrowed view the sectioned encoders take (both backends'
+/// `export`).
 pub(crate) fn borrow_sections<T>(sections: &[(RunId, Vec<T>)]) -> Vec<(RunId, &[T])> {
     sections.iter().map(|(r, v)| (*r, v.as_slice())).collect()
 }
@@ -441,7 +441,8 @@ impl RepositoryExport {
 /// crate-level "Choosing a backend" docs).
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub enum StorageBackend {
-    /// One [`Repository`]: four tables, one `RwLock` each.
+    /// One [`Repository`]: the linear-scan reference store, four tables
+    /// with one `RwLock` each.
     #[default]
     Single,
     /// A [`SegmentedRepository`]: immutable segments, snapshot-pinned
@@ -660,8 +661,8 @@ impl AnyRepository {
 
     /// Latest trajectory sample at or before `t` (inclusive) per object
     /// under `scope`, sorted by object id — the backend-agnostic snapshot
-    /// query serving dispatches to (see
-    /// [`table::TrajectoryTable::snapshot_at`] for the contract).
+    /// query serving dispatches to (see [`table::Table::snapshot_at`] for
+    /// the contract).
     pub fn snapshot_at(&self, scope: RunScope, t: Timestamp) -> Vec<TrajectorySample> {
         match self {
             AnyRepository::Single(r) => r

@@ -1,12 +1,13 @@
 //! The segmented storage backend: immutable run-segmented segments with
-//! epoch-pinned snapshot reads and a background sealer/compactor.
+//! epoch-pinned snapshot reads and a background sealer/compactor. It is
+//! the workspace's one indexed storage engine.
 //!
-//! The single [`Repository`](crate::Repository) sits readers and writers
-//! on the same `RwLock`s, so under live ingestion the read tail inherits
-//! every writer pause — and each append throws away cached
-//! spatial indexes, forcing O(n) rebuilds mid-ingest. This module takes
-//! the modern-engine answer instead: make the data immutable and publish
-//! it by pointer swap.
+//! The single [`Repository`](crate::Repository) is a linear-scan
+//! reference store whose readers and writers share `RwLock`s, so under
+//! live ingestion its read tail inherits every writer pause, and every
+//! query reads the whole table. This module takes the modern-engine
+//! answer instead: make the data immutable, publish it by pointer swap,
+//! and index sealed data on first use.
 //!
 //! * Each table is a list of **immutable segments**. Every accepted batch
 //!   becomes a small unsealed segment (one per-run section, rows in
@@ -35,7 +36,8 @@
 //! under deterministic ingestion — arrival order is reconstructed from
 //! the seqs no matter how sealing and compaction have rearranged the
 //! physical rows. The cross-backend parity suites hold the segmented
-//! backend to that standard against the single one.
+//! backend to that standard against the single one, whose tables share
+//! none of this module's index or grid code.
 //!
 //! ## Tiered storage (spill)
 //!
@@ -73,7 +75,7 @@ use std::time::Duration;
 use bytes::{Bytes, BytesMut};
 use parking_lot::{Mutex, RwLock};
 use vita_geometry::{Aabb, GridIndex, Point};
-use vita_indoor::{DeviceId, FloorId, LocKind, ObjectId, RunId, Timestamp};
+use vita_indoor::{DeviceId, FloorId, ObjectId, RunId, Timestamp};
 use vita_mobility::TrajectorySample;
 use vita_positioning::{Fix, ProximityRecord};
 use vita_rssi::RssiMeasurement;
@@ -81,8 +83,9 @@ use vita_rssi::RssiMeasurement;
 use crate::codec::{
     decode_fixes_runs, decode_proximity_runs, decode_rssi_runs, decode_segment, decode_segment_raw,
     decode_trajectories_runs, encode_fixes_runs, encode_proximity_runs, encode_rssi_runs,
-    encode_runs_raw, encode_segment, encode_trajectories_runs, WireRecord,
+    encode_runs_raw, encode_segment, encode_trajectories_runs,
 };
+use crate::row::SegmentRow;
 use crate::{
     borrow_sections, run_sections, CodecError, ProductBatch, ProductSink, RepositoryExport,
     RunScope, TableCounts,
@@ -234,82 +237,6 @@ impl<T: Send + Sync + 'static> SnapshotCell<T> {
 // ---------------------------------------------------------------------------
 // Rows, sections, segments
 // ---------------------------------------------------------------------------
-
-/// Field access the generic segmented table needs from a product row.
-/// [`WireRecord`] rides along so any table can spill its sealed segments
-/// through the segment codec.
-trait SegmentRow: WireRecord {
-    fn time(&self) -> Timestamp;
-    fn object(&self) -> Option<ObjectId>;
-    fn device(&self) -> Option<DeviceId>;
-    fn floor_point(&self) -> Option<(FloorId, Point)>;
-}
-
-impl SegmentRow for TrajectorySample {
-    fn time(&self) -> Timestamp {
-        self.t
-    }
-    fn object(&self) -> Option<ObjectId> {
-        Some(self.object)
-    }
-    fn device(&self) -> Option<DeviceId> {
-        None
-    }
-    fn floor_point(&self) -> Option<(FloorId, Point)> {
-        match self.loc.kind {
-            LocKind::Point(p) => Some((self.loc.floor, p)),
-            _ => None,
-        }
-    }
-}
-
-impl SegmentRow for RssiMeasurement {
-    fn time(&self) -> Timestamp {
-        self.t
-    }
-    fn object(&self) -> Option<ObjectId> {
-        Some(self.object)
-    }
-    fn device(&self) -> Option<DeviceId> {
-        Some(self.device)
-    }
-    fn floor_point(&self) -> Option<(FloorId, Point)> {
-        None
-    }
-}
-
-impl SegmentRow for Fix {
-    fn time(&self) -> Timestamp {
-        self.t
-    }
-    fn object(&self) -> Option<ObjectId> {
-        Some(self.object)
-    }
-    fn device(&self) -> Option<DeviceId> {
-        None
-    }
-    fn floor_point(&self) -> Option<(FloorId, Point)> {
-        match self.loc.kind {
-            LocKind::Point(p) => Some((self.loc.floor, p)),
-            _ => None,
-        }
-    }
-}
-
-impl SegmentRow for ProximityRecord {
-    fn time(&self) -> Timestamp {
-        self.ts
-    }
-    fn object(&self) -> Option<ObjectId> {
-        Some(self.object)
-    }
-    fn device(&self) -> Option<DeviceId> {
-        Some(self.device)
-    }
-    fn floor_point(&self) -> Option<(FloorId, Point)> {
-        None
-    }
-}
 
 /// Indexes of a sealed section. Each is built the first time a query of
 /// its kind reads the section — an object trace or snapshot builds
@@ -1104,9 +1031,9 @@ fn range_query_sections<R: SegmentRow>(
 }
 
 /// The k nearest point rows to `p` on `floor`, nearest first; ties by
-/// seq. Sealed sections run the same expanding-radius grid search as
-/// the locked tables (with the same out-of-domain radius anchor), so
-/// the distance multiset matches the other backends exactly.
+/// seq. Sealed sections run an expanding-radius grid search whose
+/// out-of-domain radius anchor reaches every indexed point, so the
+/// answer matches the reference table's full scan exactly.
 fn knn_sections<R: SegmentRow>(
     sections: &[&Section<R>],
     floor: FloorId,
@@ -2077,9 +2004,8 @@ impl SegInner {
     }
 
     /// Append one batch; when the unsealed backlog crosses `seal_rows`,
-    /// the *writer* seals it inline. This paces the seal sort to ingestion
-    /// — the same place the locked backends pay their index work, but
-    /// without a read lock anywhere — instead of letting it burst on the
+    /// the *writer* seals it inline. This paces the seal sort to ingestion,
+    /// without a read lock anywhere, instead of letting it burst on the
     /// background thread.
     /// On one-core hosts a background burst evicts the query threads and
     /// lands straight in their tail latency; writer-side sealing also
@@ -2164,15 +2090,16 @@ fn sealer_loop(inner: &SegInner) {
     }
 }
 
-/// The third storage backend: immutable, sorted, run-segmented segments
+/// The indexed storage engine: immutable, sorted, run-segmented segments
 /// published by atomic snapshot swap, with a background sealer/compactor
 /// (see the module docs for the design).
 ///
 /// Readers pin a snapshot per query and never block — not on ingestion,
 /// not on sealing — while writers pay O(segment count) pointer copies per
-/// batch and no index maintenance at all. Choose it when queries must stay
-/// fast *while* `run_many` ingests; prefer the locked backends for purely
-/// offline workloads, which skip the sealer thread.
+/// batch and no index maintenance at all. Choose it whenever queries
+/// matter, above all *while* `run_many` ingests; the single backend's
+/// reference store serves purely offline workloads, which skip the sealer
+/// thread.
 ///
 /// # Examples
 ///

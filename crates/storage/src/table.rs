@@ -1,132 +1,69 @@
-//! Indexed in-memory tables for the generated data.
+//! The reference store behind the single backend: one append-only table
+//! per data product, answering every query with a linear scan.
 //!
-//! The paper stores generated data "into different repositories with
-//! efficient indices" on PostgreSQL+PostGIS (§4.2). This module is the
-//! embedded substitute: each repository is a typed table with
+//! The paper keeps each product "in different repositories with efficient
+//! indices" (§4.2). In this workspace those indices live in the segmented
+//! engine ([`crate::segment`]), which builds them on first use. A [`Table`]
+//! is its deliberately naive counterpart: rows and their run tags in
+//! arrival order, and no index of any kind. The cross-backend parity
+//! suites check the engine against it, so the oracle shares none of the
+//! engine's index or grid code.
 //!
-//! * a B-tree index on time (range/window scans),
-//! * a hash index on object id (trace extraction),
-//! * for location-bearing tables, a per-floor uniform-grid spatial index
-//!   (range and nearest queries — the PostGIS role).
+//! Every query states its ordering contract, and the engine reproduces
+//! each one bit for bit:
+//!
+//! * time windows are **half-open**, `from <= t < to`, in time order with
+//!   ties in arrival order;
+//! * snapshots are **inclusive** of their bound and sorted by object; among
+//!   an object's rows sharing the latest timestamp the last-arrived wins;
+//! * object and device lookups are in time order, ties in arrival order;
+//! * range answers come in insertion order;
+//! * kNN answers are sorted by distance, ties in arrival order;
+//! * [`ProximityTable::overlapping`] intersects the same half-open window,
+//!   in insertion order.
 
-use std::collections::{BTreeMap, HashMap};
+use std::cmp::Reverse;
 
-use parking_lot::RwLock;
-use vita_geometry::{Aabb, GridIndex, Point};
-use vita_indoor::{DeviceId, FloorId, LocKind, ObjectId, RunId, Timestamp};
+use vita_geometry::{Aabb, Point};
+use vita_indoor::{DeviceId, FloorId, ObjectId, RunId, Timestamp};
 use vita_mobility::TrajectorySample;
 use vita_positioning::{Fix, ProximityRecord};
 use vita_rssi::RssiMeasurement;
 
+use crate::row::SegmentRow;
 use crate::RunScope;
 
-/// Row identifier within one table.
-pub type RowId = u32;
-
-/// Checked `usize → RowId` conversion for freshly assigned row ids.
-///
-/// `RowId` is `u32`; a table past 2³² rows would silently wrap under an
-/// `as` cast, aliasing old rows in every index that stores row ids and
-/// corrupting query answers from then on. Panic loudly instead: the
-/// embedded engine does not support tables that large, and callers that
-/// need more rows should split the data across several repositories.
-#[inline]
-pub(crate) fn checked_row_id(index: usize) -> RowId {
-    RowId::try_from(index).unwrap_or_else(|_| {
-        panic!(
-            "table row index {index} exceeds RowId capacity ({}); \
-             split the data across several repositories or widen RowId",
-            u32::MAX
-        )
-    })
-}
-
-/// Merge a batch's `(timestamp, row)` pairs into a time index. When the
-/// index is empty (the common bulk-load case) the B-tree is built in one
-/// pass from the sorted pairs instead of `n` point insertions; the sort is
-/// stable so rows sharing a timestamp keep arrival order, matching what
-/// repeated [`TrajectoryTable::insert`] would have produced.
-fn index_times<T>(
-    batch: &[T],
-    base: RowId,
-    t_of: impl Fn(&T) -> Timestamp,
-    by_time: &mut BTreeMap<Timestamp, Vec<RowId>>,
-) {
-    if by_time.is_empty() {
-        let mut pairs: Vec<(Timestamp, RowId)> = batch
-            .iter()
-            .enumerate()
-            .map(|(i, r)| (t_of(r), base + i as RowId))
-            .collect();
-        pairs.sort_by_key(|(t, _)| *t);
-        let mut groups: Vec<(Timestamp, Vec<RowId>)> = Vec::new();
-        for (t, id) in pairs {
-            match groups.last_mut() {
-                Some((gt, ids)) if *gt == t => ids.push(id),
-                _ => groups.push((t, vec![id])),
-            }
-        }
-        *by_time = groups.into_iter().collect();
-    } else {
-        // One B-tree lookup per *run* of equal timestamps, not per row —
-        // producers emit time-ordered batches (see the `ProductSink`
-        // contract), where e.g. RSSI rows repeat each timestamp once per
-        // device. Correct for unsorted input too: runs are just shorter.
-        let mut i = 0;
-        while i < batch.len() {
-            let t = t_of(&batch[i]);
-            let ids = by_time.entry(t).or_default();
-            ids.push(base + i as RowId);
-            i += 1;
-            while i < batch.len() && t_of(&batch[i]) == t {
-                ids.push(base + i as RowId);
-                i += 1;
-            }
-        }
-    }
-}
-
-/// A table of raw trajectory samples `(o_id, loc, t)`, tagged with the
-/// [`RunId`] that produced each row (see the crate docs on the run
-/// dimension). Every query takes a [`RunScope`]: [`RunScope::All`] answers
-/// over all runs merged, [`RunScope::One`] restricts it to one run.
-#[derive(Debug, Default)]
-pub struct TrajectoryTable {
-    rows: Vec<TrajectorySample>,
+/// An append-only table of product rows, each tagged with the [`RunId`]
+/// that produced it (see the crate docs on the run dimension). Every
+/// query takes a [`RunScope`]: [`RunScope::All`] answers over all runs
+/// merged, [`RunScope::One`] restricts it to one run.
+#[derive(Debug, Clone)]
+pub struct Table<R> {
+    rows: Vec<R>,
     /// Run tag of each row, parallel to `rows`.
     runs: Vec<RunId>,
-    by_time: BTreeMap<Timestamp, Vec<RowId>>,
-    by_object: HashMap<ObjectId, Vec<RowId>>,
-    /// Row ids per run, in insertion order (BTreeMap so `run_ids` is
-    /// sorted for free).
-    by_run: BTreeMap<RunId, Vec<RowId>>,
-    /// Lazily built spatial index per floor, cached behind its own lock so
-    /// spatial *queries* work on `&self` — i.e. through a repository
-    /// *read* lock, concurrently with other readers. A missing key means
-    /// the floor's index has not been built; `None` records that the floor
-    /// was scanned and holds no point rows. Mutations evict **only the
-    /// floors their point rows touch** through `&mut self` (`get_mut`, no
-    /// lock traffic), so ingestion into one floor never throws away
-    /// another floor's grid — and within one shared-borrow epoch each
-    /// entry only ever goes from absent to built (`OnceLock`-style), never
-    /// stale.
-    spatial: RwLock<HashMap<FloorId, Option<GridIndex>>>,
 }
 
-impl Clone for TrajectoryTable {
-    fn clone(&self) -> Self {
-        TrajectoryTable {
-            rows: self.rows.clone(),
-            runs: self.runs.clone(),
-            by_time: self.by_time.clone(),
-            by_object: self.by_object.clone(),
-            by_run: self.by_run.clone(),
-            spatial: RwLock::new(self.spatial.read().clone()),
+/// Raw trajectory samples `(o_id, loc, t)`.
+pub type TrajectoryTable = Table<TrajectorySample>;
+/// Raw RSSI measurements `(o_id, d_id, rssi, t)`.
+pub type RssiTable = Table<RssiMeasurement>;
+/// Deterministic positioning fixes `(o_id, loc, t)`.
+pub type FixTable = Table<Fix>;
+/// Proximity detection periods `(o_id, d_id, ts, te)`; a record's time is
+/// its start `ts`.
+pub type ProximityTable = Table<ProximityRecord>;
+
+impl<R> Default for Table<R> {
+    fn default() -> Self {
+        Table {
+            rows: Vec::new(),
+            runs: Vec::new(),
         }
     }
 }
 
-impl TrajectoryTable {
+impl<R: SegmentRow> Table<R> {
     pub fn new() -> Self {
         Self::default()
     }
@@ -140,299 +77,144 @@ impl TrajectoryTable {
     }
 
     /// Insert one row under [`RunId::DEFAULT`].
-    pub fn insert(&mut self, s: TrajectorySample) -> RowId {
-        self.insert_run(RunId::DEFAULT, s)
+    pub fn insert(&mut self, row: R) {
+        self.append_batch_run(RunId::DEFAULT, [row]);
     }
 
-    /// Insert one row tagged with `run`.
-    pub fn insert_run(&mut self, run: RunId, s: TrajectorySample) -> RowId {
-        let id = checked_row_id(self.rows.len());
-        self.by_time.entry(s.t).or_default().push(id);
-        self.by_object.entry(s.object).or_default().push(id);
-        self.by_run.entry(run).or_default().push(id);
-        if matches!(s.loc.kind, LocKind::Point(_)) {
-            self.spatial.get_mut().remove(&s.loc.floor);
-        }
-        self.rows.push(s);
-        self.runs.push(run);
-        id
-    }
-
-    pub fn insert_bulk(&mut self, samples: impl IntoIterator<Item = TrajectorySample>) {
-        self.append_batch(samples.into_iter().collect());
+    /// Insert rows under [`RunId::DEFAULT`].
+    pub fn insert_bulk(&mut self, rows: impl IntoIterator<Item = R>) {
+        self.append_batch_run(RunId::DEFAULT, rows);
     }
 
     /// Append one owned batch under [`RunId::DEFAULT`].
-    pub fn append_batch(&mut self, batch: Vec<TrajectorySample>) {
+    pub fn append_batch(&mut self, batch: Vec<R>) {
         self.append_batch_run(RunId::DEFAULT, batch);
     }
 
-    /// Append one owned batch tagged with `run`: rows move in wholesale,
-    /// the time index is bulk-built when the table was empty, and only the
-    /// floors the batch's point rows land on have their spatial index
-    /// evicted — cold floors keep their grids through ingestion. This is
-    /// the ingest hot path of the streaming pipeline (one batch per
-    /// [`crate::ProductBatch`]).
-    pub fn append_batch_run(&mut self, run: RunId, mut batch: Vec<TrajectorySample>) {
-        if batch.is_empty() {
-            return;
-        }
-        // One checked conversion covers the whole batch: if the last id
-        // fits in RowId, every id in the batch does.
-        let _ = checked_row_id(self.rows.len() + batch.len() - 1);
-        let base = self.rows.len() as RowId;
-        let run_ids = self.by_run.entry(run).or_default();
-        for (i, s) in batch.iter().enumerate() {
-            let id = base + i as RowId;
-            self.by_object.entry(s.object).or_default().push(id);
-            run_ids.push(id);
-        }
-        index_times(&batch, base, |s| s.t, &mut self.by_time);
-        let spatial = self.spatial.get_mut();
-        if !spatial.is_empty() {
-            for s in &batch {
-                if matches!(s.loc.kind, LocKind::Point(_)) {
-                    spatial.remove(&s.loc.floor);
-                }
-            }
-        }
-        self.runs.resize(self.rows.len() + batch.len(), run);
-        self.rows.append(&mut batch);
-    }
-
-    pub fn get(&self, id: RowId) -> Option<&TrajectorySample> {
-        self.rows.get(id as usize)
+    /// Append rows tagged with `run`: the ingest path of the streaming
+    /// pipeline, one call per [`crate::ProductBatch`].
+    pub fn append_batch_run(&mut self, run: RunId, batch: impl IntoIterator<Item = R>) {
+        self.rows.extend(batch);
+        self.runs.resize(self.rows.len(), run);
     }
 
     /// Every run with at least one row in this table, ascending.
     pub fn run_ids(&self) -> Vec<RunId> {
-        self.by_run.keys().copied().collect()
+        let mut seen: Vec<RunId> = Vec::new();
+        for &run in &self.runs {
+            if let Err(i) = seen.binary_search(&run) {
+                seen.insert(i, run);
+            }
+        }
+        seen
     }
 
     /// Rows ingested by `run`.
     pub fn len_run(&self, run: RunId) -> usize {
-        self.by_run.get(&run).map_or(0, Vec::len)
+        self.runs.iter().filter(|&&r| r == run).count()
     }
 
     /// Every row, all runs merged, in insertion order.
-    pub fn scan(&self) -> impl Iterator<Item = &TrajectorySample> {
+    pub fn scan(&self) -> impl Iterator<Item = &R> {
         self.rows.iter()
     }
 
     /// One run's rows, in insertion order.
-    pub fn scan_run(&self, run: RunId) -> Vec<&TrajectorySample> {
-        self.by_run
-            .get(&run)
-            .map(|ids| ids.iter().map(|&i| &self.rows[i as usize]).collect())
-            .unwrap_or_default()
+    pub fn scan_run(&self, run: RunId) -> Vec<&R> {
+        self.select(run.into()).collect()
     }
 
-    /// All of `scope`'s samples in the **half-open** window
-    /// `from <= t < to`, time-ordered (rows sharing a timestamp keep
-    /// arrival order).
-    ///
-    /// Every `time_window` across the storage tables uses this half-open
-    /// contract, and [`ProximityTable::overlapping`] intersects against the
-    /// same half-open window, so adjacent windows partition a run with no
-    /// row counted twice — and the segmented backend's per-segment merges
-    /// cannot diverge from single-table answers at window edges.
-    ///
-    /// The scoped form walks the time index and filters per row — cost is
-    /// `O(all runs' rows inside the window)`, which beats a per-run scan
-    /// for the narrow windows time queries usually ask; for window spans
-    /// approaching the whole run, prefer [`Self::scan_run`] and filter.
-    pub fn time_window(
-        &self,
-        scope: RunScope,
-        from: Timestamp,
-        to: Timestamp,
-    ) -> Vec<&TrajectorySample> {
-        let run = scope.run();
-        let mut out = Vec::new();
-        for (_, ids) in self.by_time.range(from..to) {
-            out.extend(
-                ids.iter()
-                    .filter(|&&i| run.is_none_or(|r| self.runs[i as usize] == r))
-                    .map(|&i| &self.rows[i as usize]),
-            );
+    /// Owned copies of the rows, one section per run in ascending run
+    /// order, each in insertion order: the layout the wire format
+    /// writes. One pass over the table, copying each arrival-order stretch
+    /// of one run's rows (a batch, at least) in one go.
+    pub(crate) fn export_sections(&self) -> Vec<(RunId, Vec<R>)> {
+        let mut sections: Vec<(RunId, Vec<R>)> = Vec::new();
+        let mut start = 0;
+        for stretch in self.runs.chunk_by(|a, b| a == b) {
+            let (run, rows) = (stretch[0], &self.rows[start..start + stretch.len()]);
+            start += stretch.len();
+            match sections.binary_search_by_key(&run, |(r, _)| *r) {
+                Ok(i) => sections[i].1.extend_from_slice(rows),
+                Err(i) => sections.insert(i, (run, rows.to_vec())),
+            }
         }
-        out
+        sections
     }
 
-    /// `scope`'s trace of object `o`, time-ordered. Distinct runs reuse
-    /// the same dense object-id space, so [`RunScope::All`] interleaves
-    /// unrelated runs' objects — [`RunScope::One`] is the per-tenant view.
-    pub fn object_trace(&self, scope: RunScope, o: ObjectId) -> Vec<&TrajectorySample> {
+    /// `scope`'s rows, in insertion order.
+    fn select(&self, scope: RunScope) -> impl DoubleEndedIterator<Item = &R> {
         let run = scope.run();
-        let mut rows: Vec<&TrajectorySample> = self
-            .by_object
-            .get(&o)
-            .map(|ids| {
-                ids.iter()
-                    .filter(|&&i| run.is_none_or(|r| self.runs[i as usize] == r))
-                    .map(|&i| &self.rows[i as usize])
-                    .collect()
-            })
-            .unwrap_or_default();
-        rows.sort_by_key(|s| s.t);
+        self.rows
+            .iter()
+            .zip(&self.runs)
+            .filter(move |(_, &r)| run.is_none_or(|want| r == want))
+            .map(|(row, _)| row)
+    }
+
+    /// `scope`'s rows that pass `keep`, in time order; the sort is stable,
+    /// so rows sharing a timestamp keep arrival order.
+    fn time_ordered(&self, scope: RunScope, keep: impl Fn(&R) -> bool) -> Vec<&R> {
+        let mut rows: Vec<&R> = self.select(scope).filter(|r| keep(r)).collect();
+        rows.sort_by_key(|r| r.time());
         rows
     }
 
-    /// Latest sample at or before `t` for every object of `scope` (the
-    /// bound is **inclusive**: a sample stamped exactly `t` is eligible):
-    /// the snapshot the demo GUI extracts when generation is paused (paper
-    /// §5 step 4). Output is sorted by object id; among an object's samples
-    /// sharing the latest timestamp the last-arrived row wins.
+    /// All of `scope`'s rows in the **half-open** window `from <= t < to`,
+    /// time-ordered (rows sharing a timestamp keep arrival order).
     ///
-    /// [`RunScope::All`] walks the time index up to `t`;
-    /// [`RunScope::One`] walks the run's own index instead — cost
-    /// `O(this run's rows)`, independent of how many other runs share the
-    /// table.
-    pub fn snapshot_at(&self, scope: RunScope, t: Timestamp) -> Vec<&TrajectorySample> {
-        let mut latest: HashMap<ObjectId, &TrajectorySample> = HashMap::new();
-        match scope.run() {
-            None => {
-                for (_, ids) in self.by_time.range(..=t) {
-                    for &i in ids {
-                        let s = &self.rows[i as usize];
-                        latest.insert(s.object, s);
-                    }
-                }
-            }
-            Some(run) => {
-                let Some(ids) = self.by_run.get(&run) else {
-                    return Vec::new();
-                };
-                // Ids are in arrival order, so replacing on `>=` reproduces
-                // the snapshot contract: latest eligible timestamp wins,
-                // last-arrived row wins among rows sharing it.
-                for &i in ids {
-                    let s = &self.rows[i as usize];
-                    if s.t > t {
-                        continue;
-                    }
-                    match latest.get(&s.object) {
-                        Some(cur) if cur.t > s.t => {}
-                        _ => {
-                            latest.insert(s.object, s);
-                        }
-                    }
-                }
-            }
-        }
-        let mut v: Vec<&TrajectorySample> = latest.into_values().collect();
-        v.sort_by_key(|s| s.object);
-        v
+    /// Every `time_window` in the storage crate uses this half-open
+    /// contract, and [`ProximityTable::overlapping`] intersects against the
+    /// same window, so adjacent windows partition a run with no row
+    /// counted twice.
+    pub fn time_window(&self, scope: RunScope, from: Timestamp, to: Timestamp) -> Vec<&R> {
+        self.time_ordered(scope, |r| from <= r.time() && r.time() < to)
     }
 
-    /// Run `f` against `floor`'s spatial index, building it first if no
-    /// cached copy exists (`None` if the floor holds no point rows).
-    /// Readers share the cache under the inner read lock; the first query
-    /// after a mutation rebuilds **that floor only** under the inner write
-    /// lock. Taking `&self` is what lets spatial queries run through a
-    /// repository *read* lock, concurrent with other readers (mutation is
-    /// excluded for the whole call by the `&self` borrow).
-    fn with_floor_spatial<R>(&self, floor: FloorId, f: impl FnOnce(Option<&GridIndex>) -> R) -> R {
-        {
-            let cache = self.spatial.read();
-            if let Some(entry) = cache.get(&floor) {
-                return f(entry.as_ref());
-            }
-        }
-        let mut cache = self.spatial.write();
-        // Another reader may have built this floor between the two locks.
-        let entry = cache
-            .entry(floor)
-            .or_insert_with(|| build_floor_spatial(&self.rows, floor));
-        f(entry.as_ref())
+    /// `scope`'s rows of object `o`, time-ordered. Distinct runs reuse the
+    /// same dense object-id space, so [`RunScope::All`] interleaves
+    /// unrelated runs' objects; [`RunScope::One`] is the per-tenant view.
+    pub fn of_object(&self, scope: RunScope, o: ObjectId) -> Vec<&R> {
+        self.time_ordered(scope, |r| r.object() == Some(o))
     }
 
-    /// Spatial range query: `scope`'s samples on `floor` inside `query`
-    /// (any time), in insertion order. Works on `&self`: callers behind a
-    /// [`crate::Repository`] need only a read lock.
-    pub fn range_query(
-        &self,
-        scope: RunScope,
-        floor: FloorId,
-        query: &Aabb,
-    ) -> Vec<&TrajectorySample> {
-        self.range_query_filtered(floor, query, scope.run())
+    /// `scope`'s rows through device `d`, time-ordered.
+    pub fn of_device(&self, scope: RunScope, d: DeviceId) -> Vec<&R> {
+        self.time_ordered(scope, |r| r.device() == Some(d))
     }
 
-    fn range_query_filtered(
-        &self,
-        floor: FloorId,
-        query: &Aabb,
-        run: Option<RunId>,
-    ) -> Vec<&TrajectorySample> {
-        let mut ids = self.with_floor_spatial(floor, |g| {
-            g.map(|g| g.query_bbox(query)).unwrap_or_default()
-        });
-        ids.sort_unstable();
-        ids.into_iter()
-            .filter(|&i| run.is_none_or(|r| self.runs[i as usize] == r))
-            .map(|i| &self.rows[i as usize])
-            .filter(|s| matches!(s.loc.kind, LocKind::Point(p) if query.contains_point(p)))
+    /// Latest row at or before `t` for every object of `scope` (the bound
+    /// is **inclusive**: a row stamped exactly `t` is eligible): the
+    /// snapshot the demo GUI extracts when generation is paused (paper §5
+    /// step 4). Output is sorted by object id; among an object's rows
+    /// sharing the latest timestamp the last-arrived row wins.
+    pub fn snapshot_at(&self, scope: RunScope, t: Timestamp) -> Vec<&R> {
+        // Newest arrival first, so the stable sort puts each object's
+        // winner (latest time, then last arrived) at the head of its group.
+        let mut rows: Vec<&R> = self.select(scope).rev().filter(|r| r.time() <= t).collect();
+        rows.sort_by_key(|r| (r.object(), Reverse(r.time())));
+        rows.dedup_by_key(|r| r.object());
+        rows
+    }
+
+    /// Spatial range query: `scope`'s point rows on `floor` inside `query`
+    /// (any time), in insertion order.
+    pub fn range_query(&self, scope: RunScope, floor: FloorId, query: &Aabb) -> Vec<&R> {
+        self.select(scope)
+            .filter(|r| {
+                matches!(r.floor_point(), Some((f, p)) if f == floor && query.contains_point(p))
+            })
             .collect()
     }
 
-    /// `scope`'s k nearest samples to `p` on `floor` (by point distance,
-    /// any time). Works on `&self` (read-lock access), like
-    /// [`Self::range_query`].
-    pub fn knn(
-        &self,
-        scope: RunScope,
-        floor: FloorId,
-        p: Point,
-        k: usize,
-    ) -> Vec<(&TrajectorySample, f64)> {
-        self.knn_filtered(floor, p, k, scope.run())
-    }
-
-    fn knn_filtered(
-        &self,
-        floor: FloorId,
-        p: Point,
-        k: usize,
-        run: Option<RunId>,
-    ) -> Vec<(&TrajectorySample, f64)> {
-        let candidates = self.with_floor_spatial(floor, |g| {
-            let Some(g) = g else {
-                return Vec::new();
-            };
-            // Expanding-radius search over the grid. The cap must reach
-            // the farthest indexed point even when `p` lies outside the
-            // domain (callers may query anywhere), so it is anchored at the
-            // query's distance to the domain, not the domain size alone.
-            let dom = g.domain();
-            // Every indexed point is within this of `p` (distance to the
-            // domain plus its diagonal, bounded by width + height).
-            let max_radius = dom.dist_to_point(p) + dom.width() + dom.height() + 1.0;
-            let mut radius = g.cell_size().max(f64::MIN_POSITIVE);
-            let mut candidates: Vec<u32>;
-            loop {
-                candidates = g.query_radius(p, radius.min(max_radius));
-                // The run filter must apply before the `>= k` stop test:
-                // counting other runs' points would end the expansion with
-                // fewer than k of this run's points in reach.
-                if let Some(r) = run {
-                    candidates.retain(|&i| self.runs[i as usize] == r);
-                }
-                if candidates.len() >= k || radius >= max_radius {
-                    break;
-                }
-                radius *= 2.0;
-            }
-            candidates
-        });
-        let mut scored: Vec<(&TrajectorySample, f64)> = candidates
-            .into_iter()
-            .filter_map(|i| {
-                let s = &self.rows[i as usize];
-                match s.loc.kind {
-                    LocKind::Point(q) => Some((s, q.dist(p))),
-                    LocKind::Partition(_) => None,
-                }
+    /// `scope`'s k point rows nearest to `p` on `floor` (any time), with
+    /// their distances, nearest first; equal distances keep arrival order.
+    pub fn knn(&self, scope: RunScope, floor: FloorId, p: Point, k: usize) -> Vec<(&R, f64)> {
+        let mut scored: Vec<(&R, f64)> = self
+            .select(scope)
+            .filter_map(|r| match r.floor_point() {
+                Some((f, q)) if f == floor => Some((r, q.dist(p))),
+                _ => None,
             })
             .collect();
         scored.sort_by(|a, b| a.1.total_cmp(&b.1));
@@ -441,467 +223,32 @@ impl TrajectoryTable {
     }
 }
 
-/// Build one floor's spatial index over its point-located rows, or `None`
-/// when the floor holds no point rows (cached as a negative entry so the
-/// scan is not repeated per query).
-fn build_floor_spatial(rows: &[TrajectorySample], floor: FloorId) -> Option<GridIndex> {
-    let mut pts: Vec<(RowId, Point)> = Vec::new();
-    for (i, s) in rows.iter().enumerate() {
-        if let LocKind::Point(p) = s.loc.kind {
-            if s.loc.floor == floor {
-                pts.push((checked_row_id(i), p));
-            }
-        }
+impl TrajectoryTable {
+    /// `scope`'s trace of object `o`, time-ordered: [`Table::of_object`]
+    /// under its trajectory name.
+    pub fn object_trace(&self, scope: RunScope, o: ObjectId) -> Vec<&TrajectorySample> {
+        self.of_object(scope, o)
     }
-    if pts.is_empty() {
-        return None;
-    }
-    let domain = Aabb::from_points(&pts.iter().map(|(_, p)| *p).collect::<Vec<_>>()).inflated(1.0);
-    let cell = (domain.width().max(domain.height()) / 32.0).max(0.5);
-    let mut g = GridIndex::new(domain, cell);
-    for (id, p) in pts {
-        g.insert_point(id, p);
-    }
-    Some(g)
-}
-
-/// A table of raw RSSI measurements `(o_id, d_id, rssi, t)`, run-tagged
-/// like [`TrajectoryTable`].
-#[derive(Debug, Default, Clone)]
-pub struct RssiTable {
-    rows: Vec<RssiMeasurement>,
-    runs: Vec<RunId>,
-    by_time: BTreeMap<Timestamp, Vec<RowId>>,
-    by_object: HashMap<ObjectId, Vec<RowId>>,
-    by_device: HashMap<DeviceId, Vec<RowId>>,
-    by_run: BTreeMap<RunId, Vec<RowId>>,
-}
-
-impl RssiTable {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
-    /// Insert one row under [`RunId::DEFAULT`].
-    pub fn insert(&mut self, m: RssiMeasurement) -> RowId {
-        self.insert_run(RunId::DEFAULT, m)
-    }
-
-    /// Insert one row tagged with `run`.
-    pub fn insert_run(&mut self, run: RunId, m: RssiMeasurement) -> RowId {
-        let id = checked_row_id(self.rows.len());
-        self.by_time.entry(m.t).or_default().push(id);
-        self.by_object.entry(m.object).or_default().push(id);
-        self.by_device.entry(m.device).or_default().push(id);
-        self.by_run.entry(run).or_default().push(id);
-        self.rows.push(m);
-        self.runs.push(run);
-        id
-    }
-
-    pub fn insert_bulk(&mut self, ms: impl IntoIterator<Item = RssiMeasurement>) {
-        self.append_batch(ms.into_iter().collect());
-    }
-
-    /// Append one owned batch under [`RunId::DEFAULT`].
-    pub fn append_batch(&mut self, batch: Vec<RssiMeasurement>) {
-        self.append_batch_run(RunId::DEFAULT, batch);
-    }
-
-    /// Append one owned batch tagged with `run` (see
-    /// [`TrajectoryTable::append_batch_run`]).
-    pub fn append_batch_run(&mut self, run: RunId, mut batch: Vec<RssiMeasurement>) {
-        if batch.is_empty() {
-            return;
-        }
-        let _ = checked_row_id(self.rows.len() + batch.len() - 1);
-        let base = self.rows.len() as RowId;
-        let run_ids = self.by_run.entry(run).or_default();
-        for (i, m) in batch.iter().enumerate() {
-            let id = base + i as RowId;
-            self.by_object.entry(m.object).or_default().push(id);
-            self.by_device.entry(m.device).or_default().push(id);
-            run_ids.push(id);
-        }
-        index_times(&batch, base, |m| m.t, &mut self.by_time);
-        self.runs.resize(self.rows.len() + batch.len(), run);
-        self.rows.append(&mut batch);
-    }
-
-    /// Every row, all runs merged, in insertion order.
-    pub fn scan(&self) -> impl Iterator<Item = &RssiMeasurement> {
-        self.rows.iter()
-    }
-
-    /// One run's rows, in insertion order.
-    pub fn scan_run(&self, run: RunId) -> Vec<&RssiMeasurement> {
-        self.by_run
-            .get(&run)
-            .map(|ids| ids.iter().map(|&i| &self.rows[i as usize]).collect())
-            .unwrap_or_default()
-    }
-
-    /// Every run with at least one row in this table, ascending.
-    pub fn run_ids(&self) -> Vec<RunId> {
-        self.by_run.keys().copied().collect()
-    }
-
-    /// Rows ingested by `run`.
-    pub fn len_run(&self, run: RunId) -> usize {
-        self.by_run.get(&run).map_or(0, Vec::len)
-    }
-
-    /// All of `scope`'s measurements in the **half-open** window
-    /// `from <= t < to`, time-ordered (same contract as
-    /// [`TrajectoryTable::time_window`]).
-    pub fn time_window(
-        &self,
-        scope: RunScope,
-        from: Timestamp,
-        to: Timestamp,
-    ) -> Vec<&RssiMeasurement> {
-        let run = scope.run();
-        let mut out = Vec::new();
-        for (_, ids) in self.by_time.range(from..to) {
-            out.extend(
-                ids.iter()
-                    .filter(|&&i| run.is_none_or(|r| self.runs[i as usize] == r))
-                    .map(|&i| &self.rows[i as usize]),
-            );
-        }
-        out
-    }
-
-    /// `scope`'s measurements of object `o`, time-ordered.
-    pub fn of_object(&self, scope: RunScope, o: ObjectId) -> Vec<&RssiMeasurement> {
-        let run = scope.run();
-        let mut rows: Vec<&RssiMeasurement> = self
-            .by_object
-            .get(&o)
-            .map(|ids| {
-                ids.iter()
-                    .filter(|&&i| run.is_none_or(|r| self.runs[i as usize] == r))
-                    .map(|&i| &self.rows[i as usize])
-                    .collect()
-            })
-            .unwrap_or_default();
-        rows.sort_by_key(|m| m.t);
-        rows
-    }
-
-    /// `scope`'s measurements through device `d`, time-ordered.
-    pub fn of_device(&self, scope: RunScope, d: DeviceId) -> Vec<&RssiMeasurement> {
-        let run = scope.run();
-        let mut rows: Vec<&RssiMeasurement> = self
-            .by_device
-            .get(&d)
-            .map(|ids| {
-                ids.iter()
-                    .filter(|&&i| run.is_none_or(|r| self.runs[i as usize] == r))
-                    .map(|&i| &self.rows[i as usize])
-                    .collect()
-            })
-            .unwrap_or_default();
-        rows.sort_by_key(|m| m.t);
-        rows
-    }
-}
-
-/// A table of deterministic positioning fixes `(o_id, loc, t)`, run-tagged
-/// like [`TrajectoryTable`].
-#[derive(Debug, Default, Clone)]
-pub struct FixTable {
-    rows: Vec<Fix>,
-    runs: Vec<RunId>,
-    by_time: BTreeMap<Timestamp, Vec<RowId>>,
-    by_object: HashMap<ObjectId, Vec<RowId>>,
-    by_run: BTreeMap<RunId, Vec<RowId>>,
-}
-
-impl FixTable {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
-    /// Insert one row under [`RunId::DEFAULT`].
-    pub fn insert(&mut self, f: Fix) -> RowId {
-        self.insert_run(RunId::DEFAULT, f)
-    }
-
-    /// Insert one row tagged with `run`.
-    pub fn insert_run(&mut self, run: RunId, f: Fix) -> RowId {
-        let id = checked_row_id(self.rows.len());
-        self.by_time.entry(f.t).or_default().push(id);
-        self.by_object.entry(f.object).or_default().push(id);
-        self.by_run.entry(run).or_default().push(id);
-        self.rows.push(f);
-        self.runs.push(run);
-        id
-    }
-
-    pub fn insert_bulk(&mut self, fs: impl IntoIterator<Item = Fix>) {
-        self.append_batch(fs.into_iter().collect());
-    }
-
-    /// Append one owned batch under [`RunId::DEFAULT`].
-    pub fn append_batch(&mut self, batch: Vec<Fix>) {
-        self.append_batch_run(RunId::DEFAULT, batch);
-    }
-
-    /// Append one owned batch tagged with `run` (see
-    /// [`TrajectoryTable::append_batch_run`]).
-    pub fn append_batch_run(&mut self, run: RunId, mut batch: Vec<Fix>) {
-        if batch.is_empty() {
-            return;
-        }
-        let _ = checked_row_id(self.rows.len() + batch.len() - 1);
-        let base = self.rows.len() as RowId;
-        let run_ids = self.by_run.entry(run).or_default();
-        for (i, f) in batch.iter().enumerate() {
-            let id = base + i as RowId;
-            self.by_object.entry(f.object).or_default().push(id);
-            run_ids.push(id);
-        }
-        index_times(&batch, base, |f| f.t, &mut self.by_time);
-        self.runs.resize(self.rows.len() + batch.len(), run);
-        self.rows.append(&mut batch);
-    }
-
-    /// Every row, all runs merged, in insertion order.
-    pub fn scan(&self) -> impl Iterator<Item = &Fix> {
-        self.rows.iter()
-    }
-
-    /// One run's rows, in insertion order.
-    pub fn scan_run(&self, run: RunId) -> Vec<&Fix> {
-        self.by_run
-            .get(&run)
-            .map(|ids| ids.iter().map(|&i| &self.rows[i as usize]).collect())
-            .unwrap_or_default()
-    }
-
-    /// Every run with at least one row in this table, ascending.
-    pub fn run_ids(&self) -> Vec<RunId> {
-        self.by_run.keys().copied().collect()
-    }
-
-    /// Rows ingested by `run`.
-    pub fn len_run(&self, run: RunId) -> usize {
-        self.by_run.get(&run).map_or(0, Vec::len)
-    }
-
-    /// All of `scope`'s fixes in the **half-open** window `from <= t < to`,
-    /// time-ordered (same contract as [`TrajectoryTable::time_window`]).
-    pub fn time_window(&self, scope: RunScope, from: Timestamp, to: Timestamp) -> Vec<&Fix> {
-        let run = scope.run();
-        let mut out = Vec::new();
-        for (_, ids) in self.by_time.range(from..to) {
-            out.extend(
-                ids.iter()
-                    .filter(|&&i| run.is_none_or(|r| self.runs[i as usize] == r))
-                    .map(|&i| &self.rows[i as usize]),
-            );
-        }
-        out
-    }
-
-    /// `scope`'s fixes of object `o`, time-ordered.
-    pub fn of_object(&self, scope: RunScope, o: ObjectId) -> Vec<&Fix> {
-        let run = scope.run();
-        let mut rows: Vec<&Fix> = self
-            .by_object
-            .get(&o)
-            .map(|ids| {
-                ids.iter()
-                    .filter(|&&i| run.is_none_or(|r| self.runs[i as usize] == r))
-                    .map(|&i| &self.rows[i as usize])
-                    .collect()
-            })
-            .unwrap_or_default();
-        rows.sort_by_key(|f| f.t);
-        rows
-    }
-}
-
-/// A table of proximity detection periods `(o_id, d_id, ts, te)`,
-/// run-tagged like [`TrajectoryTable`].
-#[derive(Debug, Default, Clone)]
-pub struct ProximityTable {
-    rows: Vec<ProximityRecord>,
-    runs: Vec<RunId>,
-    by_object: HashMap<ObjectId, Vec<RowId>>,
-    by_device: HashMap<DeviceId, Vec<RowId>>,
-    by_run: BTreeMap<RunId, Vec<RowId>>,
 }
 
 impl ProximityTable {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
-    /// Insert one row under [`RunId::DEFAULT`].
-    pub fn insert(&mut self, r: ProximityRecord) -> RowId {
-        self.insert_run(RunId::DEFAULT, r)
-    }
-
-    /// Insert one row tagged with `run`.
-    pub fn insert_run(&mut self, run: RunId, r: ProximityRecord) -> RowId {
-        let id = checked_row_id(self.rows.len());
-        self.by_object.entry(r.object).or_default().push(id);
-        self.by_device.entry(r.device).or_default().push(id);
-        self.by_run.entry(run).or_default().push(id);
-        self.rows.push(r);
-        self.runs.push(run);
-        id
-    }
-
-    pub fn insert_bulk(&mut self, rs: impl IntoIterator<Item = ProximityRecord>) {
-        self.append_batch(rs.into_iter().collect());
-    }
-
-    /// Append one owned batch under [`RunId::DEFAULT`].
-    pub fn append_batch(&mut self, batch: Vec<ProximityRecord>) {
-        self.append_batch_run(RunId::DEFAULT, batch);
-    }
-
-    /// Append one owned batch tagged with `run` (see
-    /// [`TrajectoryTable::append_batch_run`]).
-    pub fn append_batch_run(&mut self, run: RunId, mut batch: Vec<ProximityRecord>) {
-        if batch.is_empty() {
-            return;
-        }
-        let _ = checked_row_id(self.rows.len() + batch.len() - 1);
-        let base = self.rows.len() as RowId;
-        let run_ids = self.by_run.entry(run).or_default();
-        for (i, r) in batch.iter().enumerate() {
-            let id = base + i as RowId;
-            self.by_object.entry(r.object).or_default().push(id);
-            self.by_device.entry(r.device).or_default().push(id);
-            run_ids.push(id);
-        }
-        self.runs.resize(self.rows.len() + batch.len(), run);
-        self.rows.append(&mut batch);
-    }
-
-    /// Every row, all runs merged, in insertion order.
-    pub fn scan(&self) -> impl Iterator<Item = &ProximityRecord> {
-        self.rows.iter()
-    }
-
-    /// One run's rows, in insertion order.
-    pub fn scan_run(&self, run: RunId) -> Vec<&ProximityRecord> {
-        self.by_run
-            .get(&run)
-            .map(|ids| ids.iter().map(|&i| &self.rows[i as usize]).collect())
-            .unwrap_or_default()
-    }
-
-    /// Every run with at least one row in this table, ascending.
-    pub fn run_ids(&self) -> Vec<RunId> {
-        self.by_run.keys().copied().collect()
-    }
-
-    /// Rows ingested by `run`.
-    pub fn len_run(&self, run: RunId) -> usize {
-        self.by_run.get(&run).map_or(0, Vec::len)
-    }
-
     /// `scope`'s records whose **closed** detection period `[ts, te]`
     /// intersects the **half-open** query window `[from, to)` — i.e.
     /// `ts < to && te >= from`, in insertion order.
     ///
-    /// The window contract matches `time_window` on the other tables: a
-    /// detection ending exactly at `from` is included (the instant `from`
-    /// lies in the window), one starting exactly at `to` is not. Adjacent
-    /// windows therefore agree with point-event queries at their shared
-    /// boundary, and the segmented backend's per-segment merges cannot
-    /// diverge from single-table answers at window edges.
-    ///
-    /// The run-scoped form walks the run's own index (`by_run` ids are in
-    /// insertion order): cost is `O(this run's rows)`, independent of how
-    /// many other runs share the table.
+    /// The window contract matches `time_window`: a detection ending
+    /// exactly at `from` is included (the instant `from` lies in the
+    /// window), one starting exactly at `to` is not. Adjacent windows
+    /// therefore agree with point-event queries at their shared boundary.
     pub fn overlapping(
         &self,
         scope: RunScope,
         from: Timestamp,
         to: Timestamp,
     ) -> Vec<&ProximityRecord> {
-        match scope.run() {
-            None => self
-                .rows
-                .iter()
-                .filter(|r| r.ts < to && r.te >= from)
-                .collect(),
-            Some(run) => self
-                .by_run
-                .get(&run)
-                .map(|ids| {
-                    ids.iter()
-                        .map(|&i| &self.rows[i as usize])
-                        .filter(|r| r.ts < to && r.te >= from)
-                        .collect()
-                })
-                .unwrap_or_default(),
-        }
-    }
-
-    /// `scope`'s detection periods of object `o`, ordered by start time.
-    pub fn of_object(&self, scope: RunScope, o: ObjectId) -> Vec<&ProximityRecord> {
-        let run = scope.run();
-        let mut rows: Vec<&ProximityRecord> = self
-            .by_object
-            .get(&o)
-            .map(|ids| {
-                ids.iter()
-                    .filter(|&&i| run.is_none_or(|r| self.runs[i as usize] == r))
-                    .map(|&i| &self.rows[i as usize])
-                    .collect()
-            })
-            .unwrap_or_default();
-        rows.sort_by_key(|r| r.ts);
-        rows
-    }
-
-    /// `scope`'s detection periods through device `d`, ordered by start
-    /// time.
-    pub fn of_device(&self, scope: RunScope, d: DeviceId) -> Vec<&ProximityRecord> {
-        let run = scope.run();
-        let mut rows: Vec<&ProximityRecord> = self
-            .by_device
-            .get(&d)
-            .map(|ids| {
-                ids.iter()
-                    .filter(|&&i| run.is_none_or(|r| self.runs[i as usize] == r))
-                    .map(|&i| &self.rows[i as usize])
-                    .collect()
-            })
-            .unwrap_or_default();
-        rows.sort_by_key(|r| r.ts);
-        rows
+        self.select(scope)
+            .filter(|r| r.ts < to && r.te >= from)
+            .collect()
     }
 }
 
@@ -955,6 +302,10 @@ mod tests {
         assert_eq!(snap[0].object, ObjectId(0));
         assert!((snap[0].point().x - 5.0).abs() < 1e-9);
         assert!((snap[1].point().x - 9.0).abs() < 1e-9);
+        // Among rows sharing the latest time, the last-arrived wins.
+        t.insert(ts(1, 0, 4.0, 0.0, 300));
+        let snap = t.snapshot_at(RunScope::All, Timestamp(600));
+        assert!((snap[1].point().x - 4.0).abs() < 1e-9);
     }
 
     #[test]
@@ -989,26 +340,24 @@ mod tests {
         let xs: Vec<f64> = got.iter().map(|(s, _)| s.point().x).collect();
         assert_eq!(xs, vec![7.0, 8.0, 6.0]);
         assert!(got.windows(2).all(|w| w[0].1 <= w[1].1));
-    }
-
-    #[test]
-    fn checked_row_id_round_trips_in_range() {
-        assert_eq!(checked_row_id(0), 0);
-        assert_eq!(checked_row_id(5), 5);
-        assert_eq!(checked_row_id(u32::MAX as usize), u32::MAX);
-    }
-
-    #[test]
-    #[should_panic(expected = "exceeds RowId capacity")]
-    fn checked_row_id_panics_instead_of_wrapping() {
-        let _ = checked_row_id(u32::MAX as usize + 1);
+        // Equal distances keep arrival order: x = 7 arrived before x = 8.
+        let tie = t.knn(RunScope::All, FloorId(0), Point::new(7.5, 0.0), 2);
+        let xs: Vec<f64> = tie.iter().map(|(s, _)| s.point().x).collect();
+        assert_eq!(xs, vec![7.0, 8.0]);
+        // A row appended after a query is seen by the next one; a floor
+        // with no point rows has no neighbours.
+        t.insert(ts(99, 0, 7.2, 0.0, 0));
+        let got = t.knn(RunScope::All, FloorId(0), Point::new(7.2, 0.0), 1);
+        assert_eq!(got[0].0.object, ObjectId(99));
+        assert!(t
+            .knn(RunScope::All, FloorId(9), Point::new(0.0, 0.0), 3)
+            .is_empty());
     }
 
     #[test]
     fn spatial_queries_work_on_shared_reference() {
-        // The whole point of the interior-mutability fix: range_query/knn
-        // must be callable through &TrajectoryTable (a repository read
-        // lock), including the first query that builds the index.
+        // range_query and knn are callable through &TrajectoryTable (a
+        // repository read lock).
         let mut t = TrajectoryTable::new();
         for i in 0..10 {
             t.insert(ts(i, 0, i as f64, 0.0, 0));
@@ -1023,7 +372,7 @@ mod tests {
         let near = shared.knn(RunScope::All, FloorId(0), Point::new(2.2, 0.0), 2);
         assert_eq!(near.len(), 2);
         assert_eq!(near[0].0.object, ObjectId(2));
-        // A clone carries the cached index (or lack of one) along.
+        // A clone answers the same.
         let cloned = t.clone();
         assert_eq!(
             cloned
@@ -1035,8 +384,8 @@ mod tests {
 
     #[test]
     fn time_window_boundaries_are_half_open() {
-        // `from` is included, `to` is excluded — on every time-indexed
-        // table, so window edges agree across products and backends.
+        // `from` is included, `to` is excluded — on every table, so window
+        // edges agree across products and backends.
         let mut t = TrajectoryTable::new();
         t.insert(ts(0, 0, 0.0, 0.0, 100));
         t.insert(ts(0, 0, 1.0, 0.0, 200));
@@ -1108,53 +457,6 @@ mod tests {
     }
 
     #[test]
-    fn spatial_index_invalidated_on_insert() {
-        let mut t = TrajectoryTable::new();
-        t.insert(ts(0, 0, 0.0, 0.0, 0));
-        let _ = t.knn(RunScope::All, FloorId(0), Point::new(0.0, 0.0), 1);
-        t.insert(ts(1, 0, 10.0, 0.0, 0));
-        let got = t.knn(RunScope::All, FloorId(0), Point::new(10.0, 0.0), 1);
-        assert_eq!(got[0].0.object, ObjectId(1));
-    }
-
-    #[test]
-    fn spatial_invalidation_is_scoped_to_touched_floors() {
-        let mut t = TrajectoryTable::new();
-        t.insert(ts(0, 0, 1.0, 1.0, 0));
-        t.insert(ts(1, 1, 5.0, 5.0, 0));
-        // Build both floors' grids.
-        let _ = t.knn(RunScope::All, FloorId(0), Point::new(0.0, 0.0), 1);
-        let _ = t.knn(RunScope::All, FloorId(1), Point::new(0.0, 0.0), 1);
-        assert!(t.spatial.read().contains_key(&FloorId(0)));
-        assert!(t.spatial.read().contains_key(&FloorId(1)));
-        // An append that only touches floor 1 must leave floor 0's grid
-        // cached — and evict floor 1's.
-        t.append_batch(vec![ts(2, 1, 9.0, 9.0, 10)]);
-        assert!(t.spatial.read().contains_key(&FloorId(0)));
-        assert!(!t.spatial.read().contains_key(&FloorId(1)));
-        // Both floors still answer correctly (floor 1 rebuilds on demand,
-        // seeing the new row).
-        let f1 = t.knn(RunScope::All, FloorId(1), Point::new(9.0, 9.0), 1);
-        assert_eq!(f1[0].0.object, ObjectId(2));
-        let f0 = t.knn(RunScope::All, FloorId(0), Point::new(0.0, 0.0), 1);
-        assert_eq!(f0[0].0.object, ObjectId(0));
-        // A floor never seen before: missing key builds on demand too.
-        t.append_batch(vec![ts(3, 2, 4.0, 4.0, 20)]);
-        let f2 = t.range_query(
-            RunScope::All,
-            FloorId(2),
-            &Aabb::new(Point::new(0.0, 0.0), Point::new(8.0, 8.0)),
-        );
-        assert_eq!(f2.len(), 1);
-        // Queries against a floor with no point rows cache the negative
-        // answer instead of rescanning.
-        assert!(t
-            .knn(RunScope::All, FloorId(9), Point::new(0.0, 0.0), 3)
-            .is_empty());
-        assert!(matches!(t.spatial.read().get(&FloorId(9)), Some(None)));
-    }
-
-    #[test]
     fn append_batch_matches_per_row_insert() {
         // Same rows via the bulk and per-row paths — queries must agree,
         // including order among duplicate timestamps.
@@ -1163,7 +465,7 @@ mod tests {
             .collect();
         let mut bulk = TrajectoryTable::new();
         bulk.append_batch(rows.clone());
-        // Second batch exercises the non-empty merge path.
+        // A second batch lands behind rows already stored.
         let extra: Vec<TrajectorySample> =
             (0..60).map(|i| ts(i % 5, 0, i as f64, 1.0, 975)).collect();
         bulk.append_batch(extra.clone());

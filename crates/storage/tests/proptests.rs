@@ -1,6 +1,8 @@
-//! Property-based tests for storage: index queries must agree with brute
-//! force, stream utilities must preserve structural invariants, and codecs
-//! must round-trip anything.
+//! Property-based tests for storage: the reference table's queries (the
+//! single backend, and the oracle of every cross-backend parity suite)
+//! must return exactly what a brute-force reading of their contracts
+//! returns, order included; stream utilities must preserve structural
+//! invariants, and codecs must round-trip anything.
 
 use proptest::prelude::*;
 
@@ -44,8 +46,15 @@ proptest! {
         let mut table = TrajectoryTable::new();
         table.insert_bulk(samples.iter().copied());
         let to = from + width;
-        let got = table.time_window(RunScope::All, Timestamp(from), Timestamp(to)).len();
-        let want = samples.iter().filter(|s| s.t.0 >= from && s.t.0 < to).count();
+        let got: Vec<TrajectorySample> = table
+            .time_window(RunScope::All, Timestamp(from), Timestamp(to))
+            .into_iter()
+            .copied()
+            .collect();
+        // Half-open, time-ordered, ties in arrival order (a stable sort).
+        let mut want: Vec<TrajectorySample> =
+            samples.iter().filter(|s| s.t.0 >= from && s.t.0 < to).copied().collect();
+        want.sort_by_key(|s| s.t);
         prop_assert_eq!(got, want);
     }
 
@@ -56,13 +65,13 @@ proptest! {
     ) {
         let mut table = TrajectoryTable::new();
         table.insert_bulk(samples.iter().copied());
-        let got = table.object_trace(RunScope::All, ObjectId(o));
-        let want = samples.iter().filter(|s| s.object == ObjectId(o)).count();
-        prop_assert_eq!(got.len(), want);
-        // Trace time-ordered.
-        for w in got.windows(2) {
-            prop_assert!(w[0].t <= w[1].t);
-        }
+        let got: Vec<TrajectorySample> =
+            table.object_trace(RunScope::All, ObjectId(o)).into_iter().copied().collect();
+        // Time-ordered, ties in arrival order.
+        let mut want: Vec<TrajectorySample> =
+            samples.iter().filter(|s| s.object == ObjectId(o)).copied().collect();
+        want.sort_by_key(|s| s.t);
+        prop_assert_eq!(got, want);
     }
 
     #[test]
@@ -74,14 +83,17 @@ proptest! {
         let mut table = TrajectoryTable::new();
         table.insert_bulk(samples.iter().copied());
         let q = Aabb::new(Point::new(x0, y0), Point::new(x0 + w, y0 + h));
-        let got = table.range_query(RunScope::All, FloorId(0), &q).len();
-        let want = samples
+        let got: Vec<TrajectorySample> =
+            table.range_query(RunScope::All, FloorId(0), &q).into_iter().copied().collect();
+        // Insertion order.
+        let want: Vec<TrajectorySample> = samples
             .iter()
             .filter(|s| {
                 s.loc.floor == FloorId(0)
                     && s.loc.as_point().map(|p| q.contains_point(p)).unwrap_or(false)
             })
-            .count();
+            .copied()
+            .collect();
         prop_assert_eq!(got, want);
     }
 
@@ -101,6 +113,22 @@ proptest! {
         for s in &snap {
             prop_assert!(s.t.0 <= at);
         }
+        // Each object's row is its latest at or before `at` (inclusive);
+        // among rows sharing that time the last-arrived wins. Output is
+        // sorted by object.
+        let mut want: Vec<TrajectorySample> = Vec::new();
+        for o in objs {
+            let latest = samples
+                .iter()
+                .filter(|s| s.object == o && s.t.0 <= at)
+                .fold(None, |best: Option<&TrajectorySample>, s| match best {
+                    Some(b) if b.t > s.t => Some(b),
+                    _ => Some(s),
+                });
+            want.extend(latest.copied());
+        }
+        let got: Vec<TrajectorySample> = snap.into_iter().copied().collect();
+        prop_assert_eq!(got, want);
     }
 
     #[test]
@@ -214,5 +242,9 @@ proptest! {
         let by_dev: usize = (0..5).map(|d| table.of_device(RunScope::All, DeviceId(d)).len()).sum();
         prop_assert_eq!(by_obj, rows.len());
         prop_assert_eq!(by_dev, rows.len());
+        for o in 0..10 {
+            let got = table.of_object(RunScope::All, ObjectId(o));
+            prop_assert!(got.windows(2).all(|w| w[0].t <= w[1].t));
+        }
     }
 }

@@ -9,8 +9,8 @@
 //! per-row sequence numbers reconstruct the single repository's arrival
 //! order exactly, so almost every comparison here is **exact**, including
 //! tie order inside time windows and scans. The one exception is
-//! kNN, where the locked backend breaks distance ties in grid-candidate
-//! order: there the distance multiset is compared bit-for-bit.
+//! kNN, whose `AnyRepository` contract leaves the order of equal-distance
+//! rows open: there the distance list is compared bit-for-bit.
 
 use proptest::prelude::*;
 
