@@ -1,7 +1,7 @@
 //! E16 — read latency under live ingestion, micro-bench form: one
 //! `QueryService::execute` over a pre-populated multi-run segmented
 //! repository while a writer thread keeps appending batches. Every query
-//! answers from an epoch-pinned snapshot and never blocks on the writer.
+//! answers from a pinned snapshot and never waits on the writer's work.
 //! The macro companion (offered-rate step with `run_many` ingesting through
 //! the whole pipeline) is experiment E16 in
 //! `cargo run --release -p vita-bench --bin experiments`.

@@ -436,7 +436,7 @@ fn e15_query_serving() {
 /// E16 — fixed-rate read latency under live ingestion: the same mixed
 /// query workload as E15, pinned at one offered rate on the segmented
 /// backend while a writer thread keeps `run_many` ingesting. Every query
-/// answers from an epoch-pinned immutable snapshot, so the read tail
+/// answers from a pinned immutable snapshot, so the read tail
 /// should stay flat while the writer runs; the seal / compaction columns
 /// count the sealer's in-step work, confirming it was actually churning
 /// during the measurement, not idle. The row is the median-p99 rep of
@@ -701,11 +701,14 @@ fn e17_out_of_core() {
                 repo.trajectories_knn(scope, FloorId(0), Point::new(20.0, 8.0), 8)
                     .len()
             });
+            // Page-ins land in the gauge too: each table's cache keeps its
+            // newest segment even past the room the budget leaves.
+            max_resident = max_resident.max(repo.stats().resident_rows);
 
             if spilled {
-                // The acceptance bound: the decoded sealed gauge may
-                // transiently carry at most one unsealed head per table
-                // past the budget before the next enforcement pass lands.
+                // The acceptance bound: between enforcement passes the
+                // decoded sealed gauge may carry what was just sealed and
+                // what queries just paged in past the budget.
                 assert!(
                     max_resident <= BUDGET + 4 * SEAL_ROWS,
                     "resident ceiling {max_resident} broke budget {BUDGET} + 4 heads"

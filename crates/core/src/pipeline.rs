@@ -266,7 +266,8 @@ impl Vita {
     ///
     /// `scenario.options.backend` picks the storage backend the run
     /// ingests into: with [`StorageBackend::Segmented`], queries through
-    /// [`Vita::serve`] handles stay lock-free while the run ingests (the
+    /// [`Vita::serve`] handles never wait on the ingesting run — a query
+    /// holds a table's read lock only to pin its snapshot (the
     /// repository is switched via [`Vita::migrate_backend`] before any
     /// worker starts).
     ///
@@ -626,8 +627,10 @@ impl Vita {
     /// borrow of the toolkit — most notably query serving
     /// ([`Vita::serve`]): ingestion through `self` and queries through the
     /// handle target the same tables concurrently (per-table read-write
-    /// locks, or lock-free snapshots on the segmented backend). A later [`Vita::migrate_backend`] installs a
-    /// *new* repository; existing handles keep answering from the old one.
+    /// locks, or pinned snapshots on the segmented backend, whose read
+    /// lock is held only to clone an `Arc`). A later
+    /// [`Vita::migrate_backend`] installs a *new* repository; existing
+    /// handles keep answering from the old one.
     pub fn repository_handle(&self) -> Arc<AnyRepository> {
         Arc::clone(&self.repo)
     }

@@ -383,30 +383,6 @@ fn run_step(
     }
 }
 
-/// Ramp `service` through `profile`'s offered rates with `workload`'s
-/// query mix; see the module docs for the stopping rule.
-///
-/// # Examples
-///
-/// ```
-/// use std::sync::Arc;
-/// use std::time::Duration;
-/// use vita_serve::{LoadProfile, QueryService, WorkloadSpec};
-/// use vita_storage::AnyRepository;
-///
-/// let service = QueryService::new(Arc::new(AnyRepository::default()));
-/// let profile = LoadProfile {
-///     initial_rps: 50.0,
-///     increment_rps: 50.0,
-///     max_rps: 100.0,
-///     step_duration: Duration::from_millis(30),
-///     workers: 2,
-///     satisfaction: 0.5,
-/// };
-/// let report = vita_serve::run_ramp(&service, &WorkloadSpec::default(), &profile);
-/// assert!(!report.steps.is_empty());
-/// assert!(report.max_sustainable_rps <= profile.max_rps);
-/// ```
 /// Run one fixed-rate step — no ramp, no stopping rule: `workers` closed-
 /// loop threads share `target_rps` for `duration` and the step report is
 /// returned as-is. This is the probe the `vita-lab` experiment runner
@@ -442,6 +418,30 @@ pub fn run_fixed(
     run_step(service, workload, target_rps, duration, workers, 0)
 }
 
+/// Ramp `service` through `profile`'s offered rates with `workload`'s
+/// query mix; see the module docs for the stopping rule.
+///
+/// # Examples
+///
+/// ```
+/// use std::sync::Arc;
+/// use std::time::Duration;
+/// use vita_serve::{LoadProfile, QueryService, WorkloadSpec};
+/// use vita_storage::AnyRepository;
+///
+/// let service = QueryService::new(Arc::new(AnyRepository::default()));
+/// let profile = LoadProfile {
+///     initial_rps: 50.0,
+///     increment_rps: 50.0,
+///     max_rps: 100.0,
+///     step_duration: Duration::from_millis(30),
+///     workers: 2,
+///     satisfaction: 0.5,
+/// };
+/// let report = vita_serve::run_ramp(&service, &WorkloadSpec::default(), &profile);
+/// assert!(!report.steps.is_empty());
+/// assert!(report.max_sustainable_rps <= profile.max_rps);
+/// ```
 pub fn run_ramp(
     service: &QueryService,
     workload: &WorkloadSpec,

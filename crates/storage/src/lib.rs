@@ -56,9 +56,11 @@
 //!   with a background sealer/compactor that sorts sealed sections by
 //!   time; a sealed section's object, device and spatial indexes are each
 //!   built by the first query that needs them (see the [`segment`] module
-//!   docs). Readers pin a snapshot and never block. Choose it whenever
-//!   queries matter: for serving, for queries *while* ingestion runs, and
-//!   for data that must outgrow memory (its spill tier).
+//!   docs). A reader pins a snapshot by cloning an `Arc` under a read
+//!   lock held for just that, so it never waits on ingestion, sealing,
+//!   compaction or spill work. Choose it whenever queries matter: for
+//!   serving, for queries *while* ingestion runs, and for data that must
+//!   outgrow memory (its spill tier).
 //!
 //! [`StorageBackend`] names the choice for configuration surfaces and
 //! [`AnyRepository`] dispatches between the two at runtime (this is what
@@ -446,11 +448,12 @@ pub enum StorageBackend {
     #[default]
     Single,
     /// A [`SegmentedRepository`]: immutable segments, snapshot-pinned
-    /// lock-free reads, background sealer/compactor. With a
-    /// [`SpillConfig`], sealed segments past the memory budget are
-    /// spilled to disk and paged back on query; `None` keeps the store
-    /// all-resident (and still honors the `VITA_SPILL_*` environment —
-    /// see [`SpillConfig::from_env`]).
+    /// reads (a read lock held only to clone an `Arc`, never across
+    /// ingestion, sealing, compaction or spill work), background
+    /// sealer/compactor. With a [`SpillConfig`], sealed segments past the
+    /// memory budget are spilled to disk and paged back on query; `None`
+    /// keeps the store all-resident (and still honors the `VITA_SPILL_*`
+    /// environment — see [`SpillConfig::from_env`]).
     Segmented { spill: Option<SpillConfig> },
 }
 

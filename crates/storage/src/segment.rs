@@ -1,5 +1,5 @@
 //! The segmented storage backend: immutable run-segmented segments with
-//! epoch-pinned snapshot reads and a background sealer/compactor. It is
+//! snapshot-pinned reads and a background sealer/compactor. It is
 //! the workspace's one indexed storage engine.
 //!
 //! The single [`Repository`](crate::Repository) is a linear-scan
@@ -26,9 +26,11 @@
 //! * The current segment list is published through a `SnapshotCell`:
 //!   readers pin the current snapshot (an `Arc` — the pin is the
 //!   reference count), answer the whole query against that frozen state,
-//!   and drop the pin when done. Readers never take a lock on the hot
-//!   path and never block ingestion or sealing; writers never invalidate
-//!   anything a reader holds.
+//!   and drop the pin when done. A reader holds the cell's read lock
+//!   only to clone that `Arc`, so it never waits on ingestion, sealing,
+//!   compaction or spill work; writers never invalidate anything a reader
+//!   holds. Once the cell has moved on, a snapshot is freed when its last
+//!   pin drops.
 //!
 //! Every row is stamped with a per-table **sequence number** at accept
 //! time. Queries order ties by it, which makes the segmented backend's
@@ -50,19 +52,19 @@
 //! query that actually needs a spilled section's rows pages the segment
 //! back in, through a per-table capacity-bounded clock cache of decoded
 //! segments. `memory_budget_rows` bounds decoded sealed rows held by the
-//! repository (segment lists + caches together); maintenance evicts
-//! coldest-first by last-pinned tick, and a seal/compact output that
-//! cannot fit is spilled directly instead of being published resident.
+//! repository (segment lists + caches together) after every maintenance
+//! pass ([`SpillConfig::memory_budget_rows`] says what can exceed it
+//! between passes); maintenance evicts coldest-first by last-pinned tick,
+//! and a seal/compact output that cannot fit is spilled directly instead
+//! of being published resident.
 //! Writers that outrun the spiller stall on the
 //! [`SegmentedRepository::spill_pending_rows`] high-water mark and pay
 //! the eviction IO themselves — explicit backpressure instead of
-//! unbounded growth. Readers still pin snapshots lock-free; page-in
+//! unbounded growth. Readers pin snapshots exactly as above; page-in
 //! decodes a segment file (checksum-verified, then cross-checked against
 //! the segment's meta) back into sections whose indexes again start
 //! unbuilt, so answers stay bit-identical to the all-resident backend.
 
-use std::any::Any;
-use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::hash::Hash;
@@ -96,141 +98,41 @@ use crate::{
 type Seq = u64;
 
 // ---------------------------------------------------------------------------
-// Snapshot publication: epoch-pinned Arc swap
+// Snapshot publication: Arc swap
 // ---------------------------------------------------------------------------
 
-static NEXT_CELL_ID: AtomicU64 = AtomicU64::new(1);
-
-/// Entries a thread keeps before it evicts the least-recently-pinned
-/// one. Small: a cached entry keeps a whole table snapshot alive, and
-/// four cells per repository means even a test spawning many
-/// repositories stays bounded.
-const PIN_CACHE_CAP: usize = 64;
-
-/// A pin-cache entry: the cell version seen, the tick of the last pin
-/// through this entry, and the snapshot pinned.
-struct PinEntry {
-    version: u64,
-    used: u64,
-    snap: Arc<dyn Any + Send + Sync>,
-}
-
-/// Per-thread pin cache with least-recently-pinned eviction. A full
-/// cache evicts exactly one cold entry per new cell — a workload
-/// rotating over more than [`PIN_CACHE_CAP`] live tables keeps its hot
-/// set cached instead of losing everything to a wholesale clear.
-#[derive(Default)]
-struct PinCache {
-    map: HashMap<u64, PinEntry>,
-    tick: u64,
-}
-
-impl PinCache {
-    fn get(&mut self, id: u64, version: u64) -> Option<Arc<dyn Any + Send + Sync>> {
-        self.tick += 1;
-        let tick = self.tick;
-        let entry = self.map.get_mut(&id)?;
-        if entry.version != version {
-            return None;
-        }
-        entry.used = tick;
-        Some(Arc::clone(&entry.snap))
-    }
-
-    fn insert(&mut self, id: u64, version: u64, snap: Arc<dyn Any + Send + Sync>) {
-        self.tick += 1;
-        if self.map.len() >= PIN_CACHE_CAP && !self.map.contains_key(&id) {
-            if let Some(&coldest) = self
-                .map
-                .iter()
-                .min_by_key(|(_, e)| e.used)
-                .map(|(id, _)| id)
-            {
-                self.map.remove(&coldest);
-            }
-        }
-        self.map.insert(
-            id,
-            PinEntry {
-                version,
-                used: self.tick,
-                snap,
-            },
-        );
-    }
-}
-
-thread_local! {
-    /// Per-thread pin cache: cell id → (version seen, pinned snapshot).
-    /// Keyed by a globally unique cell id, so a dropped repository's stale
-    /// entries can never alias a new cell.
-    static PIN_CACHE: RefCell<PinCache> = RefCell::new(PinCache::default());
-}
-
-/// Atomically published `Arc<T>` with an epoch counter.
+/// A published `Arc<T>`: readers pin it, writers swap it.
 ///
-/// The hot read path is lock-free: a thread that has already pinned the
-/// current version re-uses its cached `Arc` after one atomic load. Only
-/// the first read after a publish touches the publication slot's lock —
-/// and writers hold that lock just long enough to swap a pointer, so even
-/// the refresh path never waits behind ingestion or sealing work.
-struct SnapshotCell<T: Send + Sync + 'static> {
-    id: u64,
-    version: AtomicU64,
-    slot: RwLock<Arc<T>>,
-}
+/// A reader holds the slot's read lock only to clone the `Arc`, and a
+/// writer holds the write lock only to swap the pointer, so a reader
+/// never waits on ingestion, sealing, compaction or spill work. Nothing
+/// but the slot and the pins holds a snapshot: once the slot has moved
+/// on and the last pin drops, the snapshot — and every segment only it
+/// references — is freed.
+struct SnapshotCell<T>(RwLock<Arc<T>>);
 
-impl<T: Send + Sync + 'static> SnapshotCell<T> {
+impl<T> SnapshotCell<T> {
     fn new(value: T) -> Self {
-        SnapshotCell {
-            id: NEXT_CELL_ID.fetch_add(1, Ordering::Relaxed),
-            version: AtomicU64::new(1),
-            slot: RwLock::new(Arc::new(value)),
-        }
+        SnapshotCell(RwLock::new(Arc::new(value)))
     }
 
     /// Pin the current snapshot. The returned `Arc` *is* the pin: the
     /// snapshot (and every segment it references) stays alive until the
-    /// caller drops it, no matter what writers publish meanwhile.
-    ///
-    /// Per thread the pinned snapshots are monotone — once a thread has
-    /// seen a snapshot, later pins never observe an older one — which is
-    /// what makes reader-side prefix-consistency assertions sound.
+    /// caller drops it, no matter what writers publish meanwhile. The
+    /// slot only moves forward, so later pins never observe an older
+    /// snapshot — which is what makes reader-side prefix-consistency
+    /// assertions sound.
     fn pin(&self) -> Arc<T> {
-        let version = self.version.load(Ordering::Acquire);
-        let hit = PIN_CACHE.with(|c| c.borrow_mut().get(self.id, version));
-        if let Some(any) = hit {
-            if let Ok(arc) = any.downcast::<T>() {
-                return arc;
-            }
-        }
-        // The slot may hold a snapshot *newer* than `version` (a writer
-        // stores before bumping); caching it under the older version is
-        // fine — the next bump forces a refresh, and the slot only ever
-        // moves forward, so per-thread monotonicity holds.
-        let fresh = Arc::clone(&self.slot.read());
-        PIN_CACHE.with(|c| {
-            c.borrow_mut().insert(
-                self.id,
-                version,
-                Arc::clone(&fresh) as Arc<dyn Any + Send + Sync>,
-            );
-        });
-        fresh
+        Arc::clone(&self.0.read())
     }
 
-    /// The slot's current value, bypassing the thread-local cache. Writers
-    /// (which serialize on the table's writer lock) use this to read their
-    /// own latest publish back.
-    fn latest(&self) -> Arc<T> {
-        Arc::clone(&self.slot.read())
-    }
-
-    /// Publish a new snapshot: store, then bump the epoch. Callers
-    /// serialize publishes through the table's writer lock.
+    /// Publish a new snapshot. Callers serialize publishes through the
+    /// table's writer lock. The old snapshot is released after the write
+    /// guard drops, so freeing it never holds a reader up.
     fn publish(&self, value: Arc<T>) {
-        *self.slot.write() = value;
-        self.version.fetch_add(1, Ordering::Release);
+        // Two statements: the guard is a temporary of the first.
+        let old = std::mem::replace(&mut *self.0.write(), value);
+        drop(old);
     }
 }
 
@@ -428,8 +330,19 @@ pub struct SpillConfig {
     /// repositories can share a `dir`.
     pub dir: PathBuf,
     /// Decoded sealed rows the repository may hold in memory — segment
-    /// lists and page-in caches together. Unsealed (head) segments are
-    /// always resident on top of this.
+    /// lists and page-in caches together, the gauge
+    /// [`SegmentStats::resident_rows`] reports. Unsealed (head) segments
+    /// are always resident on top of this.
+    ///
+    /// The gauge is at most this budget right after a maintenance pass
+    /// (the sealer's, or the one [`SegmentedRepository::seal_now`] runs)
+    /// that no query paged in alongside. Between passes each table's
+    /// page-in cache keeps its newest entry even past the room the budget
+    /// leaves, so the gauge can exceed the budget by the segments queries
+    /// just paged in; the next pass evicts them. Rows that only in-flight
+    /// queries hold — a pinned snapshot's since-spilled segments, a
+    /// page-in evicted mid-query — are outside the gauge and are freed
+    /// when those queries finish.
     pub memory_budget_rows: usize,
     /// Per-table capacity (in segments) of the page-in clock cache.
     pub cache_segments: usize,
@@ -1381,7 +1294,7 @@ impl<R: SegmentRow> SegTable<R> {
             false,
             false,
         ));
-        let cur = self.cell.latest();
+        let cur = self.cell.pin();
         let mut segments = Vec::with_capacity(cur.segments.len() + 1);
         segments.extend(cur.segments.iter().cloned());
         segments.push(seg);
@@ -1403,7 +1316,7 @@ impl<R: SegmentRow> SegTable<R> {
             return false;
         }
         let guard = self.writer.lock();
-        let cur = self.cell.latest();
+        let cur = self.cell.pin();
         let Some(start) = cur
             .segments
             .iter()
@@ -1493,7 +1406,7 @@ impl<R: SegmentRow> SegTable<R> {
     /// tick and by writers whose append crossed `seal_rows` — see
     /// [`SegInner::append_and_seal`].
     fn seal_pass(&self, cfg: &SegmentConfig, force: bool, global_decoded: usize) -> bool {
-        let snap = self.cell.latest();
+        let snap = self.cell.pin();
         let first_unsealed = snap
             .segments
             .iter()
@@ -1536,7 +1449,7 @@ impl<R: SegmentRow> SegTable<R> {
     /// table's cache; a page-in failure skips the pass (queries surface
     /// the error, compaction never panics over it).
     fn compact_pass(&self, cfg: &SegmentConfig, force: bool, global_decoded: usize) -> bool {
-        let snap = self.cell.latest();
+        let snap = self.cell.pin();
         let prefix = snap.segments.iter().take_while(|s| s.sealed).count();
         let max_group = self.spill.as_ref().map(|sh| {
             (sh.cfg.memory_budget_rows / 2)
@@ -1734,7 +1647,7 @@ impl<R: SegmentRow> SegTable<R> {
         let Some(sh) = &self.spill else {
             return Ok(0);
         };
-        let snap = self.cell.latest();
+        let snap = self.cell.pin();
         let Some(seg) = snap
             .segments
             .iter()
@@ -1760,7 +1673,7 @@ impl<R: SegmentRow> SegTable<R> {
     /// picking the global eviction victim across tables.
     fn coldest_resident_touch(&self) -> Option<u64> {
         self.cell
-            .latest()
+            .pin()
             .segments
             .iter()
             .filter(|s| s.sealed && !s.is_spilled() && s.len > 0)
@@ -1779,7 +1692,7 @@ impl<R: SegmentRow> SegTable<R> {
 
     fn sealed_resident_rows(&self) -> usize {
         self.cell
-            .latest()
+            .pin()
             .segments
             .iter()
             .filter(|s| s.sealed && !s.is_spilled())
@@ -1788,7 +1701,7 @@ impl<R: SegmentRow> SegTable<R> {
     }
 
     fn inventory(&self) -> TableInventory {
-        let snap = self.cell.latest();
+        let snap = self.cell.pin();
         let mut inv = TableInventory::default();
         for seg in &snap.segments {
             if seg.sealed {
@@ -1863,7 +1776,11 @@ pub struct SegmentStats {
     /// Rows held only on disk (in spilled segments).
     pub spilled_rows: usize,
     /// Decoded sealed rows in memory — sealed resident segments plus the
-    /// page-in caches. This is the gauge `memory_budget_rows` bounds.
+    /// page-in caches. This is the gauge `memory_budget_rows` bounds: at
+    /// most the budget right after a maintenance pass, and above it
+    /// between passes by at most what queries just paged in (see
+    /// [`SpillConfig::memory_budget_rows`]). Rows that only in-flight
+    /// queries hold are not counted.
     pub resident_rows: usize,
     /// Rows in unsealed heads (always resident, not counted against the
     /// budget).
@@ -2094,8 +2011,9 @@ fn sealer_loop(inner: &SegInner) {
 /// published by atomic snapshot swap, with a background sealer/compactor
 /// (see the module docs for the design).
 ///
-/// Readers pin a snapshot per query and never block — not on ingestion,
-/// not on sealing — while writers pay O(segment count) pointer copies per
+/// Readers pin a snapshot per query, holding a table's read lock only to
+/// clone an `Arc`, and never wait on ingestion, sealing, compaction or
+/// spill work — while writers pay O(segment count) pointer copies per
 /// batch and no index maintenance at all. Choose it whenever queries
 /// matter, above all *while* `run_many` ingests; the single backend's
 /// reference store serves purely offline workloads, which skip the sealer
@@ -2879,14 +2797,14 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_cell_pins_are_monotone_and_lock_free_on_repeat() {
+    fn snapshot_cell_pins_are_monotone() {
         let cell = SnapshotCell::new(1u32);
         let a = cell.pin();
         let b = cell.pin();
         assert!(Arc::ptr_eq(&a, &b));
         cell.publish(Arc::new(2));
         assert_eq!(*cell.pin(), 2);
-        // The old pin still reads the old value — that is the epoch pin.
+        // The old pin still reads the old value — that is the snapshot pin.
         assert_eq!(*a, 1);
     }
 
@@ -3033,27 +2951,82 @@ mod tests {
         );
     }
 
+    /// Join `repo`'s sealer thread (as its drop would), so no background
+    /// pass holds a snapshot while a test watches what gets freed. The
+    /// repository keeps answering queries, and `seal_now` still works.
+    fn stop_sealer(repo: &SegmentedRepository) {
+        repo.inner.shutdown.store(true, Ordering::Release);
+        repo.inner.wake.notify_all();
+        if let Some(handle) = repo.sealer.lock().unwrap().take() {
+            handle.join().unwrap();
+        }
+    }
+
     #[test]
-    fn pin_cache_evicts_least_recently_pinned_past_capacity() {
-        // More live cells than one thread's pin cache holds: pins taken
-        // before the cache overflowed must stay valid (they are plain
-        // Arcs), and re-pinning every cell must keep answering the right
-        // value whether it was evicted or not.
-        let cells: Vec<SnapshotCell<usize>> =
-            (0..PIN_CACHE_CAP + 8).map(SnapshotCell::new).collect();
-        let pins: Vec<Arc<usize>> = cells.iter().map(|c| c.pin()).collect();
-        for (i, p) in pins.iter().enumerate() {
-            assert_eq!(**p, i);
-        }
-        // Touch every cell in reverse so the cache churns through all of
-        // them again with a different recency order.
-        for (i, c) in cells.iter().enumerate().rev() {
-            assert_eq!(*c.pin(), i);
-        }
-        cells[0].publish(Arc::new(999));
-        assert_eq!(*cells[0].pin(), 999);
-        // The pin taken before the publish still reads the old value.
-        assert_eq!(*pins[0], 0);
+    fn dropped_repository_frees_the_snapshots_this_thread_queried() {
+        let repo = filled();
+        repo.seal_now();
+        assert_eq!(repo.counts(RunScope::All).trajectories, 120);
+        assert_eq!(repo.object_trace(RunScope::All, ObjectId(1)).len(), 30);
+        let (snap, segment) = {
+            let snap = repo.inner.trajectories.pin();
+            (Arc::downgrade(&snap), Arc::downgrade(&snap.segments[0]))
+        };
+        drop(repo);
+        assert!(snap.upgrade().is_none(), "snapshot outlived its repository");
+        assert!(
+            segment.upgrade().is_none(),
+            "rows outlived their repository"
+        );
+    }
+
+    #[test]
+    fn superseded_snapshot_lives_exactly_as_long_as_its_pin() {
+        let repo = SegmentedRepository::new();
+        stop_sealer(&repo);
+        repo.accept(ProductBatch::Trajectories(
+            (0..5).map(|i| ts(0, 0, i as f64, 0.0, i * 10)).collect(),
+        ));
+        let pinned = repo.inner.trajectories.pin();
+        let old = Arc::downgrade(&pinned);
+        repo.accept(ProductBatch::Trajectories(
+            (5..12).map(|i| ts(0, 0, i as f64, 0.0, i * 10)).collect(),
+        ));
+        // Superseded, yet still whole for the reader that pinned it.
+        assert_eq!(pinned.len(RunScope::All), 5);
+        drop(pinned);
+        assert!(
+            old.upgrade().is_none(),
+            "superseded snapshot outlived its last pin"
+        );
+        assert_eq!(repo.counts(RunScope::All).trajectories, 12);
+    }
+
+    #[test]
+    fn spilled_segment_frees_its_rows_though_this_thread_queried_them() {
+        let repo = SegmentedRepository::with_spill(
+            SegmentConfig::default(),
+            SpillConfig::new(spill_dir("freed")),
+        );
+        stop_sealer(&repo);
+        fill(&repo);
+        repo.seal_now();
+        let trace = repo.object_trace(RunScope::All, ObjectId(1));
+        let table = &repo.inner.trajectories;
+        let resident = {
+            let snap = table.pin();
+            assert_eq!(snap.segments.len(), 1);
+            assert!(snap.segments[0].sealed && !snap.segments[0].is_spilled());
+            Arc::downgrade(&snap.segments[0])
+        };
+        assert_eq!(table.spill_coldest().unwrap(), 120);
+        assert!(
+            resident.upgrade().is_none(),
+            "spilled rows are still resident"
+        );
+        // The spilled twin pages the same rows back in.
+        assert_eq!(repo.object_trace(RunScope::All, ObjectId(1)), trace);
+        assert_eq!(repo.stats().page_ins, 1);
     }
 
     fn spill_dir(tag: &str) -> PathBuf {
@@ -3146,7 +3119,7 @@ mod tests {
 
     /// Index state of every resident sealed section of `table`.
     fn built_all<R: SegmentRow>(table: &SegTable<R>) -> Vec<(bool, bool, bool)> {
-        let snap = table.cell.latest();
+        let snap = table.pin();
         snap.segments
             .iter()
             .filter(|seg| seg.sealed)
@@ -3354,7 +3327,7 @@ mod tests {
         spilled.accept_run(RunId(0), ProductBatch::Trajectories(rows));
         spilled.seal_now();
         let table = &spilled.inner.trajectories;
-        let seg = Arc::clone(&table.cell.latest().segments[0]);
+        let seg = Arc::clone(&table.pin().segments[0]);
         assert!(seg.is_spilled());
         let data = table.page_in(&seg, usize::MAX).unwrap();
         let sections: Vec<&Section<TrajectorySample>> = data.sections.iter().collect();

@@ -6,9 +6,9 @@
 //!
 //! This also exercises the read-path locking fix end to end (the readers
 //! run `range_query` / `knn` through a table **read** lock, concurrently
-//! with ingestion) and the segmented backend's lock-free snapshot path:
-//! its readers pin snapshots while producers publish and the background
-//! sealer seals and compacts underneath them.
+//! with ingestion) and the segmented backend's snapshot path: its readers
+//! pin snapshots while producers publish and the background sealer seals
+//! and compacts underneath them.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
