@@ -7,8 +7,7 @@ use vita_geometry::Point;
 use vita_indoor::{BuildingId, FloorId, ObjectId, RunId, Timestamp};
 use vita_mobility::TrajectorySample;
 use vita_storage::{
-    decode_trajectories, encode_trajectories, ProductBatch, ProductSink, RunScope,
-    SegmentedRepository,
+    decode_runs, encode_runs, ProductBatch, ProductSink, RunScope, SegmentedRepository,
 };
 
 /// Rows per `accept_run` batch: the pipeline's hundreds-to-thousands.
@@ -59,14 +58,24 @@ fn bench_queries(c: &mut Criterion) {
     g.sample_size(20);
     g.bench_function("time_window_1pct", |b| {
         b.iter(|| {
-            repo.trajectories_time_window(RunScope::All, Timestamp(100_000), Timestamp(114_000))
+            repo.trajectories()
+                .time_window(RunScope::All, Timestamp(100_000), Timestamp(114_000))
+                .unwrap()
         });
     });
     g.bench_function("object_trace", |b| {
-        b.iter(|| repo.object_trace(RunScope::All, ObjectId(42)));
+        b.iter(|| {
+            repo.trajectories()
+                .of_object(RunScope::All, ObjectId(42))
+                .unwrap()
+        });
     });
     g.bench_function("snapshot", |b| {
-        b.iter(|| repo.trajectories_snapshot_at(RunScope::All, Timestamp(700_000)));
+        b.iter(|| {
+            repo.trajectories()
+                .snapshot_at(RunScope::All, Timestamp(700_000))
+                .unwrap()
+        });
     });
     g.finish();
 
@@ -74,7 +83,9 @@ fn bench_queries(c: &mut Criterion) {
     g.sample_size(20);
     g.bench_function("knn10", |b| {
         b.iter(|| {
-            repo.trajectories_knn(RunScope::All, FloorId(0), Point::new(20.0, 8.0), 10)
+            repo.trajectories()
+                .knn(RunScope::All, FloorId(0), Point::new(20.0, 8.0), 10)
+                .unwrap()
                 .len()
         });
     });
@@ -83,15 +94,16 @@ fn bench_queries(c: &mut Criterion) {
 
 fn bench_codec(c: &mut Criterion) {
     let samples = make_samples(100_000);
-    let encoded = encode_trajectories(&samples);
+    let sections = [(RunId::DEFAULT, samples.as_slice())];
+    let encoded = encode_runs(&sections);
     let mut g = c.benchmark_group("e10/codec");
     g.sample_size(20);
     g.throughput(Throughput::Bytes(encoded.len() as u64));
     g.bench_function("encode_100k", |b| {
-        b.iter(|| encode_trajectories(&samples));
+        b.iter(|| encode_runs(&sections));
     });
     g.bench_function("decode_100k", |b| {
-        b.iter(|| decode_trajectories(encoded.clone()).unwrap());
+        b.iter(|| decode_runs::<TrajectorySample>(encoded.clone()).unwrap());
     });
     g.finish();
 }

@@ -104,7 +104,10 @@ fn bench_page_in(c: &mut Criterion) {
             b.iter(|| {
                 let (from, to) = windows[i % windows.len()];
                 i += 1;
-                repo.trajectories_time_window(RunScope::All, from, to).len()
+                repo.trajectories()
+                    .time_window(RunScope::All, from, to)
+                    .unwrap()
+                    .len()
             });
         });
     }
@@ -125,10 +128,10 @@ fn bench_export(c: &mut Criterion) {
     let mut g = c.benchmark_group("e17/export");
     g.sample_size(10);
     g.bench_function("raw_splice", |b| {
-        b.iter(|| cold.export().trajectories.len());
+        b.iter(|| cold.export().unwrap().trajectories.len());
     });
     g.bench_function("typed_reencode", |b| {
-        b.iter(|| cold.export_reencode().trajectories.len());
+        b.iter(|| cold.export_reencode().unwrap().trajectories.len());
     });
     g.finish();
 }

@@ -685,20 +685,28 @@ fn e17_out_of_core() {
             };
             timed(&mut || repo.counts(scope).trajectories);
             timed(&mut || {
-                repo.trajectories_time_window(scope, Timestamp(from), Timestamp(from + width))
+                repo.trajectories()
+                    .time_window(scope, Timestamp(from), Timestamp(from + width))
+                    .unwrap()
                     .len()
             });
             timed(&mut || {
-                repo.trajectories_snapshot_at(scope, Timestamp(t_hi / 2))
+                repo.trajectories()
+                    .snapshot_at(scope, Timestamp(t_hi / 2))
+                    .unwrap()
                     .len()
             });
-            timed(&mut || repo.object_trace(scope, object).len());
+            timed(&mut || repo.trajectories().of_object(scope, object).unwrap().len());
             timed(&mut || {
-                repo.trajectories_range_query(scope, FloorId(0), &window)
+                repo.trajectories()
+                    .range_query(scope, FloorId(0), &window)
+                    .unwrap()
                     .len()
             });
             timed(&mut || {
-                repo.trajectories_knn(scope, FloorId(0), Point::new(20.0, 8.0), 8)
+                repo.trajectories()
+                    .knn(scope, FloorId(0), Point::new(20.0, 8.0), 8)
+                    .unwrap()
                     .len()
             });
             // Page-ins land in the gauge too: each table's cache keeps its
@@ -1348,19 +1356,25 @@ fn e10_storage() {
         };
         let span = n as u64 * 7;
         let window_us = warm_then_time(&|| {
-            repo.trajectories_time_window(
-                RunScope::All,
-                Timestamp(span / 2),
-                Timestamp(span / 2 + span / 100),
-            )
-            .len()
+            repo.trajectories()
+                .time_window(
+                    RunScope::All,
+                    Timestamp(span / 2),
+                    Timestamp(span / 2 + span / 100),
+                )
+                .unwrap()
+                .len()
         });
         let trace_us = warm_then_time(&|| {
-            repo.object_trace(RunScope::All, vita_indoor::ObjectId(42))
+            repo.trajectories()
+                .of_object(RunScope::All, vita_indoor::ObjectId(42))
+                .unwrap()
                 .len()
         });
         let knn_us = warm_then_time(&|| {
-            repo.trajectories_knn(RunScope::All, FloorId(0), Point::new(20.0, 8.0), 10)
+            repo.trajectories()
+                .knn(RunScope::All, FloorId(0), Point::new(20.0, 8.0), 10)
+                .unwrap()
                 .len()
         });
 

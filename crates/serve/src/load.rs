@@ -253,29 +253,6 @@ pub struct RampReport {
     pub max_sustainable_rps: f64,
 }
 
-impl RampReport {
-    /// The report as a JSON object (hand-rolled; the workspace carries no
-    /// serde).
-    pub fn to_json(&self) -> String {
-        let steps: Vec<String> = self
-            .steps
-            .iter()
-            .map(|s| {
-                format!(
-                    "{{\"target_rps\":{:.1},\"achieved_rps\":{:.1},\"issued\":{},\
-                     \"p50_us\":{},\"p99_us\":{},\"p999_us\":{}}}",
-                    s.target_rps, s.achieved_rps, s.issued, s.p50_us, s.p99_us, s.p999_us
-                )
-            })
-            .collect();
-        format!(
-            "{{\"max_sustainable_rps\":{:.1},\"steps\":[{}]}}",
-            self.max_sustainable_rps,
-            steps.join(",")
-        )
-    }
-}
-
 /// Latency percentile (nearest-rank on the sorted slice); `0` when empty.
 fn percentile(sorted_us: &[u64], q: f64) -> u64 {
     if sorted_us.is_empty() {
@@ -519,7 +496,7 @@ mod tests {
     }
 
     #[test]
-    fn ramp_reports_valid_json_shape() {
+    fn ramp_reports_steps_with_ordered_percentiles() {
         let service = QueryService::new(Arc::new(AnyRepository::default()));
         let profile = LoadProfile {
             initial_rps: 200.0,
@@ -536,9 +513,5 @@ mod tests {
             assert!(s.achieved_rps >= 0.0);
             assert!(s.p50_us <= s.p99_us && s.p99_us <= s.p999_us);
         }
-        let json = report.to_json();
-        assert!(json.starts_with('{') && json.ends_with('}'));
-        assert!(json.contains("\"max_sustainable_rps\""));
-        assert!(json.contains("\"steps\":["));
     }
 }

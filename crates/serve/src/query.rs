@@ -133,9 +133,16 @@ impl QueryService {
         &self.repo
     }
 
-    /// Answer one request. Infallible: every variant maps onto a total
-    /// repository query (an empty repository or an unknown run id yields
-    /// empty rows / zero counts, never an error).
+    /// Answer one request. Every variant maps onto a total repository
+    /// query: an empty repository or an unknown run id yields empty rows
+    /// or zero counts, never an error.
+    ///
+    /// # Panics
+    ///
+    /// On a segmented repository with a spill tier, if a spilled segment
+    /// file the query needs cannot be read back — the documented panic of
+    /// [`AnyRepository`]'s row-returning queries. `Counts` never reads a
+    /// spill file.
     pub fn execute(&self, request: &QueryRequest) -> QueryResponse {
         match *request {
             QueryRequest::Counts { scope } => QueryResponse::Counts(self.repo.counts(scope)),

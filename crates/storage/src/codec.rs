@@ -27,7 +27,9 @@
 //! header and checksum, minus the absorbed v1 count). Empty sections are
 //! never written. The trailing checksum is an integrity check (not
 //! cryptographic): random corruption of a valid file decodes to a
-//! [`CodecError`], never to silently wrong data.
+//! [`CodecError`], never to silently wrong data. [`encode_runs`] and
+//! [`decode_runs`] write and read table files of every row type
+//! ([`WireRecord`]).
 //!
 //! ## Segment files (spill tier)
 //!
@@ -399,12 +401,13 @@ fn v2_finish(tag: u8, mut buf: BytesMut) -> Bytes {
     buf.freeze()
 }
 
-/// Encode run sections in the v2 framing. The writer is total — it emits
-/// a canonical file for *any* input: empty sections are skipped, and
-/// sections are written in ascending run-id order with same-run sections
-/// concatenated (repository exporters already pass ascending unique ids,
-/// so this is a no-op rearrangement on the hot path).
-fn encode_runs<T: WireRecord>(sections: &[(RunId, &[T])]) -> Bytes {
+/// Encode one table's run sections as a v2 table file. The writer is
+/// total — it emits a canonical file for *any* input: empty sections are
+/// skipped, and sections are written in ascending run-id order with
+/// same-run sections concatenated (repository exporters already pass
+/// ascending unique ids, so this is a no-op rearrangement on the hot
+/// path).
+pub fn encode_runs<T: WireRecord>(sections: &[(RunId, &[T])]) -> Bytes {
     let mut by_run: std::collections::BTreeMap<u32, Vec<&[T]>> = std::collections::BTreeMap::new();
     for (run, rows) in sections {
         if !rows.is_empty() {
@@ -651,7 +654,7 @@ fn walk_v2<S>(
 /// Decode a table file of either version into its run sections, ascending
 /// by run id. v1 files decode as one [`RunId::DEFAULT`] section (or none,
 /// when empty). Sections with zero rows are never produced.
-fn decode_runs<T: WireRecord>(data: Bytes) -> Result<Vec<(RunId, Vec<T>)>, CodecError> {
+pub fn decode_runs<T: WireRecord>(data: Bytes) -> Result<Vec<(RunId, Vec<T>)>, CodecError> {
     if check_magic(&data)? == VERSION_V1 {
         check_tag(&data, T::TAG)?;
         if data.len() < V1_HEADER {
@@ -672,98 +675,6 @@ fn decode_runs<T: WireRecord>(data: Bytes) -> Result<Vec<(RunId, Vec<T>)>, Codec
         let rows = read_rows(buf, count)?;
         Ok((!rows.is_empty()).then_some((run, rows)))
     })
-}
-
-/// Encode trajectory samples as one [`RunId::DEFAULT`] section.
-pub fn encode_trajectories(samples: &[TrajectorySample]) -> Bytes {
-    encode_trajectories_runs(&[(RunId::DEFAULT, samples)])
-}
-
-/// Encode per-run trajectory sections (canonicalized: ascending run
-/// ids, same-run sections merged, empty sections dropped).
-pub fn encode_trajectories_runs(sections: &[(RunId, &[TrajectorySample])]) -> Bytes {
-    encode_runs(sections)
-}
-
-/// Decode trajectory samples, all runs concatenated in section order.
-pub fn decode_trajectories(data: Bytes) -> Result<Vec<TrajectorySample>, CodecError> {
-    Ok(flatten(decode_trajectories_runs(data)?))
-}
-
-/// Decode per-run trajectory sections (v1 files land in run 0).
-pub fn decode_trajectories_runs(
-    data: Bytes,
-) -> Result<Vec<(RunId, Vec<TrajectorySample>)>, CodecError> {
-    decode_runs(data)
-}
-
-/// Encode RSSI measurements as one [`RunId::DEFAULT`] section.
-pub fn encode_rssi(ms: &[RssiMeasurement]) -> Bytes {
-    encode_rssi_runs(&[(RunId::DEFAULT, ms)])
-}
-
-/// Encode per-run RSSI sections (canonicalized; see
-/// [`encode_trajectories_runs`]).
-pub fn encode_rssi_runs(sections: &[(RunId, &[RssiMeasurement])]) -> Bytes {
-    encode_runs(sections)
-}
-
-/// Decode RSSI measurements, all runs concatenated in section order.
-pub fn decode_rssi(data: Bytes) -> Result<Vec<RssiMeasurement>, CodecError> {
-    Ok(flatten(decode_rssi_runs(data)?))
-}
-
-/// Decode per-run RSSI sections (v1 files land in run 0).
-pub fn decode_rssi_runs(data: Bytes) -> Result<Vec<(RunId, Vec<RssiMeasurement>)>, CodecError> {
-    decode_runs(data)
-}
-
-/// Encode deterministic fixes as one [`RunId::DEFAULT`] section.
-pub fn encode_fixes(fs: &[Fix]) -> Bytes {
-    encode_fixes_runs(&[(RunId::DEFAULT, fs)])
-}
-
-/// Encode per-run fix sections (canonicalized; see
-/// [`encode_trajectories_runs`]).
-pub fn encode_fixes_runs(sections: &[(RunId, &[Fix])]) -> Bytes {
-    encode_runs(sections)
-}
-
-/// Decode deterministic fixes, all runs concatenated in section order.
-pub fn decode_fixes(data: Bytes) -> Result<Vec<Fix>, CodecError> {
-    Ok(flatten(decode_fixes_runs(data)?))
-}
-
-/// Decode per-run fix sections (v1 files land in run 0).
-pub fn decode_fixes_runs(data: Bytes) -> Result<Vec<(RunId, Vec<Fix>)>, CodecError> {
-    decode_runs(data)
-}
-
-/// Encode proximity records as one [`RunId::DEFAULT`] section.
-pub fn encode_proximity(rs: &[ProximityRecord]) -> Bytes {
-    encode_proximity_runs(&[(RunId::DEFAULT, rs)])
-}
-
-/// Encode per-run proximity sections (canonicalized; see
-/// [`encode_trajectories_runs`]).
-pub fn encode_proximity_runs(sections: &[(RunId, &[ProximityRecord])]) -> Bytes {
-    encode_runs(sections)
-}
-
-/// Decode proximity records, all runs concatenated in section order.
-pub fn decode_proximity(data: Bytes) -> Result<Vec<ProximityRecord>, CodecError> {
-    Ok(flatten(decode_proximity_runs(data)?))
-}
-
-/// Decode per-run proximity sections (v1 files land in run 0).
-pub fn decode_proximity_runs(
-    data: Bytes,
-) -> Result<Vec<(RunId, Vec<ProximityRecord>)>, CodecError> {
-    decode_runs(data)
-}
-
-fn flatten<T>(sections: Vec<(RunId, Vec<T>)>) -> Vec<T> {
-    sections.into_iter().flat_map(|(_, rows)| rows).collect()
 }
 
 /// Filesystem half of [`crate::RepositoryExport::write_dir`]: disk I/O
@@ -821,6 +732,19 @@ mod tests {
         ]
     }
 
+    /// One [`RunId::DEFAULT`] table file of `rows`.
+    fn encode_one<T: WireRecord>(rows: &[T]) -> Bytes {
+        encode_runs(&[(RunId::DEFAULT, rows)])
+    }
+
+    /// A table file's rows, every run concatenated in section order.
+    fn decode_flat<T: WireRecord>(data: Bytes) -> Result<Vec<T>, CodecError> {
+        Ok(decode_runs(data)?
+            .into_iter()
+            .flat_map(|(_, rows)| rows)
+            .collect())
+    }
+
     /// Hand-encode a v1 trajectory file (the legacy writer no longer
     /// exists, so tests produce its output byte-for-byte).
     fn encode_trajectories_v1(samples: &[TrajectorySample]) -> Bytes {
@@ -838,8 +762,8 @@ mod tests {
     #[test]
     fn trajectory_round_trip() {
         let original = sample_trajectories();
-        let encoded = encode_trajectories(&original);
-        let decoded = decode_trajectories(encoded).unwrap();
+        let encoded = encode_one(&original);
+        let decoded = decode_flat::<TrajectorySample>(encoded).unwrap();
         assert_eq!(decoded, original);
     }
 
@@ -859,7 +783,7 @@ mod tests {
                 t: Timestamp(999),
             },
         ];
-        let decoded = decode_rssi(encode_rssi(&original)).unwrap();
+        let decoded = decode_flat::<RssiMeasurement>(encode_one(&original)).unwrap();
         assert_eq!(decoded, original);
     }
 
@@ -870,7 +794,7 @@ mod tests {
             loc: Loc::point(BuildingId(0), FloorId(2), Point::new(-3.25, 8.0)),
             t: Timestamp(12345),
         }];
-        let decoded = decode_fixes(encode_fixes(&original)).unwrap();
+        let decoded = decode_flat::<Fix>(encode_one(&original)).unwrap();
         assert_eq!(decoded, original);
     }
 
@@ -882,7 +806,7 @@ mod tests {
             ts: Timestamp(100),
             te: Timestamp(5000),
         }];
-        let decoded = decode_proximity(encode_proximity(&original)).unwrap();
+        let decoded = decode_flat::<ProximityRecord>(encode_one(&original)).unwrap();
         assert_eq!(decoded, original);
     }
 
@@ -905,14 +829,14 @@ mod tests {
             (RunId(3), run3.as_slice()),
             (RunId(7), run0.as_slice()),
         ];
-        let decoded = decode_trajectories_runs(encode_trajectories_runs(&sections)).unwrap();
+        let decoded = decode_runs::<TrajectorySample>(encode_runs(&sections)).unwrap();
         assert_eq!(decoded.len(), 3);
         for ((run, rows), (want_run, want_rows)) in decoded.iter().zip(&sections) {
             assert_eq!(run, want_run);
             assert_eq!(rows.as_slice(), *want_rows);
         }
         // The flattening reader concatenates sections in run order.
-        let flat = decode_trajectories(encode_trajectories_runs(&sections)).unwrap();
+        let flat = decode_flat::<TrajectorySample>(encode_runs(&sections)).unwrap();
         assert_eq!(flat.len(), run0.len() * 2 + run3.len());
     }
 
@@ -928,7 +852,7 @@ mod tests {
             (RunId(1), extra.as_slice()),
             (RunId(5), extra.as_slice()),
         ];
-        let decoded = decode_trajectories_runs(encode_trajectories_runs(&messy)).unwrap();
+        let decoded = decode_runs::<TrajectorySample>(encode_runs(&messy)).unwrap();
         let mut run5 = rows.clone();
         run5.extend_from_slice(&extra);
         assert_eq!(decoded, vec![(RunId(1), extra), (RunId(5), run5)]);
@@ -942,43 +866,60 @@ mod tests {
             (RunId(2), rows.as_slice()),
             (RunId(5), [].as_slice()),
         ];
-        let decoded = decode_trajectories_runs(encode_trajectories_runs(&sections)).unwrap();
+        let decoded = decode_runs::<TrajectorySample>(encode_runs(&sections)).unwrap();
         assert_eq!(decoded.len(), 1);
         assert_eq!(decoded[0].0, RunId(2));
     }
 
     #[test]
     fn empty_tables_round_trip() {
-        assert!(decode_trajectories(encode_trajectories(&[]))
+        assert!(
+            decode_flat::<TrajectorySample>(encode_one::<TrajectorySample>(&[]))
+                .unwrap()
+                .is_empty()
+        );
+        assert!(
+            decode_flat::<RssiMeasurement>(encode_one::<RssiMeasurement>(&[]))
+                .unwrap()
+                .is_empty()
+        );
+        assert!(decode_flat::<Fix>(encode_one::<Fix>(&[]))
             .unwrap()
             .is_empty());
-        assert!(decode_rssi(encode_rssi(&[])).unwrap().is_empty());
-        assert!(decode_fixes(encode_fixes(&[])).unwrap().is_empty());
-        assert!(decode_proximity(encode_proximity(&[])).unwrap().is_empty());
-        assert!(decode_trajectories_runs(encode_trajectories(&[]))
-            .unwrap()
-            .is_empty());
+        assert!(
+            decode_flat::<ProximityRecord>(encode_one::<ProximityRecord>(&[]))
+                .unwrap()
+                .is_empty()
+        );
+        assert!(
+            decode_runs::<TrajectorySample>(encode_one::<TrajectorySample>(&[]))
+                .unwrap()
+                .is_empty()
+        );
     }
 
     #[test]
     fn v1_files_decode_into_run_zero() {
         let original = sample_trajectories();
         let v1 = encode_trajectories_v1(&original);
-        assert_eq!(decode_trajectories(v1.clone()).unwrap(), original);
-        let sections = decode_trajectories_runs(v1).unwrap();
+        assert_eq!(
+            decode_flat::<TrajectorySample>(v1.clone()).unwrap(),
+            original
+        );
+        let sections = decode_runs::<TrajectorySample>(v1).unwrap();
         assert_eq!(sections.len(), 1);
         assert_eq!(sections[0].0, RunId::DEFAULT);
         assert_eq!(sections[0].1, original);
         // An empty v1 file has no sections at all.
-        assert!(decode_trajectories_runs(encode_trajectories_v1(&[]))
+        assert!(decode_runs::<TrajectorySample>(encode_trajectories_v1(&[]))
             .unwrap()
             .is_empty());
     }
 
     #[test]
     fn wrong_type_rejected() {
-        let data = encode_rssi(&[]);
-        match decode_trajectories(data).unwrap_err() {
+        let data = encode_one::<RssiMeasurement>(&[]);
+        match decode_flat::<TrajectorySample>(data).unwrap_err() {
             CodecError::WrongRecordType { expected, got } => {
                 assert_eq!(expected, TAG_TRAJECTORY);
                 assert_eq!(got, TAG_RSSI);
@@ -990,17 +931,23 @@ mod tests {
     #[test]
     fn bad_magic_rejected() {
         let data = Bytes::from_static(b"NOPE\x01\x01\x00\x00\x00\x00\x00\x00\x00\x00");
-        assert_eq!(decode_trajectories(data).unwrap_err(), CodecError::BadMagic);
+        assert_eq!(
+            decode_flat::<TrajectorySample>(data).unwrap_err(),
+            CodecError::BadMagic
+        );
     }
 
     #[test]
     fn truncation_detected() {
-        let full = encode_trajectories(&sample_trajectories());
+        let full = encode_one(&sample_trajectories());
         let cut = full.slice(0..full.len() - 5);
-        assert_eq!(decode_trajectories(cut).unwrap_err(), CodecError::Truncated);
+        assert_eq!(
+            decode_flat::<TrajectorySample>(cut).unwrap_err(),
+            CodecError::Truncated
+        );
         let tiny = full.slice(0..6);
         assert_eq!(
-            decode_trajectories(tiny).unwrap_err(),
+            decode_flat::<TrajectorySample>(tiny).unwrap_err(),
             CodecError::Truncated
         );
     }
@@ -1013,7 +960,7 @@ mod tests {
         raw.put_u8(TAG_TRAJECTORY);
         raw.put_u64_le(0);
         assert_eq!(
-            decode_trajectories(raw.freeze()).unwrap_err(),
+            decode_flat::<TrajectorySample>(raw.freeze()).unwrap_err(),
             CodecError::UnsupportedVersion(99)
         );
     }
@@ -1034,7 +981,7 @@ mod tests {
         raw.put_slice(&[0u8; 16]); // payload
         raw.put_u64_le(1000); // t
         assert_eq!(
-            decode_trajectories(raw.freeze()).unwrap_err(),
+            decode_flat::<TrajectorySample>(raw.freeze()).unwrap_err(),
             CodecError::BadLocKind(9)
         );
     }
@@ -1042,12 +989,12 @@ mod tests {
     #[test]
     fn trailing_bytes_rejected() {
         // A valid v2 file with junk appended after the checksum.
-        let valid = encode_trajectories(&sample_trajectories());
+        let valid = encode_one(&sample_trajectories());
         let mut raw = BytesMut::with_capacity(valid.len() + 3);
         raw.put_slice(valid.as_ref());
         raw.put_slice(b"xyz");
         assert_eq!(
-            decode_trajectories(raw.freeze()).unwrap_err(),
+            decode_flat::<TrajectorySample>(raw.freeze()).unwrap_err(),
             CodecError::TrailingBytes
         );
         // Same for v1: two empty files concatenated.
@@ -1056,7 +1003,7 @@ mod tests {
         cat.put_slice(v1.as_ref());
         cat.put_slice(v1.as_ref());
         assert_eq!(
-            decode_trajectories(cat.freeze()).unwrap_err(),
+            decode_flat::<TrajectorySample>(cat.freeze()).unwrap_err(),
             CodecError::TrailingBytes
         );
     }
@@ -1071,7 +1018,7 @@ mod tests {
         raw.put_u8(TAG_TRAJECTORY);
         raw.put_u64_le(u64::MAX);
         assert_eq!(
-            decode_trajectories(raw.freeze()).unwrap_err(),
+            decode_flat::<TrajectorySample>(raw.freeze()).unwrap_err(),
             CodecError::CountOverflow
         );
         // A large-but-representable claim with no bytes behind it fails
@@ -1082,21 +1029,21 @@ mod tests {
         raw.put_u8(TAG_TRAJECTORY);
         raw.put_u64_le(1 << 40);
         assert_eq!(
-            decode_trajectories(raw.freeze()).unwrap_err(),
+            decode_flat::<TrajectorySample>(raw.freeze()).unwrap_err(),
             CodecError::Truncated
         );
     }
 
     #[test]
     fn checksum_mismatch_detected() {
-        let valid = encode_trajectories(&sample_trajectories());
+        let valid = encode_one(&sample_trajectories());
         // Flip one payload byte (an x coordinate) — structure still
         // parses, the checksum does not.
         let mut bytes = valid.as_ref().to_vec();
         let payload = V2_HEADER + SECTION_HEADER + 14;
         bytes[payload] ^= 0x40;
         assert_eq!(
-            decode_trajectories(Bytes::from(bytes)).unwrap_err(),
+            decode_flat::<TrajectorySample>(Bytes::from(bytes)).unwrap_err(),
             CodecError::ChecksumMismatch
         );
         // Flip a checksum byte itself.
@@ -1104,7 +1051,7 @@ mod tests {
         let last = bytes.len() - 1;
         bytes[last] ^= 0x01;
         assert_eq!(
-            decode_trajectories(Bytes::from(bytes)).unwrap_err(),
+            decode_flat::<TrajectorySample>(Bytes::from(bytes)).unwrap_err(),
             CodecError::ChecksumMismatch
         );
     }
@@ -1126,7 +1073,7 @@ mod tests {
             let checksum = fnv1a(body.as_ref());
             body.put_u64_le(checksum);
             assert_eq!(
-                decode_proximity(body.freeze()).unwrap_err(),
+                decode_flat::<ProximityRecord>(body.freeze()).unwrap_err(),
                 CodecError::UnsortedRuns {
                     prev: first,
                     next: second
@@ -1158,14 +1105,14 @@ mod tests {
         let rows = sample_trajectories();
         let seqs = [0u64, 1];
         let seg = encode_segment(&[(RunId(0), rows.as_slice(), seqs.as_slice())]);
-        match decode_trajectories(seg.clone()).unwrap_err() {
+        match decode_flat::<TrajectorySample>(seg.clone()).unwrap_err() {
             CodecError::WrongRecordType { expected, got } => {
                 assert_eq!(expected, TAG_TRAJECTORY);
                 assert_eq!(got, TAG_TRAJECTORY | SEQ_FLAG);
             }
             e => panic!("wrong error {e:?}"),
         }
-        let table = encode_trajectories(&rows);
+        let table = encode_one(&rows);
         match decode_segment::<TrajectorySample>(table).unwrap_err() {
             CodecError::WrongRecordType { expected, got } => {
                 assert_eq!(expected, TAG_TRAJECTORY | SEQ_FLAG);
@@ -1288,7 +1235,7 @@ mod tests {
             let body = &file[..file.len() - CHECKSUM_SIZE];
             (body.to_vec(), u64_at(file, file.len() - CHECKSUM_SIZE))
         };
-        let (body, sum) = trailer(&encode_trajectories(&rows));
+        let (body, sum) = trailer(&encode_one(&rows));
         assert_eq!(sum, fnv1a(&body));
         let (body, sum) = trailer(&encode_segment(&[(
             RunId(0),
@@ -1313,7 +1260,7 @@ mod tests {
             .map(|i| &encoded[i * TRAJECTORY_ROW..(i + 1) * TRAJECTORY_ROW])
             .collect();
         let spliced = encode_runs_raw::<TrajectorySample>(&[(RunId(3), chunks)]);
-        let typed = encode_trajectories_runs(&[(RunId(3), rows.as_slice())]);
+        let typed = encode_runs(&[(RunId(3), rows.as_slice())]);
         assert_eq!(spliced, typed);
     }
 
@@ -1339,7 +1286,7 @@ mod tests {
         let checksum = fnv1a(body.as_ref());
         body.put_u64_le(checksum);
         assert_eq!(
-            decode_fixes(body.freeze()).unwrap_err(),
+            decode_flat::<Fix>(body.freeze()).unwrap_err(),
             CodecError::Truncated
         );
     }

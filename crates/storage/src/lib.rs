@@ -60,11 +60,15 @@
 //!   lock held for just that, so it never waits on ingestion, sealing,
 //!   compaction or spill work. Choose it whenever queries matter: for
 //!   serving, for queries *while* ingestion runs, and for data that must
-//!   outgrow memory (its spill tier).
+//!   outgrow memory (its spill tier). Its queries go through one generic
+//!   handle per table ([`SegmentedRepository::trajectories`] and its
+//!   siblings), under the reference [`table::Table`]'s method names, and
+//!   return a [`SpillError`] when a spill file cannot be read back.
 //!
 //! [`StorageBackend`] names the choice for configuration surfaces and
 //! [`AnyRepository`] dispatches between the two at runtime (this is what
-//! `vita-core`'s pipeline stores).
+//! `vita-core`'s pipeline stores). Its signatures stay infallible: it is
+//! the one place a [`SpillError`] becomes a panic.
 //!
 //! ## The run dimension
 //!
@@ -114,10 +118,7 @@ pub mod stream;
 pub mod table;
 
 pub use codec::{
-    decode_fixes, decode_fixes_runs, decode_proximity, decode_proximity_runs, decode_rssi,
-    decode_rssi_runs, decode_segment, decode_trajectories, decode_trajectories_runs, encode_fixes,
-    encode_fixes_runs, encode_proximity, encode_proximity_runs, encode_rssi, encode_rssi_runs,
-    encode_segment, encode_trajectories, encode_trajectories_runs, CodecError, SegmentSection,
+    decode_runs, decode_segment, encode_runs, encode_segment, CodecError, SegmentSection,
     WireRecord,
 };
 pub use segment::{SegmentConfig, SegmentStats, SegmentedRepository, SpillConfig, SpillError};
@@ -292,30 +293,6 @@ impl Repository {
         Self::default()
     }
 
-    /// Ingest trajectory samples as owned batches; each batch moves into the
-    /// table wholesale (no per-sample re-insertion or cloning).
-    pub fn store_trajectories(&self, batches: impl IntoIterator<Item = Vec<TrajectorySample>>) {
-        let mut table = self.trajectories.write();
-        for b in batches {
-            table.append_batch(b);
-        }
-    }
-
-    /// Ingest RSSI measurements.
-    pub fn store_rssi(&self, ms: impl IntoIterator<Item = RssiMeasurement>) {
-        self.rssi.write().insert_bulk(ms);
-    }
-
-    /// Ingest deterministic fixes.
-    pub fn store_fixes(&self, fs: impl IntoIterator<Item = Fix>) {
-        self.fixes.write().insert_bulk(fs);
-    }
-
-    /// Ingest proximity records.
-    pub fn store_proximity(&self, rs: impl IntoIterator<Item = ProximityRecord>) {
-        self.proximity.write().insert_bulk(rs);
-    }
-
     /// Row counts of the four tables under `scope`.
     pub fn counts(&self, scope: RunScope) -> TableCounts {
         match scope.run() {
@@ -361,10 +338,10 @@ impl Repository {
         let f_sections = fixes.export_sections();
         let p_sections = proximity.export_sections();
         RepositoryExport {
-            trajectories: encode_trajectories_runs(&borrow_sections(&t_sections)),
-            rssi: encode_rssi_runs(&borrow_sections(&r_sections)),
-            fixes: encode_fixes_runs(&borrow_sections(&f_sections)),
-            proximity: encode_proximity_runs(&borrow_sections(&p_sections)),
+            trajectories: encode_runs(&borrow_sections(&t_sections)),
+            rssi: encode_runs(&borrow_sections(&r_sections)),
+            fixes: encode_runs(&borrow_sections(&f_sections)),
+            proximity: encode_runs(&borrow_sections(&p_sections)),
         }
     }
 
@@ -373,29 +350,20 @@ impl Repository {
     /// in [`RunId::DEFAULT`]).
     pub fn import(export: &RepositoryExport) -> Result<Self, CodecError> {
         let repo = Repository::new();
-        for (run, rows) in decode_trajectories_runs(export.trajectories.clone())? {
+        for (run, rows) in decode_runs(export.trajectories.clone())? {
             repo.trajectories.write().append_batch_run(run, rows);
         }
-        for (run, rows) in decode_rssi_runs(export.rssi.clone())? {
+        for (run, rows) in decode_runs(export.rssi.clone())? {
             repo.rssi.write().append_batch_run(run, rows);
         }
-        for (run, rows) in decode_fixes_runs(export.fixes.clone())? {
+        for (run, rows) in decode_runs(export.fixes.clone())? {
             repo.fixes.write().append_batch_run(run, rows);
         }
-        for (run, rows) in decode_proximity_runs(export.proximity.clone())? {
+        for (run, rows) in decode_runs(export.proximity.clone())? {
             repo.proximity.write().append_batch_run(run, rows);
         }
         Ok(repo)
     }
-}
-
-/// Collect one owned row set per run, ready for the sectioned encoders
-/// (the segmented backend's typed `export`).
-pub(crate) fn run_sections<T>(
-    runs: Vec<RunId>,
-    rows_of: impl Fn(RunId) -> Vec<T>,
-) -> Vec<(RunId, Vec<T>)> {
-    runs.into_iter().map(|r| (r, rows_of(r))).collect()
 }
 
 /// The borrowed view the sectioned encoders take (both backends'
@@ -540,10 +508,30 @@ impl std::str::FromStr for StorageBackend {
 /// that must work on either backend return owned rows (every product row
 /// is `Copy`); backend-specific surfaces are reachable through
 /// [`AnyRepository::as_single`] / [`AnyRepository::as_segmented`].
+///
+/// The segmented engine's queries and export return a [`SpillError`]
+/// when a spilled segment file cannot be read back (truncated, corrupt,
+/// missing or another segment's). This surface keeps its infallible
+/// signatures and panics with `"spilled segment unreadable"` instead:
+/// answering without those rows would be silently wrong. Callers that
+/// must degrade gracefully query the segmented table handles
+/// ([`SegmentedRepository::trajectories`] and its siblings) directly.
 #[derive(Debug)]
 pub enum AnyRepository {
     Single(Box<Repository>),
     Segmented(SegmentedRepository),
+}
+
+/// The one place a [`SpillError`] becomes the panic [`AnyRepository`]
+/// documents.
+fn readable<T>(answer: Result<T, SpillError>) -> T {
+    // audit: allow(R4) documented contract: AnyRepository's row-returning queries and export panic on an unreadable spill file rather than return wrong rows; the segmented table handles return the SpillError
+    answer.expect("spilled segment unreadable")
+}
+
+/// Owned copies of a reference-table answer.
+fn owned<R: Copy>(rows: Vec<&R>) -> Vec<R> {
+    rows.into_iter().copied().collect()
 }
 
 impl AnyRepository {
@@ -604,61 +592,49 @@ impl AnyRepository {
 
     /// Owned copy of the trajectory samples under `scope`, in insertion
     /// order on either backend.
+    ///
+    /// # Panics
+    /// If a spilled segment file is unreadable (see [`AnyRepository`]).
     pub fn trajectories(&self, scope: RunScope) -> Vec<TrajectorySample> {
         match self {
-            AnyRepository::Single(r) => {
-                let t = r.trajectories.read();
-                match scope.run() {
-                    None => t.scan().copied().collect(),
-                    Some(run) => t.scan_run(run).into_iter().copied().collect(),
-                }
-            }
-            AnyRepository::Segmented(s) => s.trajectories_scan(scope),
+            AnyRepository::Single(r) => owned(r.trajectories.read().scan(scope)),
+            AnyRepository::Segmented(s) => readable(s.trajectories().scan(scope)),
         }
     }
 
     /// Owned copy of the RSSI measurements under `scope` (same ordering
     /// contract as [`AnyRepository::trajectories`]).
+    ///
+    /// # Panics
+    /// If a spilled segment file is unreadable (see [`AnyRepository`]).
     pub fn rssi(&self, scope: RunScope) -> Vec<RssiMeasurement> {
         match self {
-            AnyRepository::Single(r) => {
-                let t = r.rssi.read();
-                match scope.run() {
-                    None => t.scan().copied().collect(),
-                    Some(run) => t.scan_run(run).into_iter().copied().collect(),
-                }
-            }
-            AnyRepository::Segmented(s) => s.rssi_scan(scope),
+            AnyRepository::Single(r) => owned(r.rssi.read().scan(scope)),
+            AnyRepository::Segmented(s) => readable(s.rssi().scan(scope)),
         }
     }
 
     /// Owned copy of the positioning fixes under `scope` (same ordering
     /// contract as [`AnyRepository::trajectories`]).
+    ///
+    /// # Panics
+    /// If a spilled segment file is unreadable (see [`AnyRepository`]).
     pub fn fixes(&self, scope: RunScope) -> Vec<Fix> {
         match self {
-            AnyRepository::Single(r) => {
-                let t = r.fixes.read();
-                match scope.run() {
-                    None => t.scan().copied().collect(),
-                    Some(run) => t.scan_run(run).into_iter().copied().collect(),
-                }
-            }
-            AnyRepository::Segmented(s) => s.fixes_scan(scope),
+            AnyRepository::Single(r) => owned(r.fixes.read().scan(scope)),
+            AnyRepository::Segmented(s) => readable(s.fixes().scan(scope)),
         }
     }
 
     /// Owned copy of the proximity records under `scope` (same ordering
     /// contract as [`AnyRepository::trajectories`]).
+    ///
+    /// # Panics
+    /// If a spilled segment file is unreadable (see [`AnyRepository`]).
     pub fn proximity(&self, scope: RunScope) -> Vec<ProximityRecord> {
         match self {
-            AnyRepository::Single(r) => {
-                let t = r.proximity.read();
-                match scope.run() {
-                    None => t.scan().copied().collect(),
-                    Some(run) => t.scan_run(run).into_iter().copied().collect(),
-                }
-            }
-            AnyRepository::Segmented(s) => s.proximity_scan(scope),
+            AnyRepository::Single(r) => owned(r.proximity.read().scan(scope)),
+            AnyRepository::Segmented(s) => readable(s.proximity().scan(scope)),
         }
     }
 
@@ -666,21 +642,21 @@ impl AnyRepository {
     /// under `scope`, sorted by object id — the backend-agnostic snapshot
     /// query serving dispatches to (see [`table::Table::snapshot_at`] for
     /// the contract).
+    ///
+    /// # Panics
+    /// If a spilled segment file is unreadable (see [`AnyRepository`]).
     pub fn snapshot_at(&self, scope: RunScope, t: Timestamp) -> Vec<TrajectorySample> {
         match self {
-            AnyRepository::Single(r) => r
-                .trajectories
-                .read()
-                .snapshot_at(scope, t)
-                .into_iter()
-                .copied()
-                .collect(),
-            AnyRepository::Segmented(s) => s.trajectories_snapshot_at(scope, t),
+            AnyRepository::Single(r) => owned(r.trajectories.read().snapshot_at(scope, t)),
+            AnyRepository::Segmented(s) => readable(s.trajectories().snapshot_at(scope, t)),
         }
     }
 
     /// Trajectory samples in the **half-open** window `from <= t < to`
     /// under `scope`, time-ordered (ties in arrival order).
+    ///
+    /// # Panics
+    /// If a spilled segment file is unreadable (see [`AnyRepository`]).
     pub fn time_window(
         &self,
         scope: RunScope,
@@ -688,33 +664,27 @@ impl AnyRepository {
         to: Timestamp,
     ) -> Vec<TrajectorySample> {
         match self {
-            AnyRepository::Single(r) => r
-                .trajectories
-                .read()
-                .time_window(scope, from, to)
-                .into_iter()
-                .copied()
-                .collect(),
-            AnyRepository::Segmented(s) => s.trajectories_time_window(scope, from, to),
+            AnyRepository::Single(r) => owned(r.trajectories.read().time_window(scope, from, to)),
+            AnyRepository::Segmented(s) => readable(s.trajectories().time_window(scope, from, to)),
         }
     }
 
     /// An object's trajectory under `scope`, time-ordered.
+    ///
+    /// # Panics
+    /// If a spilled segment file is unreadable (see [`AnyRepository`]).
     pub fn object_trace(&self, scope: RunScope, o: ObjectId) -> Vec<TrajectorySample> {
         match self {
-            AnyRepository::Single(r) => r
-                .trajectories
-                .read()
-                .object_trace(scope, o)
-                .into_iter()
-                .copied()
-                .collect(),
-            AnyRepository::Segmented(s) => s.object_trace(scope, o),
+            AnyRepository::Single(r) => owned(r.trajectories.read().object_trace(scope, o)),
+            AnyRepository::Segmented(s) => readable(s.trajectories().of_object(scope, o)),
         }
     }
 
     /// Trajectory samples on `floor` inside `query` under `scope`, in
     /// insertion order.
+    ///
+    /// # Panics
+    /// If a spilled segment file is unreadable (see [`AnyRepository`]).
     pub fn range_query(
         &self,
         scope: RunScope,
@@ -722,20 +692,21 @@ impl AnyRepository {
         query: &Aabb,
     ) -> Vec<TrajectorySample> {
         match self {
-            AnyRepository::Single(r) => r
-                .trajectories
-                .read()
-                .range_query(scope, floor, query)
-                .into_iter()
-                .copied()
-                .collect(),
-            AnyRepository::Segmented(s) => s.trajectories_range_query(scope, floor, query),
+            AnyRepository::Single(r) => {
+                owned(r.trajectories.read().range_query(scope, floor, query))
+            }
+            AnyRepository::Segmented(s) => {
+                readable(s.trajectories().range_query(scope, floor, query))
+            }
         }
     }
 
     /// The k trajectory samples nearest `p` on `floor` under `scope`, with
     /// their distances, nearest first (the distance multiset is identical
     /// across backends; equal-distance ties may order differently).
+    ///
+    /// # Panics
+    /// If a spilled segment file is unreadable (see [`AnyRepository`]).
     pub fn knn(
         &self,
         scope: RunScope,
@@ -751,17 +722,20 @@ impl AnyRepository {
                 .into_iter()
                 .map(|(s, d)| (*s, d))
                 .collect(),
-            AnyRepository::Segmented(s) => s.trajectories_knn(scope, floor, p, k),
+            AnyRepository::Segmented(s) => readable(s.trajectories().knn(scope, floor, p, k)),
         }
     }
 
     /// Serialize every table into one buffer per table, run-segmented:
     /// either backend produces the same wire format, importable by either
     /// backend's `import` constructor.
+    ///
+    /// # Panics
+    /// If a spilled segment file is unreadable (see [`AnyRepository`]).
     pub fn export(&self) -> RepositoryExport {
         match self {
             AnyRepository::Single(r) => r.export(),
-            AnyRepository::Segmented(s) => s.export(),
+            AnyRepository::Segmented(s) => readable(s.export()),
         }
     }
 
@@ -816,24 +790,26 @@ mod tests {
     #[test]
     fn repository_ingest_and_counts() {
         let repo = Repository::new();
-        repo.store_trajectories([(0..10).map(|i| sample(0, i * 100)).collect()]);
-        repo.store_rssi([RssiMeasurement {
+        repo.accept(ProductBatch::Trajectories(
+            (0..10).map(|i| sample(0, i * 100)).collect(),
+        ));
+        repo.accept(ProductBatch::Rssi(vec![RssiMeasurement {
             object: ObjectId(0),
             device: DeviceId(0),
             rssi: -50.0,
             t: Timestamp(0),
-        }]);
-        repo.store_fixes([Fix {
+        }]));
+        repo.accept(ProductBatch::Fixes(vec![Fix {
             object: ObjectId(0),
             loc: Loc::point(BuildingId(0), FloorId(0), Point::new(0.0, 0.0)),
             t: Timestamp(0),
-        }]);
-        repo.store_proximity([ProximityRecord {
+        }]));
+        repo.accept(ProductBatch::Proximity(vec![ProximityRecord {
             object: ObjectId(0),
             device: DeviceId(0),
             ts: Timestamp(0),
             te: Timestamp(100),
-        }]);
+        }]));
         assert_eq!(
             repo.counts(RunScope::All),
             TableCounts {
@@ -881,13 +857,19 @@ mod tests {
     #[test]
     fn export_import_round_trip() {
         let repo = Repository::new();
-        repo.store_trajectories([(0..25).map(|i| sample(i % 3, i as u64 * 40)).collect()]);
-        repo.store_rssi((0..7).map(|i| RssiMeasurement {
-            object: ObjectId(i),
-            device: DeviceId(i % 2),
-            rssi: -40.0 - i as f64,
-            t: Timestamp(i as u64 * 10),
-        }));
+        repo.accept(ProductBatch::Trajectories(
+            (0..25).map(|i| sample(i % 3, i as u64 * 40)).collect(),
+        ));
+        repo.accept(ProductBatch::Rssi(
+            (0..7)
+                .map(|i| RssiMeasurement {
+                    object: ObjectId(i),
+                    device: DeviceId(i % 2),
+                    rssi: -40.0 - i as f64,
+                    t: Timestamp(i as u64 * 10),
+                })
+                .collect(),
+        ));
         let export = repo.export();
         let restored = Repository::import(&export).unwrap();
         assert_eq!(restored.counts(RunScope::All), repo.counts(RunScope::All));
@@ -909,7 +891,9 @@ mod tests {
     fn concurrent_readers_and_writer() {
         use std::sync::Arc;
         let repo = Arc::new(Repository::new());
-        repo.store_trajectories([(0..100).map(|i| sample(0, i * 10)).collect()]);
+        repo.accept(ProductBatch::Trajectories(
+            (0..100).map(|i| sample(0, i * 10)).collect(),
+        ));
         let mut handles = Vec::new();
         for k in 0..4 {
             let r = Arc::clone(&repo);
@@ -928,7 +912,7 @@ mod tests {
         let w = Arc::clone(&repo);
         let writer = std::thread::spawn(move || {
             for i in 100..200u64 {
-                w.store_trajectories([vec![sample(1, i * 10)]]);
+                w.accept(ProductBatch::Trajectories(vec![sample(1, i * 10)]));
             }
         });
         for h in handles {

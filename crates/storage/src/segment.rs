@@ -32,6 +32,12 @@
 //!   holds. Once the cell has moved on, a snapshot is freed when its last
 //!   pin drops.
 //!
+//! Queries go through a borrowed [`TableHandle`] per table
+//! ([`SegmentedRepository::trajectories`], `rssi`, `fixes`, `proximity`):
+//! each query is written once, generically over the row type, and
+//! returns `Result<_, SpillError>` — the only way a query can fail is a
+//! spilled segment whose file cannot be read back.
+//!
 //! Every row is stamped with a per-table **sequence number** at accept
 //! time. Queries order ties by it, which makes the segmented backend's
 //! answers *bit-identical* to the single [`Repository`](crate::Repository)
@@ -66,6 +72,7 @@
 //! unbuilt, so answers stay bit-identical to the all-resident backend.
 
 use std::collections::{BTreeMap, HashMap};
+use std::ffi::OsString;
 use std::fmt;
 use std::hash::Hash;
 use std::path::{Path, PathBuf};
@@ -83,14 +90,11 @@ use vita_positioning::{Fix, ProximityRecord};
 use vita_rssi::RssiMeasurement;
 
 use crate::codec::{
-    decode_fixes_runs, decode_proximity_runs, decode_rssi_runs, decode_segment, decode_segment_raw,
-    decode_trajectories_runs, encode_fixes_runs, encode_proximity_runs, encode_rssi_runs,
-    encode_runs_raw, encode_segment, encode_trajectories_runs,
+    decode_runs, decode_segment, decode_segment_raw, encode_runs, encode_runs_raw, encode_segment,
 };
 use crate::row::SegmentRow;
 use crate::{
-    borrow_sections, run_sections, CodecError, ProductBatch, ProductSink, RepositoryExport,
-    RunScope, TableCounts,
+    borrow_sections, CodecError, ProductBatch, ProductSink, RepositoryExport, RunScope, TableCounts,
 };
 
 /// Per-table arrival stamp; ties in every query order by it, which is what
@@ -364,29 +368,43 @@ impl SpillConfig {
     /// `VITA_SPILL_CACHE_SEGMENTS`. Consulted by
     /// [`SegmentedRepository::new`] / `with_config`; explicit
     /// [`SegmentedRepository::with_spill`] ignores the environment.
+    ///
+    /// # Panics
+    ///
+    /// If `VITA_SPILL_DIR` is set and a count variable is set to anything
+    /// but an unsigned integer; the message names the variable and its
+    /// value. Running at the default budget instead would leave a
+    /// mistyped spill run with nothing spilled.
     pub fn from_env() -> Option<SpillConfig> {
-        let dir = std::env::var_os("VITA_SPILL_DIR")?;
-        let mut cfg = SpillConfig::new(PathBuf::from(dir));
-        if let Some(n) = std::env::var("VITA_SPILL_BUDGET_ROWS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-        {
-            cfg.memory_budget_rows = n;
-        }
-        if let Some(n) = std::env::var("VITA_SPILL_CACHE_SEGMENTS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-        {
-            cfg.cache_segments = n;
-        }
-        Some(cfg)
+        // audit: allow(R4) operational: a malformed VITA_SPILL_* count fails construction loudly instead of silently running at the default budget
+        Self::from_vars(|name| std::env::var_os(name)).expect("malformed spill environment")
+    }
+
+    /// [`Self::from_env`] over a variable lookup; `Err` names the first
+    /// malformed count variable and its value.
+    fn from_vars(var: impl Fn(&str) -> Option<OsString>) -> Result<Option<SpillConfig>, String> {
+        let Some(dir) = var("VITA_SPILL_DIR") else {
+            return Ok(None);
+        };
+        let count = |name: &str, default: usize| match var(name) {
+            None => Ok(default),
+            Some(value) => value
+                .to_str()
+                .and_then(|v| v.parse().ok())
+                .ok_or_else(|| format!("{name}={value:?} is not an unsigned integer")),
+        };
+        let mut cfg = SpillConfig::new(dir);
+        cfg.memory_budget_rows = count("VITA_SPILL_BUDGET_ROWS", cfg.memory_budget_rows)?;
+        cfg.cache_segments = count("VITA_SPILL_CACHE_SEGMENTS", cfg.cache_segments)?;
+        Ok(Some(cfg))
     }
 }
 
-/// Why a spill-tier operation failed. Queries that page in a spilled
-/// segment surface this through their `try_` variants; the infallible
-/// query methods panic on it (a corrupt or unreadable spill file is an
-/// operational failure, never silently wrong rows).
+/// Why a spill-tier operation failed. Every [`TableHandle`] query and
+/// [`SegmentedRepository::export`] return it when a spilled segment they
+/// need cannot be read back — a corrupt or unreadable spill file is an
+/// operational failure, never silently wrong rows.
+/// [`crate::AnyRepository`] turns it into a panic.
 #[derive(Debug)]
 pub enum SpillError {
     /// Reading or writing a segment file failed.
@@ -444,22 +462,6 @@ impl From<CodecError> for SpillError {
     }
 }
 
-/// The single panic funnel behind the infallible query flavors: every
-/// `foo(..)` that has a `try_foo(..)` twin unwraps through
-/// [`SpillOk::spill_ok`], so the documented panic-on-unreadable-spill
-/// contract lives on exactly one audited line.
-trait SpillOk<T> {
-    /// Unwrap, panicking with the spill-contract message on `Err`.
-    fn spill_ok(self) -> T;
-}
-
-impl<T> SpillOk<T> for Result<T, SpillError> {
-    fn spill_ok(self) -> T {
-        // audit: allow(R4) documented contract: infallible query flavors panic on unreadable spill files rather than return wrong rows; use the try_ twins to degrade gracefully
-        self.expect("spilled segment unreadable")
-    }
-}
-
 /// Write `bytes` to `path` crash-atomically: a temp file in the same
 /// directory, then rename. A crash mid-write leaves a `.tmp` orphan,
 /// never a torn file under the final name.
@@ -486,6 +488,14 @@ struct SectionMeta {
 }
 
 impl SectionMeta {
+    /// Whether the section may hold point rows on `floor` (always, on a
+    /// table that keeps no floor sets).
+    fn may_hold(&self, floor: FloorId) -> bool {
+        self.floors
+            .as_ref()
+            .is_none_or(|fl| fl.binary_search(&floor).is_ok())
+    }
+
     fn of<R: SegmentRow>(sec: &Section<R>, track_floors: bool) -> Self {
         let floors = track_floors.then(|| {
             let mut floors: Vec<FloorId> = sec
@@ -723,7 +733,7 @@ impl<R: SegmentRow> TableSnapshot<R> {
 
 // The data queries are free functions over the sections a plan already
 // selected — resident references and paged-in decodes alike. Planning
-// happens against per-section meta in [`SegTable::try_query`], so these
+// happens against per-section meta in [`SegTable::query`], so these
 // only ever see sections that passed the run-scope and meta pruning.
 // Every output order is keyed on `(t, seq)` or seq alone, and seqs are
 // unique per table, so no answer depends on section input order.
@@ -1550,7 +1560,7 @@ impl<R: SegmentRow> SegTable<R> {
     /// segments the plan touches, and hand every selected section to
     /// `f`. `cache_rows_cap` bounds this table's cache after the
     /// page-ins — the caller computes the room the global budget leaves.
-    fn try_query<T>(
+    fn query<T>(
         &self,
         scope: RunScope,
         cache_rows_cap: usize,
@@ -2039,8 +2049,9 @@ fn sealer_loop(inner: &SegInner) {
 /// // never changes an answer.
 /// assert_eq!(repo.counts(RunScope::All).trajectories, 1);
 /// repo.seal_now();
-/// assert_eq!(repo.object_trace(RunScope::All, ObjectId(7)).len(), 1);
+/// assert_eq!(repo.trajectories().of_object(RunScope::All, ObjectId(7))?.len(), 1);
 /// assert!(repo.stats().seals >= 1);
+/// # Ok::<(), vita_storage::SpillError>(())
 /// ```
 pub struct SegmentedRepository {
     inner: Arc<SegInner>,
@@ -2243,375 +2254,24 @@ impl SegmentedRepository {
         runs
     }
 
-    // Each query comes in an infallible flavor (panics if a spilled
-    // segment file turns out unreadable — an operational failure, never
-    // silently wrong rows) and a `try_` flavor surfacing [`SpillError`]
-    // for callers that serve queries and want to degrade gracefully.
-    // Without a spill tier the `try_` flavors cannot fail.
-
-    /// `scope`'s trajectory rows in arrival order (the single
-    /// repository's insertion order, reconstructed from seqs).
-    pub fn trajectories_scan(&self, scope: RunScope) -> Vec<TrajectorySample> {
-        self.try_trajectories_scan(scope).spill_ok()
+    /// The trajectory table's query handle.
+    pub fn trajectories(&self) -> TableHandle<'_, TrajectorySample> {
+        TableHandle::new(&self.inner, &self.inner.trajectories)
     }
 
-    /// Fallible twin of [`Self::trajectories_scan`].
-    pub fn try_trajectories_scan(
-        &self,
-        scope: RunScope,
-    ) -> Result<Vec<TrajectorySample>, SpillError> {
-        let i = &self.inner;
-        i.trajectories.try_query(
-            scope,
-            i.cache_room(&i.trajectories),
-            |_| true,
-            scan_sections,
-        )
+    /// The RSSI table's query handle.
+    pub fn rssi(&self) -> TableHandle<'_, RssiMeasurement> {
+        TableHandle::new(&self.inner, &self.inner.rssi)
     }
 
-    /// `scope`'s samples in the half-open window `from <= t < to`,
-    /// time-ordered with ties in arrival order.
-    pub fn trajectories_time_window(
-        &self,
-        scope: RunScope,
-        from: Timestamp,
-        to: Timestamp,
-    ) -> Vec<TrajectorySample> {
-        self.try_trajectories_time_window(scope, from, to)
-            .spill_ok()
+    /// The fix table's query handle.
+    pub fn fixes(&self) -> TableHandle<'_, Fix> {
+        TableHandle::new(&self.inner, &self.inner.fixes)
     }
 
-    /// Fallible twin of [`Self::trajectories_time_window`].
-    pub fn try_trajectories_time_window(
-        &self,
-        scope: RunScope,
-        from: Timestamp,
-        to: Timestamp,
-    ) -> Result<Vec<TrajectorySample>, SpillError> {
-        let i = &self.inner;
-        i.trajectories.try_query(
-            scope,
-            i.cache_room(&i.trajectories),
-            |m| m.max_t >= from && m.min_t < to,
-            |s| time_window_sections(s, from, to),
-        )
-    }
-
-    /// Latest sample at or before `t` (inclusive) per object of `scope`,
-    /// sorted by object id.
-    pub fn trajectories_snapshot_at(&self, scope: RunScope, t: Timestamp) -> Vec<TrajectorySample> {
-        self.try_trajectories_snapshot_at(scope, t).spill_ok()
-    }
-
-    /// Fallible twin of [`Self::trajectories_snapshot_at`].
-    pub fn try_trajectories_snapshot_at(
-        &self,
-        scope: RunScope,
-        t: Timestamp,
-    ) -> Result<Vec<TrajectorySample>, SpillError> {
-        let i = &self.inner;
-        i.trajectories.try_query(
-            scope,
-            i.cache_room(&i.trajectories),
-            |m| m.min_t <= t,
-            |s| snapshot_at_sections(s, t),
-        )
-    }
-
-    /// `scope`'s trace of object `o`, time-ordered.
-    pub fn object_trace(&self, scope: RunScope, o: ObjectId) -> Vec<TrajectorySample> {
-        self.try_object_trace(scope, o).spill_ok()
-    }
-
-    /// Fallible twin of [`Self::object_trace`].
-    pub fn try_object_trace(
-        &self,
-        scope: RunScope,
-        o: ObjectId,
-    ) -> Result<Vec<TrajectorySample>, SpillError> {
-        let i = &self.inner;
-        i.trajectories.try_query(
-            scope,
-            i.cache_room(&i.trajectories),
-            |_| true,
-            |s| of_object_sections(s, o),
-        )
-    }
-
-    /// `scope`'s samples on `floor` inside `query`, in arrival order.
-    pub fn trajectories_range_query(
-        &self,
-        scope: RunScope,
-        floor: FloorId,
-        query: &Aabb,
-    ) -> Vec<TrajectorySample> {
-        self.try_trajectories_range_query(scope, floor, query)
-            .spill_ok()
-    }
-
-    /// Fallible twin of [`Self::trajectories_range_query`].
-    pub fn try_trajectories_range_query(
-        &self,
-        scope: RunScope,
-        floor: FloorId,
-        query: &Aabb,
-    ) -> Result<Vec<TrajectorySample>, SpillError> {
-        let i = &self.inner;
-        i.trajectories.try_query(
-            scope,
-            i.cache_room(&i.trajectories),
-            |m| {
-                m.floors
-                    .as_ref()
-                    .is_none_or(|fl| fl.binary_search(&floor).is_ok())
-            },
-            |s| range_query_sections(s, floor, query),
-        )
-    }
-
-    /// `scope`'s k nearest samples to `p` on `floor`, nearest first.
-    pub fn trajectories_knn(
-        &self,
-        scope: RunScope,
-        floor: FloorId,
-        p: Point,
-        k: usize,
-    ) -> Vec<(TrajectorySample, f64)> {
-        self.try_trajectories_knn(scope, floor, p, k).spill_ok()
-    }
-
-    /// Fallible twin of [`Self::trajectories_knn`].
-    pub fn try_trajectories_knn(
-        &self,
-        scope: RunScope,
-        floor: FloorId,
-        p: Point,
-        k: usize,
-    ) -> Result<Vec<(TrajectorySample, f64)>, SpillError> {
-        let i = &self.inner;
-        i.trajectories.try_query(
-            scope,
-            i.cache_room(&i.trajectories),
-            |m| {
-                m.floors
-                    .as_ref()
-                    .is_none_or(|fl| fl.binary_search(&floor).is_ok())
-            },
-            |s| knn_sections(s, floor, p, k),
-        )
-    }
-
-    /// `scope`'s RSSI rows in arrival order.
-    pub fn rssi_scan(&self, scope: RunScope) -> Vec<RssiMeasurement> {
-        self.try_rssi_scan(scope).spill_ok()
-    }
-
-    /// Fallible twin of [`Self::rssi_scan`].
-    pub fn try_rssi_scan(&self, scope: RunScope) -> Result<Vec<RssiMeasurement>, SpillError> {
-        let i = &self.inner;
-        i.rssi
-            .try_query(scope, i.cache_room(&i.rssi), |_| true, scan_sections)
-    }
-
-    /// `scope`'s measurements in the half-open window `from <= t < to`.
-    pub fn rssi_time_window(
-        &self,
-        scope: RunScope,
-        from: Timestamp,
-        to: Timestamp,
-    ) -> Vec<RssiMeasurement> {
-        self.try_rssi_time_window(scope, from, to).spill_ok()
-    }
-
-    /// Fallible twin of [`Self::rssi_time_window`].
-    pub fn try_rssi_time_window(
-        &self,
-        scope: RunScope,
-        from: Timestamp,
-        to: Timestamp,
-    ) -> Result<Vec<RssiMeasurement>, SpillError> {
-        let i = &self.inner;
-        i.rssi.try_query(
-            scope,
-            i.cache_room(&i.rssi),
-            |m| m.max_t >= from && m.min_t < to,
-            |s| time_window_sections(s, from, to),
-        )
-    }
-
-    /// `scope`'s measurements of object `o`, time-ordered.
-    pub fn rssi_of_object(&self, scope: RunScope, o: ObjectId) -> Vec<RssiMeasurement> {
-        self.try_rssi_of_object(scope, o).spill_ok()
-    }
-
-    /// Fallible twin of [`Self::rssi_of_object`].
-    pub fn try_rssi_of_object(
-        &self,
-        scope: RunScope,
-        o: ObjectId,
-    ) -> Result<Vec<RssiMeasurement>, SpillError> {
-        let i = &self.inner;
-        i.rssi.try_query(
-            scope,
-            i.cache_room(&i.rssi),
-            |_| true,
-            |s| of_object_sections(s, o),
-        )
-    }
-
-    /// `scope`'s measurements through device `d`, time-ordered.
-    pub fn rssi_of_device(&self, scope: RunScope, d: DeviceId) -> Vec<RssiMeasurement> {
-        self.try_rssi_of_device(scope, d).spill_ok()
-    }
-
-    /// Fallible twin of [`Self::rssi_of_device`].
-    pub fn try_rssi_of_device(
-        &self,
-        scope: RunScope,
-        d: DeviceId,
-    ) -> Result<Vec<RssiMeasurement>, SpillError> {
-        let i = &self.inner;
-        i.rssi.try_query(
-            scope,
-            i.cache_room(&i.rssi),
-            |_| true,
-            |s| of_device_sections(s, d),
-        )
-    }
-
-    /// `scope`'s fixes in arrival order.
-    pub fn fixes_scan(&self, scope: RunScope) -> Vec<Fix> {
-        self.try_fixes_scan(scope).spill_ok()
-    }
-
-    /// Fallible twin of [`Self::fixes_scan`].
-    pub fn try_fixes_scan(&self, scope: RunScope) -> Result<Vec<Fix>, SpillError> {
-        let i = &self.inner;
-        i.fixes
-            .try_query(scope, i.cache_room(&i.fixes), |_| true, scan_sections)
-    }
-
-    /// `scope`'s fixes in the half-open window `from <= t < to`.
-    pub fn fixes_time_window(&self, scope: RunScope, from: Timestamp, to: Timestamp) -> Vec<Fix> {
-        self.try_fixes_time_window(scope, from, to).spill_ok()
-    }
-
-    /// Fallible twin of [`Self::fixes_time_window`].
-    pub fn try_fixes_time_window(
-        &self,
-        scope: RunScope,
-        from: Timestamp,
-        to: Timestamp,
-    ) -> Result<Vec<Fix>, SpillError> {
-        let i = &self.inner;
-        i.fixes.try_query(
-            scope,
-            i.cache_room(&i.fixes),
-            |m| m.max_t >= from && m.min_t < to,
-            |s| time_window_sections(s, from, to),
-        )
-    }
-
-    /// `scope`'s fixes of object `o`, time-ordered.
-    pub fn fixes_of_object(&self, scope: RunScope, o: ObjectId) -> Vec<Fix> {
-        self.try_fixes_of_object(scope, o).spill_ok()
-    }
-
-    /// Fallible twin of [`Self::fixes_of_object`].
-    pub fn try_fixes_of_object(
-        &self,
-        scope: RunScope,
-        o: ObjectId,
-    ) -> Result<Vec<Fix>, SpillError> {
-        let i = &self.inner;
-        i.fixes.try_query(
-            scope,
-            i.cache_room(&i.fixes),
-            |_| true,
-            |s| of_object_sections(s, o),
-        )
-    }
-
-    /// `scope`'s proximity rows in arrival order.
-    pub fn proximity_scan(&self, scope: RunScope) -> Vec<ProximityRecord> {
-        self.try_proximity_scan(scope).spill_ok()
-    }
-
-    /// Fallible twin of [`Self::proximity_scan`].
-    pub fn try_proximity_scan(&self, scope: RunScope) -> Result<Vec<ProximityRecord>, SpillError> {
-        let i = &self.inner;
-        i.proximity
-            .try_query(scope, i.cache_room(&i.proximity), |_| true, scan_sections)
-    }
-
-    /// `scope`'s records whose detection period intersects `[from, to)`,
-    /// in arrival order.
-    pub fn proximity_overlapping(
-        &self,
-        scope: RunScope,
-        from: Timestamp,
-        to: Timestamp,
-    ) -> Vec<ProximityRecord> {
-        self.try_proximity_overlapping(scope, from, to).spill_ok()
-    }
-
-    /// Fallible twin of [`Self::proximity_overlapping`].
-    pub fn try_proximity_overlapping(
-        &self,
-        scope: RunScope,
-        from: Timestamp,
-        to: Timestamp,
-    ) -> Result<Vec<ProximityRecord>, SpillError> {
-        let i = &self.inner;
-        // Meta time bounds are over `ts` (the section sort key), so only
-        // the `ts < to` half prunes; `te >= from` is checked per row.
-        i.proximity.try_query(
-            scope,
-            i.cache_room(&i.proximity),
-            |m| m.min_t < to,
-            |s| overlapping_sections(s, from, to),
-        )
-    }
-
-    /// `scope`'s detection periods of object `o`, ordered by start time.
-    pub fn proximity_of_object(&self, scope: RunScope, o: ObjectId) -> Vec<ProximityRecord> {
-        self.try_proximity_of_object(scope, o).spill_ok()
-    }
-
-    /// Fallible twin of [`Self::proximity_of_object`].
-    pub fn try_proximity_of_object(
-        &self,
-        scope: RunScope,
-        o: ObjectId,
-    ) -> Result<Vec<ProximityRecord>, SpillError> {
-        let i = &self.inner;
-        i.proximity.try_query(
-            scope,
-            i.cache_room(&i.proximity),
-            |_| true,
-            |s| of_object_sections(s, o),
-        )
-    }
-
-    /// `scope`'s detection periods through device `d`, ordered by start
-    /// time.
-    pub fn proximity_of_device(&self, scope: RunScope, d: DeviceId) -> Vec<ProximityRecord> {
-        self.try_proximity_of_device(scope, d).spill_ok()
-    }
-
-    /// Fallible twin of [`Self::proximity_of_device`].
-    pub fn try_proximity_of_device(
-        &self,
-        scope: RunScope,
-        d: DeviceId,
-    ) -> Result<Vec<ProximityRecord>, SpillError> {
-        let i = &self.inner;
-        i.proximity.try_query(
-            scope,
-            i.cache_room(&i.proximity),
-            |_| true,
-            |s| of_device_sections(s, d),
-        )
+    /// The proximity table's query handle.
+    pub fn proximity(&self) -> TableHandle<'_, ProximityRecord> {
+        TableHandle::new(&self.inner, &self.inner.proximity)
     }
 
     /// Serialize every table into the backend-agnostic run-segmented wire
@@ -2619,13 +2279,9 @@ impl SegmentedRepository {
     /// the other backends). Spilled segments contribute their raw on-disk
     /// row bytes, spliced per run by seq without decoding rows to structs
     /// and re-encoding them — the segment file and the table wire format
-    /// share the row encoding byte-for-byte.
-    pub fn export(&self) -> RepositoryExport {
-        self.try_export().spill_ok()
-    }
-
-    /// Fallible twin of [`Self::export`].
-    pub fn try_export(&self) -> Result<RepositoryExport, SpillError> {
+    /// share the row encoding byte-for-byte. Fails like the queries when
+    /// a spill file cannot be read back.
+    pub fn export(&self) -> Result<RepositoryExport, SpillError> {
         let i = &self.inner;
         Ok(RepositoryExport {
             trajectories: export_table_raw(&i.trajectories)?,
@@ -2639,25 +2295,21 @@ impl SegmentedRepository {
     /// arrival order, re-encode. Kept (hidden) as the reference the raw
     /// splice is benchmarked and parity-tested against.
     #[doc(hidden)]
-    pub fn export_reencode(&self) -> RepositoryExport {
-        let t_sections = run_sections(self.inner.trajectories.pin().run_ids(), |run| {
-            self.trajectories_scan(run.into())
-        });
-        let r_sections = run_sections(self.inner.rssi.pin().run_ids(), |run| {
-            self.rssi_scan(run.into())
-        });
-        let f_sections = run_sections(self.inner.fixes.pin().run_ids(), |run| {
-            self.fixes_scan(run.into())
-        });
-        let p_sections = run_sections(self.inner.proximity.pin().run_ids(), |run| {
-            self.proximity_scan(run.into())
-        });
-        RepositoryExport {
-            trajectories: encode_trajectories_runs(&borrow_sections(&t_sections)),
-            rssi: encode_rssi_runs(&borrow_sections(&r_sections)),
-            fixes: encode_fixes_runs(&borrow_sections(&f_sections)),
-            proximity: encode_proximity_runs(&borrow_sections(&p_sections)),
+    pub fn export_reencode(&self) -> Result<RepositoryExport, SpillError> {
+        fn reencode<R: SegmentRow>(table: TableHandle<'_, R>) -> Result<Bytes, SpillError> {
+            let runs = table.table.pin().run_ids();
+            let sections = runs
+                .into_iter()
+                .map(|run| Ok((run, table.scan(run.into())?)))
+                .collect::<Result<Vec<_>, SpillError>>()?;
+            Ok(encode_runs(&borrow_sections(&sections)))
         }
+        Ok(RepositoryExport {
+            trajectories: reencode(self.trajectories())?,
+            rssi: reencode(self.rssi())?,
+            fixes: reencode(self.fixes())?,
+            proximity: reencode(self.proximity())?,
+        })
     }
 
     /// Rebuild a segmented repository from an export, run by run (the
@@ -2679,19 +2331,141 @@ impl SegmentedRepository {
 
     /// Replay an export into this repository, run by run.
     fn ingest_export(self, export: &RepositoryExport) -> Result<Self, CodecError> {
-        for (run, rows) in decode_trajectories_runs(export.trajectories.clone())? {
+        for (run, rows) in decode_runs(export.trajectories.clone())? {
             self.accept_run(run, ProductBatch::Trajectories(rows));
         }
-        for (run, rows) in decode_rssi_runs(export.rssi.clone())? {
+        for (run, rows) in decode_runs(export.rssi.clone())? {
             self.accept_run(run, ProductBatch::Rssi(rows));
         }
-        for (run, rows) in decode_fixes_runs(export.fixes.clone())? {
+        for (run, rows) in decode_runs(export.fixes.clone())? {
             self.accept_run(run, ProductBatch::Fixes(rows));
         }
-        for (run, rows) in decode_proximity_runs(export.proximity.clone())? {
+        for (run, rows) in decode_runs(export.proximity.clone())? {
             self.accept_run(run, ProductBatch::Proximity(rows));
         }
         Ok(self)
+    }
+}
+
+/// A borrowed query handle on one table of a [`SegmentedRepository`]
+/// ([`SegmentedRepository::trajectories`], [`rssi`], [`fixes`],
+/// [`proximity`]), generic over the row type like the reference
+/// [`Table`](crate::table::Table), with its method names and ordering
+/// contracts. Each query pins the table's current snapshot, plans from
+/// per-section meta, pages in the spilled segments its plan touches
+/// (within the repository-wide memory budget), and returns a
+/// [`SpillError`] when one of their files cannot be read back — never a
+/// panic, never wrong rows. Without a spill tier no query can fail.
+///
+/// [`rssi`]: SegmentedRepository::rssi
+/// [`fixes`]: SegmentedRepository::fixes
+/// [`proximity`]: SegmentedRepository::proximity
+pub struct TableHandle<'a, R: SegmentRow> {
+    inner: &'a SegInner,
+    table: &'a SegTable<R>,
+}
+
+impl<'a, R: SegmentRow> TableHandle<'a, R> {
+    fn new(inner: &'a SegInner, table: &'a SegTable<R>) -> Self {
+        TableHandle { inner, table }
+    }
+
+    /// Answer one query with the page-in room the repository's budget
+    /// leaves this table (see [`SegTable::query`]).
+    fn answer<T>(
+        &self,
+        scope: RunScope,
+        keep: impl Fn(&SectionMeta) -> bool,
+        f: impl FnOnce(&[&Section<R>]) -> T,
+    ) -> Result<T, SpillError> {
+        let room = self.inner.cache_room(self.table);
+        self.table.query(scope, room, keep, f)
+    }
+
+    /// `scope`'s rows in arrival order (the reference table's insertion
+    /// order, reconstructed from seqs).
+    pub fn scan(&self, scope: RunScope) -> Result<Vec<R>, SpillError> {
+        self.answer(scope, |_| true, scan_sections)
+    }
+
+    /// `scope`'s rows in the half-open window `from <= t < to`,
+    /// time-ordered with ties in arrival order.
+    pub fn time_window(
+        &self,
+        scope: RunScope,
+        from: Timestamp,
+        to: Timestamp,
+    ) -> Result<Vec<R>, SpillError> {
+        self.answer(
+            scope,
+            |m| m.max_t >= from && m.min_t < to,
+            |s| time_window_sections(s, from, to),
+        )
+    }
+
+    /// `scope`'s rows of object `o`, time-ordered.
+    pub fn of_object(&self, scope: RunScope, o: ObjectId) -> Result<Vec<R>, SpillError> {
+        self.answer(scope, |_| true, |s| of_object_sections(s, o))
+    }
+
+    /// `scope`'s rows through device `d`, time-ordered.
+    pub fn of_device(&self, scope: RunScope, d: DeviceId) -> Result<Vec<R>, SpillError> {
+        self.answer(scope, |_| true, |s| of_device_sections(s, d))
+    }
+
+    /// Latest row at or before `t` (inclusive) per object of `scope`,
+    /// sorted by object id.
+    pub fn snapshot_at(&self, scope: RunScope, t: Timestamp) -> Result<Vec<R>, SpillError> {
+        self.answer(scope, |m| m.min_t <= t, |s| snapshot_at_sections(s, t))
+    }
+
+    /// `scope`'s point rows on `floor` inside `query`, in arrival order.
+    pub fn range_query(
+        &self,
+        scope: RunScope,
+        floor: FloorId,
+        query: &Aabb,
+    ) -> Result<Vec<R>, SpillError> {
+        self.answer(
+            scope,
+            |m| m.may_hold(floor),
+            |s| range_query_sections(s, floor, query),
+        )
+    }
+
+    /// `scope`'s k point rows nearest to `p` on `floor`, with their
+    /// distances, nearest first.
+    pub fn knn(
+        &self,
+        scope: RunScope,
+        floor: FloorId,
+        p: Point,
+        k: usize,
+    ) -> Result<Vec<(R, f64)>, SpillError> {
+        self.answer(
+            scope,
+            |m| m.may_hold(floor),
+            |s| knn_sections(s, floor, p, k),
+        )
+    }
+}
+
+impl TableHandle<'_, ProximityRecord> {
+    /// `scope`'s records whose detection period intersects `[from, to)`,
+    /// in arrival order.
+    pub fn overlapping(
+        &self,
+        scope: RunScope,
+        from: Timestamp,
+        to: Timestamp,
+    ) -> Result<Vec<ProximityRecord>, SpillError> {
+        // Meta time bounds are over `ts` (the section sort key), so only
+        // the `ts < to` half prunes; `te >= from` is checked per row.
+        self.answer(
+            scope,
+            |m| m.min_t < to,
+            |s| overlapping_sections(s, from, to),
+        )
     }
 }
 
@@ -2811,39 +2585,70 @@ mod tests {
     #[test]
     fn queries_are_invariant_under_sealing() {
         let repo = filled();
-        let before_scan = repo.trajectories_scan(RunScope::All);
-        let before_window =
-            repo.trajectories_time_window(RunScope::All, Timestamp(100), Timestamp(900));
-        let before_snap = repo.trajectories_snapshot_at(RunScope::One(RunId(1)), Timestamp(700));
-        let before_trace = repo.object_trace(RunScope::All, ObjectId(2));
-        let before_range = repo.trajectories_range_query(
-            RunScope::All,
-            FloorId(0),
-            &Aabb::new(Point::new(10.0, 0.0), Point::new(60.0, 2.0)),
-        );
-        let before_knn = repo.trajectories_knn(RunScope::All, FloorId(0), Point::new(30.0, 1.0), 7);
-        repo.seal_now();
-        let stats = repo.stats();
-        assert!(stats.seals >= 1, "seal_now must seal: {stats:?}");
-        assert_eq!(repo.trajectories_scan(RunScope::All), before_scan);
-        assert_eq!(
-            repo.trajectories_time_window(RunScope::All, Timestamp(100), Timestamp(900)),
-            before_window
-        );
-        assert_eq!(
-            repo.trajectories_snapshot_at(RunScope::One(RunId(1)), Timestamp(700)),
-            before_snap
-        );
-        assert_eq!(repo.object_trace(RunScope::All, ObjectId(2)), before_trace);
-        assert_eq!(
-            repo.trajectories_range_query(
+        let before_scan = repo.trajectories().scan(RunScope::All).unwrap();
+        let before_window = repo
+            .trajectories()
+            .time_window(RunScope::All, Timestamp(100), Timestamp(900))
+            .unwrap();
+        let before_snap = repo
+            .trajectories()
+            .snapshot_at(RunScope::One(RunId(1)), Timestamp(700))
+            .unwrap();
+        let before_trace = repo
+            .trajectories()
+            .of_object(RunScope::All, ObjectId(2))
+            .unwrap();
+        let before_range = repo
+            .trajectories()
+            .range_query(
                 RunScope::All,
                 FloorId(0),
                 &Aabb::new(Point::new(10.0, 0.0), Point::new(60.0, 2.0)),
-            ),
+            )
+            .unwrap();
+        let before_knn = repo
+            .trajectories()
+            .knn(RunScope::All, FloorId(0), Point::new(30.0, 1.0), 7)
+            .unwrap();
+        repo.seal_now();
+        let stats = repo.stats();
+        assert!(stats.seals >= 1, "seal_now must seal: {stats:?}");
+        assert_eq!(
+            repo.trajectories().scan(RunScope::All).unwrap(),
+            before_scan
+        );
+        assert_eq!(
+            repo.trajectories()
+                .time_window(RunScope::All, Timestamp(100), Timestamp(900))
+                .unwrap(),
+            before_window
+        );
+        assert_eq!(
+            repo.trajectories()
+                .snapshot_at(RunScope::One(RunId(1)), Timestamp(700))
+                .unwrap(),
+            before_snap
+        );
+        assert_eq!(
+            repo.trajectories()
+                .of_object(RunScope::All, ObjectId(2))
+                .unwrap(),
+            before_trace
+        );
+        assert_eq!(
+            repo.trajectories()
+                .range_query(
+                    RunScope::All,
+                    FloorId(0),
+                    &Aabb::new(Point::new(10.0, 0.0), Point::new(60.0, 2.0)),
+                )
+                .unwrap(),
             before_range
         );
-        let after_knn = repo.trajectories_knn(RunScope::All, FloorId(0), Point::new(30.0, 1.0), 7);
+        let after_knn = repo
+            .trajectories()
+            .knn(RunScope::All, FloorId(0), Point::new(30.0, 1.0), 7)
+            .unwrap();
         assert_eq!(before_knn.len(), after_knn.len());
         for ((s1, d1), (s2, d2)) in before_knn.iter().zip(&after_knn) {
             assert_eq!(s1, s2);
@@ -2866,7 +2671,10 @@ mod tests {
         let stats = repo.stats();
         assert!(stats.compactions >= 1, "expected a compaction: {stats:?}");
         assert_eq!(stats.unsealed_segments, 0);
-        let trace = repo.object_trace(RunScope::All, ObjectId(9));
+        let trace = repo
+            .trajectories()
+            .of_object(RunScope::All, ObjectId(9))
+            .unwrap();
         assert_eq!(trace.len(), 10);
         assert!(trace.windows(2).all(|w| w[0].t < w[1].t));
         assert_eq!(repo.counts(RunScope::All).trajectories, 130);
@@ -2882,9 +2690,11 @@ mod tests {
         assert_eq!(all.trajectories, r0.trajectories + r1.trajectories);
         assert_eq!(repo.run_ids(), vec![RunId(0), RunId(1)]);
         assert!(repo
-            .trajectories_scan(RunId(0).into())
+            .trajectories()
+            .scan(RunId(0).into())
+            .unwrap()
             .iter()
-            .zip(repo.trajectories_scan(RunId(0).into()))
+            .zip(repo.trajectories().scan(RunId(0).into()).unwrap())
             .all(|(a, b)| *a == b));
         assert!(repo.counts(RunId(7).into()).trajectories == 0);
     }
@@ -2902,15 +2712,22 @@ mod tests {
             }]),
         );
         repo.seal_now();
-        let export = repo.export();
+        let export = repo.export().unwrap();
         let restored = SegmentedRepository::import(&export).unwrap();
         assert_eq!(restored.counts(RunScope::All), repo.counts(RunScope::All));
         assert_eq!(restored.run_ids(), repo.run_ids());
         assert_eq!(
-            restored.trajectories_scan(RunId(0).into()),
-            repo.trajectories_scan(RunId(0).into())
+            restored.trajectories().scan(RunId(0).into()).unwrap(),
+            repo.trajectories().scan(RunId(0).into()).unwrap()
         );
-        assert_eq!(restored.rssi_of_device(RunScope::All, DeviceId(3)).len(), 1);
+        assert_eq!(
+            restored
+                .rssi()
+                .of_device(RunScope::All, DeviceId(3))
+                .unwrap()
+                .len(),
+            1
+        );
     }
 
     #[test]
@@ -2940,12 +2757,16 @@ mod tests {
         }]));
         repo.seal_now();
         assert_eq!(
-            repo.proximity_overlapping(RunScope::All, Timestamp(300), Timestamp(400))
+            repo.proximity()
+                .overlapping(RunScope::All, Timestamp(300), Timestamp(400))
+                .unwrap()
                 .len(),
             1
         );
         assert_eq!(
-            repo.proximity_overlapping(RunScope::All, Timestamp(0), Timestamp(100))
+            repo.proximity()
+                .overlapping(RunScope::All, Timestamp(0), Timestamp(100))
+                .unwrap()
                 .len(),
             0
         );
@@ -2967,7 +2788,13 @@ mod tests {
         let repo = filled();
         repo.seal_now();
         assert_eq!(repo.counts(RunScope::All).trajectories, 120);
-        assert_eq!(repo.object_trace(RunScope::All, ObjectId(1)).len(), 30);
+        assert_eq!(
+            repo.trajectories()
+                .of_object(RunScope::All, ObjectId(1))
+                .unwrap()
+                .len(),
+            30
+        );
         let (snap, segment) = {
             let snap = repo.inner.trajectories.pin();
             (Arc::downgrade(&snap), Arc::downgrade(&snap.segments[0]))
@@ -3011,7 +2838,10 @@ mod tests {
         stop_sealer(&repo);
         fill(&repo);
         repo.seal_now();
-        let trace = repo.object_trace(RunScope::All, ObjectId(1));
+        let trace = repo
+            .trajectories()
+            .of_object(RunScope::All, ObjectId(1))
+            .unwrap();
         let table = &repo.inner.trajectories;
         let resident = {
             let snap = table.pin();
@@ -3025,7 +2855,12 @@ mod tests {
             "spilled rows are still resident"
         );
         // The spilled twin pages the same rows back in.
-        assert_eq!(repo.object_trace(RunScope::All, ObjectId(1)), trace);
+        assert_eq!(
+            repo.trajectories()
+                .of_object(RunScope::All, ObjectId(1))
+                .unwrap(),
+            trace
+        );
         assert_eq!(repo.stats().page_ins, 1);
     }
 
@@ -3066,25 +2901,45 @@ mod tests {
         // repository, paging spilled segments back in as needed.
         assert_eq!(repo.counts(RunScope::All), baseline.counts(RunScope::All));
         assert_eq!(
-            repo.trajectories_scan(RunScope::All),
-            baseline.trajectories_scan(RunScope::All)
+            repo.trajectories().scan(RunScope::All).unwrap(),
+            baseline.trajectories().scan(RunScope::All).unwrap()
         );
         assert_eq!(
-            repo.trajectories_time_window(RunId(0).into(), Timestamp(100), Timestamp(900)),
-            baseline.trajectories_time_window(RunId(0).into(), Timestamp(100), Timestamp(900))
+            repo.trajectories()
+                .time_window(RunId(0).into(), Timestamp(100), Timestamp(900))
+                .unwrap(),
+            baseline
+                .trajectories()
+                .time_window(RunId(0).into(), Timestamp(100), Timestamp(900))
+                .unwrap()
         );
         assert_eq!(
-            repo.trajectories_snapshot_at(RunScope::All, Timestamp(700)),
-            baseline.trajectories_snapshot_at(RunScope::All, Timestamp(700))
+            repo.trajectories()
+                .snapshot_at(RunScope::All, Timestamp(700))
+                .unwrap(),
+            baseline
+                .trajectories()
+                .snapshot_at(RunScope::All, Timestamp(700))
+                .unwrap()
         );
         assert_eq!(
-            repo.object_trace(RunScope::All, ObjectId(2)),
-            baseline.object_trace(RunScope::All, ObjectId(2))
+            repo.trajectories()
+                .of_object(RunScope::All, ObjectId(2))
+                .unwrap(),
+            baseline
+                .trajectories()
+                .of_object(RunScope::All, ObjectId(2))
+                .unwrap()
         );
         let window = Aabb::new(Point::new(10.0, 0.0), Point::new(60.0, 2.0));
         assert_eq!(
-            repo.trajectories_range_query(RunScope::All, FloorId(0), &window),
-            baseline.trajectories_range_query(RunScope::All, FloorId(0), &window)
+            repo.trajectories()
+                .range_query(RunScope::All, FloorId(0), &window)
+                .unwrap(),
+            baseline
+                .trajectories()
+                .range_query(RunScope::All, FloorId(0), &window)
+                .unwrap()
         );
         assert!(repo.stats().page_ins >= 1, "{:?}", repo.stats());
         // Queries paged segments in; the next maintenance round brings
@@ -3093,9 +2948,9 @@ mod tests {
         assert!(repo.stats().resident_rows <= 30, "{:?}", repo.stats());
         // Export splices spilled raw bytes; it must equal the
         // all-resident export and the typed re-encode path byte-for-byte.
-        let spilled_export = repo.export();
-        let resident_export = baseline.export();
-        let reencoded_export = repo.export_reencode();
+        let spilled_export = repo.export().unwrap();
+        let resident_export = baseline.export().unwrap();
+        let reencoded_export = repo.export_reencode().unwrap();
         assert_eq!(spilled_export.trajectories, resident_export.trajectories);
         assert_eq!(spilled_export.rssi, resident_export.rssi);
         assert_eq!(spilled_export.fixes, resident_export.fixes);
@@ -3178,26 +3033,35 @@ mod tests {
         );
         let trajectory_cases: [(&str, Query, _); 7] = [
             ("counts", &|r| r.counts(all).trajectories, none),
-            ("scan", &|r| r.trajectories_scan(all).len(), none),
+            ("scan", &|r| r.trajectories().scan(all).unwrap().len(), none),
             (
                 "window",
-                &|r| r.trajectories_time_window(all, t0, t1).len(),
+                &|r| r.trajectories().time_window(all, t0, t1).unwrap().len(),
                 none,
             ),
-            ("trace", &|r| r.object_trace(all, ObjectId(2)).len(), object),
+            (
+                "trace",
+                &|r| r.trajectories().of_object(all, ObjectId(2)).unwrap().len(),
+                object,
+            ),
             (
                 "snapshot",
-                &|r| r.trajectories_snapshot_at(all, t1).len(),
+                &|r| r.trajectories().snapshot_at(all, t1).unwrap().len(),
                 object,
             ),
             (
                 "range",
-                &|r| r.trajectories_range_query(all, floor, &area).len(),
+                &|r| {
+                    r.trajectories()
+                        .range_query(all, floor, &area)
+                        .unwrap()
+                        .len()
+                },
                 spatial,
             ),
             (
                 "knn",
-                &|r| r.trajectories_knn(all, floor, p, 7).len(),
+                &|r| r.trajectories().knn(all, floor, p, 7).unwrap().len(),
                 spatial,
             ),
         ];
@@ -3213,15 +3077,19 @@ mod tests {
             assert!(built_all(&repo.inner.rssi).iter().all(|&b| b == none));
         }
         let rssi_cases: [(&str, Query, _); 3] = [
-            ("window", &|r| r.rssi_time_window(all, t0, t1).len(), none),
+            (
+                "window",
+                &|r| r.rssi().time_window(all, t0, t1).unwrap().len(),
+                none,
+            ),
             (
                 "of_object",
-                &|r| r.rssi_of_object(all, ObjectId(1)).len(),
+                &|r| r.rssi().of_object(all, ObjectId(1)).unwrap().len(),
                 object,
             ),
             (
                 "of_device",
-                &|r| r.rssi_of_device(all, DeviceId(2)).len(),
+                &|r| r.rssi().of_device(all, DeviceId(2)).unwrap().len(),
                 device,
             ),
         ];
@@ -3312,8 +3180,8 @@ mod tests {
             vec![(false, false, false)]
         );
         race_first_use(
-            || repo.object_trace(RunScope::All, o),
-            || bits(repo.trajectories_knn(RunScope::All, floor, p, k)),
+            || repo.trajectories().of_object(RunScope::All, o).unwrap(),
+            || bits(repo.trajectories().knn(RunScope::All, floor, p, k).unwrap()),
             &want,
         );
         assert_eq!(
@@ -3364,5 +3232,79 @@ mod tests {
         let leftover = std::fs::read_dir(&parent).map(|d| d.count()).unwrap_or(0);
         assert_eq!(leftover, 0, "per-instance spill dir must be removed");
         let _ = std::fs::remove_dir_all(&parent);
+    }
+
+    /// `from_env`'s parse, driven through a lookup closure so no test
+    /// touches the process environment the parallel tests share.
+    #[test]
+    fn malformed_spill_variables_are_named_not_ignored() {
+        let vars = |pairs: &'static [(&'static str, &'static str)]| {
+            move |name: &str| {
+                pairs
+                    .iter()
+                    .find(|(n, _)| *n == name)
+                    .map(|(_, v)| OsString::from(v))
+            }
+        };
+        assert_eq!(
+            SpillConfig::from_vars(vars(&[("VITA_SPILL_BUDGET_ROWS", "x")])),
+            Ok(None),
+            "no directory, no spill tier"
+        );
+        assert_eq!(
+            SpillConfig::from_vars(vars(&[
+                ("VITA_SPILL_DIR", "/s"),
+                ("VITA_SPILL_BUDGET_ROWS", "512"),
+                ("VITA_SPILL_CACHE_SEGMENTS", "2"),
+            ])),
+            Ok(Some(SpillConfig {
+                dir: PathBuf::from("/s"),
+                memory_budget_rows: 512,
+                cache_segments: 2,
+            }))
+        );
+        assert_eq!(
+            SpillConfig::from_vars(vars(&[("VITA_SPILL_DIR", "/s")])),
+            Ok(Some(SpillConfig::new("/s")))
+        );
+        for (name, value) in [
+            ("VITA_SPILL_BUDGET_ROWS", "51 2"),
+            ("VITA_SPILL_BUDGET_ROWS", "-1"),
+            ("VITA_SPILL_BUDGET_ROWS", ""),
+            ("VITA_SPILL_CACHE_SEGMENTS", "two"),
+        ] {
+            let err = SpillConfig::from_vars(|n: &str| match n {
+                "VITA_SPILL_DIR" => Some(OsString::from("/s")),
+                n if n == name => Some(OsString::from(value)),
+                _ => None,
+            })
+            .unwrap_err();
+            assert_eq!(err, format!("{name}={value:?} is not an unsigned integer"));
+        }
+    }
+
+    /// CI's `spill` job sets `VITA_SPILL_*` so every default-built
+    /// repository spills. This fails that job if the environment stops
+    /// reaching the engine; without `VITA_SPILL_DIR` it checks nothing.
+    #[test]
+    fn spill_environment_reaches_default_repositories() {
+        let Some(cfg) = SpillConfig::from_env() else {
+            return;
+        };
+        let repo = SegmentedRepository::new();
+        let rows: Vec<TrajectorySample> = (0..=cfg.memory_budget_rows as u64)
+            .map(|i| ts((i % 8) as u32, 0, i as f64, 1.0, i))
+            .collect();
+        for batch in rows.chunks(1_000) {
+            repo.accept(ProductBatch::Trajectories(batch.to_vec()));
+        }
+        repo.seal_now();
+        let stats = repo.stats();
+        assert!(
+            stats.spilled_rows > 0,
+            "{} rows over a {}-row budget spilled nothing: {stats:?}",
+            rows.len(),
+            cfg.memory_budget_rows
+        );
     }
 }

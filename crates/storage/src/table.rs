@@ -81,16 +81,6 @@ impl<R: SegmentRow> Table<R> {
         self.append_batch_run(RunId::DEFAULT, [row]);
     }
 
-    /// Insert rows under [`RunId::DEFAULT`].
-    pub fn insert_bulk(&mut self, rows: impl IntoIterator<Item = R>) {
-        self.append_batch_run(RunId::DEFAULT, rows);
-    }
-
-    /// Append one owned batch under [`RunId::DEFAULT`].
-    pub fn append_batch(&mut self, batch: Vec<R>) {
-        self.append_batch_run(RunId::DEFAULT, batch);
-    }
-
     /// Append rows tagged with `run`: the ingest path of the streaming
     /// pipeline, one call per [`crate::ProductBatch`].
     pub fn append_batch_run(&mut self, run: RunId, batch: impl IntoIterator<Item = R>) {
@@ -114,14 +104,9 @@ impl<R: SegmentRow> Table<R> {
         self.runs.iter().filter(|&&r| r == run).count()
     }
 
-    /// Every row, all runs merged, in insertion order.
-    pub fn scan(&self) -> impl Iterator<Item = &R> {
-        self.rows.iter()
-    }
-
-    /// One run's rows, in insertion order.
-    pub fn scan_run(&self, run: RunId) -> Vec<&R> {
-        self.select(run.into()).collect()
+    /// `scope`'s rows, in insertion order.
+    pub fn scan(&self, scope: RunScope) -> Vec<&R> {
+        self.select(scope).collect()
     }
 
     /// Owned copies of the rows, one section per run in ascending run
@@ -464,11 +449,11 @@ mod tests {
             .map(|i| ts(i % 7, 0, i as f64, 0.0, (i % 40) as u64 * 50))
             .collect();
         let mut bulk = TrajectoryTable::new();
-        bulk.append_batch(rows.clone());
+        bulk.append_batch_run(RunId::DEFAULT, rows.clone());
         // A second batch lands behind rows already stored.
         let extra: Vec<TrajectorySample> =
             (0..60).map(|i| ts(i % 5, 0, i as f64, 1.0, 975)).collect();
-        bulk.append_batch(extra.clone());
+        bulk.append_batch_run(RunId::DEFAULT, extra.clone());
 
         let mut single = TrajectoryTable::new();
         for s in rows.iter().chain(&extra) {
@@ -500,10 +485,10 @@ mod tests {
     #[test]
     fn empty_batch_is_a_no_op() {
         let mut t = TrajectoryTable::new();
-        t.append_batch(Vec::new());
+        t.append_batch_run(RunId::DEFAULT, Vec::new());
         assert!(t.is_empty());
         let mut r = RssiTable::new();
-        r.append_batch(Vec::new());
+        r.append_batch_run(RunId::DEFAULT, Vec::new());
         assert!(r.is_empty());
     }
 

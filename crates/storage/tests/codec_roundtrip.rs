@@ -19,11 +19,7 @@ use vita_indoor::{BuildingId, DeviceId, FloorId, Loc, ObjectId, PartitionId, Run
 use vita_mobility::TrajectorySample;
 use vita_positioning::{Fix, ProximityRecord};
 use vita_rssi::RssiMeasurement;
-use vita_storage::{
-    decode_fixes_runs, decode_proximity_runs, decode_rssi_runs, decode_trajectories,
-    decode_trajectories_runs, encode_fixes_runs, encode_proximity_runs, encode_rssi_runs,
-    encode_trajectories_runs, CodecError,
-};
+use vita_storage::{decode_runs, encode_runs, CodecError};
 
 // ---------------------------------------------------------------- strategies
 
@@ -173,31 +169,31 @@ proptest! {
 
         let sections: Vec<(RunId, Vec<TrajectorySample>)> =
             runs.iter().zip(t_rows).map(|(&r, v)| (r, v)).collect();
-        let encoded = encode_trajectories_runs(&borrow(&sections));
-        let decoded = decode_trajectories_runs(encoded.clone()).unwrap();
+        let encoded = encode_runs(&borrow(&sections));
+        let decoded = decode_runs::<TrajectorySample>(encoded.clone()).unwrap();
         prop_assert_eq!(&decoded, &nonempty(&sections));
-        prop_assert_eq!(encode_trajectories_runs(&borrow(&decoded)), encoded);
+        prop_assert_eq!(encode_runs(&borrow(&decoded)), encoded);
 
         let sections: Vec<(RunId, Vec<RssiMeasurement>)> =
             runs.iter().zip(r_rows).map(|(&r, v)| (r, v)).collect();
-        let encoded = encode_rssi_runs(&borrow(&sections));
-        let decoded = decode_rssi_runs(encoded.clone()).unwrap();
+        let encoded = encode_runs(&borrow(&sections));
+        let decoded = decode_runs::<RssiMeasurement>(encoded.clone()).unwrap();
         prop_assert_eq!(&decoded, &nonempty(&sections));
-        prop_assert_eq!(encode_rssi_runs(&borrow(&decoded)), encoded);
+        prop_assert_eq!(encode_runs(&borrow(&decoded)), encoded);
 
         let sections: Vec<(RunId, Vec<Fix>)> =
             runs.iter().zip(f_rows).map(|(&r, v)| (r, v)).collect();
-        let encoded = encode_fixes_runs(&borrow(&sections));
-        let decoded = decode_fixes_runs(encoded.clone()).unwrap();
+        let encoded = encode_runs(&borrow(&sections));
+        let decoded = decode_runs::<Fix>(encoded.clone()).unwrap();
         prop_assert_eq!(&decoded, &nonempty(&sections));
-        prop_assert_eq!(encode_fixes_runs(&borrow(&decoded)), encoded);
+        prop_assert_eq!(encode_runs(&borrow(&decoded)), encoded);
 
         let sections: Vec<(RunId, Vec<ProximityRecord>)> =
             runs.iter().zip(p_rows).map(|(&r, v)| (r, v)).collect();
-        let encoded = encode_proximity_runs(&borrow(&sections));
-        let decoded = decode_proximity_runs(encoded.clone()).unwrap();
+        let encoded = encode_runs(&borrow(&sections));
+        let decoded = decode_runs::<ProximityRecord>(encoded.clone()).unwrap();
         prop_assert_eq!(&decoded, &nonempty(&sections));
-        prop_assert_eq!(encode_proximity_runs(&borrow(&decoded)), encoded);
+        prop_assert_eq!(encode_runs(&borrow(&decoded)), encoded);
     }
 
     /// Arbitrary v1 files (hand-encoded byte-for-byte) decode through the
@@ -208,7 +204,7 @@ proptest! {
         ms in proptest::collection::vec(rssi_strategy(), 0..60),
     ) {
         let rows: Vec<Vec<u8>> = samples.iter().map(sample_bytes).collect();
-        let decoded = decode_trajectories_runs(encode_v1(1, &rows)).unwrap();
+        let decoded = decode_runs::<TrajectorySample>(encode_v1(1, &rows)).unwrap();
         if samples.is_empty() {
             prop_assert!(decoded.is_empty());
         } else {
@@ -216,7 +212,7 @@ proptest! {
         }
 
         let rows: Vec<Vec<u8>> = ms.iter().map(rssi_bytes).collect();
-        let decoded = decode_rssi_runs(encode_v1(2, &rows)).unwrap();
+        let decoded = decode_runs::<RssiMeasurement>(encode_v1(2, &rows)).unwrap();
         if ms.is_empty() {
             prop_assert!(decoded.is_empty());
         } else {
@@ -235,10 +231,10 @@ proptest! {
         let runs = section_runs(&gaps);
         let sections: Vec<(RunId, Vec<TrajectorySample>)> =
             runs.iter().zip(t_rows).map(|(&r, v)| (r, v)).collect();
-        let encoded = encode_trajectories_runs(&borrow(&sections));
+        let encoded = encode_runs(&borrow(&sections));
         let keep = ((encoded.len() as f64) * cut) as usize; // < len
         let truncated = encoded.slice(0..keep);
-        prop_assert!(decode_trajectories_runs(truncated).is_err());
+        prop_assert!(decode_runs::<TrajectorySample>(truncated).is_err());
     }
 
     /// Any single-byte corruption of a valid v2 file decodes to an error —
@@ -253,17 +249,15 @@ proptest! {
         let runs = section_runs(&gaps);
         let sections: Vec<(RunId, Vec<TrajectorySample>)> =
             runs.iter().zip(t_rows).map(|(&r, v)| (r, v)).collect();
-        let encoded = encode_trajectories_runs(&borrow(&sections));
+        let encoded = encode_runs(&borrow(&sections));
         let mut bytes = encoded.as_ref().to_vec();
         let idx = ((bytes.len() as f64) * pos) as usize % bytes.len();
         bytes[idx] ^= flip;
         let corrupt = Bytes::from(bytes);
-        match decode_trajectories_runs(corrupt.clone()) {
+        match decode_runs::<TrajectorySample>(corrupt) {
             Err(_) => {}
             Ok(rows) => prop_assert!(false, "corruption at byte {idx} decoded to {rows:?}"),
         }
-        // The flattening reader must agree.
-        prop_assert!(decode_trajectories(corrupt).is_err());
     }
 }
 
@@ -276,7 +270,7 @@ proptest! {
 /// fails loudly.
 #[test]
 fn v1_golden_fixtures_decode_into_run_zero() {
-    let sections = decode_trajectories_runs(Bytes::from_static(include_bytes!(
+    let sections = decode_runs::<TrajectorySample>(Bytes::from_static(include_bytes!(
         "fixtures/v1_trajectories.bin"
     )))
     .unwrap();
@@ -305,7 +299,8 @@ fn v1_golden_fixtures_decode_into_run_zero() {
     );
 
     let sections =
-        decode_rssi_runs(Bytes::from_static(include_bytes!("fixtures/v1_rssi.bin"))).unwrap();
+        decode_runs::<RssiMeasurement>(Bytes::from_static(include_bytes!("fixtures/v1_rssi.bin")))
+            .unwrap();
     assert_eq!(
         sections,
         vec![(
@@ -328,7 +323,7 @@ fn v1_golden_fixtures_decode_into_run_zero() {
     );
 
     let sections =
-        decode_fixes_runs(Bytes::from_static(include_bytes!("fixtures/v1_fixes.bin"))).unwrap();
+        decode_runs::<Fix>(Bytes::from_static(include_bytes!("fixtures/v1_fixes.bin"))).unwrap();
     assert_eq!(
         sections,
         vec![(
@@ -348,7 +343,7 @@ fn v1_golden_fixtures_decode_into_run_zero() {
         )]
     );
 
-    let sections = decode_proximity_runs(Bytes::from_static(include_bytes!(
+    let sections = decode_runs::<ProximityRecord>(Bytes::from_static(include_bytes!(
         "fixtures/v1_proximity.bin"
     )))
     .unwrap();
@@ -383,7 +378,7 @@ fn v1_fixture_with_corrupt_loc_kind_fails_loudly() {
     // First row's kind byte: header (14) + object (4) + building (4) + floor (4).
     bytes[26] = 7;
     assert_eq!(
-        decode_trajectories_runs(Bytes::from(bytes)).unwrap_err(),
+        decode_runs::<TrajectorySample>(Bytes::from(bytes)).unwrap_err(),
         CodecError::BadLocKind(7)
     );
 }

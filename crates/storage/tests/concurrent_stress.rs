@@ -119,13 +119,19 @@ fn concurrent_producers_yield_identical_backends() {
                         .time_window(RunScope::All, Timestamp(0), Timestamp(1_000))
                         .len();
                     seen += segmented
-                        .trajectories_range_query(RunScope::All, FloorId(0), &q)
+                        .trajectories()
+                        .range_query(RunScope::All, FloorId(0), &q)
+                        .unwrap()
                         .len();
                     seen += segmented
-                        .trajectories_knn(RunScope::All, FloorId(0), Point::new(10.0, 3.0), 5)
+                        .trajectories()
+                        .knn(RunScope::All, FloorId(0), Point::new(10.0, 3.0), 5)
+                        .unwrap()
                         .len();
                     seen += segmented
-                        .rssi_time_window(RunScope::All, Timestamp(0), Timestamp(1_000))
+                        .rssi()
+                        .time_window(RunScope::All, Timestamp(0), Timestamp(1_000))
+                        .unwrap()
                         .len();
                 }
                 seen
@@ -190,7 +196,10 @@ fn concurrent_producers_yield_identical_backends() {
             a.windows(2).all(|w| w[0].t <= w[1].t),
             "object {o} trace out of order"
         );
-        let c = segmented.object_trace(RunScope::All, ObjectId(o));
+        let c = segmented
+            .trajectories()
+            .of_object(RunScope::All, ObjectId(o))
+            .unwrap();
         assert_eq!(a, c, "object {o} trace differs on segmented backend");
 
         let ra: Vec<RssiMeasurement> = single
@@ -200,7 +209,13 @@ fn concurrent_producers_yield_identical_backends() {
             .into_iter()
             .copied()
             .collect();
-        assert_eq!(ra, segmented.rssi_of_object(RunScope::All, ObjectId(o)));
+        assert_eq!(
+            ra,
+            segmented
+                .rssi()
+                .of_object(RunScope::All, ObjectId(o))
+                .unwrap()
+        );
         let fa: Vec<Fix> = single
             .fixes
             .read()
@@ -208,7 +223,13 @@ fn concurrent_producers_yield_identical_backends() {
             .into_iter()
             .copied()
             .collect();
-        assert_eq!(fa, segmented.fixes_of_object(RunScope::All, ObjectId(o)));
+        assert_eq!(
+            fa,
+            segmented
+                .fixes()
+                .of_object(RunScope::All, ObjectId(o))
+                .unwrap()
+        );
         let pa: Vec<ProximityRecord> = single
             .proximity
             .read()
@@ -218,7 +239,10 @@ fn concurrent_producers_yield_identical_backends() {
             .collect();
         assert_eq!(
             pa,
-            segmented.proximity_of_object(RunScope::All, ObjectId(o))
+            segmented
+                .proximity()
+                .of_object(RunScope::All, ObjectId(o))
+                .unwrap()
         );
     }
 
@@ -228,36 +252,60 @@ fn concurrent_producers_yield_identical_backends() {
         let p = s.point();
         (s.t.0, s.object.0, p.x.to_bits(), p.y.to_bits())
     };
-    let mut a: Vec<TrajectorySample> = single.trajectories.read().scan().copied().collect();
-    let mut c = segmented.trajectories_scan(RunScope::All);
+    let mut a: Vec<TrajectorySample> = single
+        .trajectories
+        .read()
+        .scan(RunScope::All)
+        .into_iter()
+        .copied()
+        .collect();
+    let mut c = segmented.trajectories().scan(RunScope::All).unwrap();
     a.sort_by_key(key);
     c.sort_by_key(key);
     assert_eq!(a, c);
 
-    let mut ra: Vec<RssiMeasurement> = single.rssi.read().scan().copied().collect();
+    let mut ra: Vec<RssiMeasurement> = single
+        .rssi
+        .read()
+        .scan(RunScope::All)
+        .into_iter()
+        .copied()
+        .collect();
     let rkey = |m: &RssiMeasurement| (m.t.0, m.object.0, m.device.0, m.rssi.to_bits());
-    let mut rc = segmented.rssi_scan(RunScope::All);
+    let mut rc = segmented.rssi().scan(RunScope::All).unwrap();
     ra.sort_by_key(rkey);
     rc.sort_by_key(rkey);
     assert_eq!(ra, rc);
 
-    let mut fa: Vec<Fix> = single.fixes.read().scan().copied().collect();
+    let mut fa: Vec<Fix> = single
+        .fixes
+        .read()
+        .scan(RunScope::All)
+        .into_iter()
+        .copied()
+        .collect();
     let fkey = |f: &Fix| (f.t.0, f.object.0);
-    let mut fc = segmented.fixes_scan(RunScope::All);
+    let mut fc = segmented.fixes().scan(RunScope::All).unwrap();
     fa.sort_by_key(fkey);
     fc.sort_by_key(fkey);
     assert_eq!(fa, fc);
 
-    let mut pa: Vec<ProximityRecord> = single.proximity.read().scan().copied().collect();
+    let mut pa: Vec<ProximityRecord> = single
+        .proximity
+        .read()
+        .scan(RunScope::All)
+        .into_iter()
+        .copied()
+        .collect();
     let pkey = |r: &ProximityRecord| (r.ts.0, r.te.0, r.object.0, r.device.0);
-    let mut pc = segmented.proximity_scan(RunScope::All);
+    let mut pc = segmented.proximity().scan(RunScope::All).unwrap();
     pa.sort_by_key(pkey);
     pc.sort_by_key(pkey);
     assert_eq!(pa, pc);
     // A final forced maintenance round must not change any answer.
     segmented.seal_now();
     segmented.seal_now();
-    let mut pd = segmented.proximity_scan(RunScope::All);
+    let mut pd = segmented.proximity().scan(RunScope::All).unwrap();
     pd.sort_by_key(pkey);
     assert_eq!(pa, pd);
     assert_eq!(segmented.stats().unsealed_segments, 0);

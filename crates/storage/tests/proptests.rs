@@ -11,9 +11,16 @@ use vita_indoor::{BuildingId, DeviceId, FloorId, ObjectId, Timestamp};
 use vita_mobility::TrajectorySample;
 use vita_rssi::RssiMeasurement;
 use vita_storage::{
-    decode_proximity, decode_rssi, downsample, encode_proximity, encode_rssi, merge_by_time,
-    record_rate, RssiTable, RunScope, Timed, TrajectoryTable, TumblingWindow,
+    decode_runs, downsample, encode_runs, merge_by_time, record_rate, RssiTable, RunId, RunScope,
+    Timed, TrajectoryTable, TumblingWindow, WireRecord,
 };
+
+/// `rows` encoded as one run's table file and decoded back.
+fn round_trip<R: WireRecord>(rows: &[R]) -> Vec<R> {
+    let encoded = encode_runs(&[(RunId::DEFAULT, rows)]);
+    let sections = decode_runs::<R>(encoded).unwrap();
+    sections.into_iter().flat_map(|(_, rows)| rows).collect()
+}
 
 fn sample_strategy() -> impl Strategy<Value = TrajectorySample> {
     (
@@ -44,7 +51,7 @@ proptest! {
         width in 1u64..500_000,
     ) {
         let mut table = TrajectoryTable::new();
-        table.insert_bulk(samples.iter().copied());
+        table.append_batch_run(RunId::DEFAULT, samples.iter().copied());
         let to = from + width;
         let got: Vec<TrajectorySample> = table
             .time_window(RunScope::All, Timestamp(from), Timestamp(to))
@@ -64,7 +71,7 @@ proptest! {
         o in 0u32..20,
     ) {
         let mut table = TrajectoryTable::new();
-        table.insert_bulk(samples.iter().copied());
+        table.append_batch_run(RunId::DEFAULT, samples.iter().copied());
         let got: Vec<TrajectorySample> =
             table.object_trace(RunScope::All, ObjectId(o)).into_iter().copied().collect();
         // Time-ordered, ties in arrival order.
@@ -81,7 +88,7 @@ proptest! {
         w in 1.0f64..60.0, h in 1.0f64..60.0,
     ) {
         let mut table = TrajectoryTable::new();
-        table.insert_bulk(samples.iter().copied());
+        table.append_batch_run(RunId::DEFAULT, samples.iter().copied());
         let q = Aabb::new(Point::new(x0, y0), Point::new(x0 + w, y0 + h));
         let got: Vec<TrajectorySample> =
             table.range_query(RunScope::All, FloorId(0), &q).into_iter().copied().collect();
@@ -103,7 +110,7 @@ proptest! {
         at in 0u64..1_000_000,
     ) {
         let mut table = TrajectoryTable::new();
-        table.insert_bulk(samples.iter().copied());
+        table.append_batch_run(RunId::DEFAULT, samples.iter().copied());
         let snap = table.snapshot_at(RunScope::All, Timestamp(at));
         let mut objs: Vec<ObjectId> = snap.iter().map(|s| s.object).collect();
         objs.sort_unstable();
@@ -198,7 +205,7 @@ proptest! {
                 t: Timestamp(*t),
             })
             .collect();
-        let decoded = decode_rssi(encode_rssi(&ms)).unwrap();
+        let decoded = round_trip(&ms);
         prop_assert_eq!(decoded, ms);
     }
 
@@ -218,7 +225,7 @@ proptest! {
                 te: Timestamp(*t1.max(t2)),
             })
             .collect();
-        let decoded = decode_proximity(encode_proximity(&rs)).unwrap();
+        let decoded = round_trip(&rs);
         prop_assert_eq!(decoded, rs);
     }
 

@@ -179,15 +179,15 @@ proptest! {
         for (which, solo) in solo.iter().enumerate() {
             let run = RunId(which as u32);
             let want_rows: Vec<TrajectorySample> =
-                solo.trajectories.read().scan().copied().collect();
+                solo.trajectories.read().scan(RunScope::All).into_iter().copied().collect();
             prop_assert_eq!(single.counts(run.into()), solo.counts(RunScope::All));
             prop_assert_eq!(segmented.counts(run.into()), solo.counts(RunScope::All));
 
             // Scan: exact, arrival order included.
             let got: Vec<TrajectorySample> =
-                single.trajectories.read().scan_run(run).into_iter().copied().collect();
+                single.trajectories.read().scan(run.into()).into_iter().copied().collect();
             prop_assert_eq!(&got, &want_rows);
-            prop_assert_eq!(&segmented.trajectories_scan(run.into()), &want_rows);
+            prop_assert_eq!(&segmented.trajectories().scan(run.into()).unwrap(), &want_rows);
 
             // Half-open time window (arrival order among equal timestamps
             // is preserved by run-scoped filtering on both backends).
@@ -198,7 +198,7 @@ proptest! {
                 single.trajectories.read().time_window(run.into(), lo, hi)
                     .into_iter().copied().collect();
             prop_assert_eq!(&got, &want);
-            prop_assert_eq!(segmented.trajectories_time_window(run.into(), lo, hi), want);
+            prop_assert_eq!(segmented.trajectories().time_window(run.into(), lo, hi).unwrap(), want);
 
             // Snapshot (inclusive bound) — exact on both backends.
             let want: Vec<TrajectorySample> =
@@ -207,7 +207,7 @@ proptest! {
                 single.trajectories.read().snapshot_at(run.into(), Timestamp(at))
                     .into_iter().copied().collect();
             prop_assert_eq!(&got, &want);
-            prop_assert_eq!(segmented.trajectories_snapshot_at(run.into(), Timestamp(at)), want);
+            prop_assert_eq!(segmented.trajectories().snapshot_at(run.into(), Timestamp(at)).unwrap(), want);
 
             // Per-object traces — exact.
             for o in 0..OBJECTS {
@@ -218,7 +218,7 @@ proptest! {
                     single.trajectories.read().object_trace(run.into(), ObjectId(o))
                         .into_iter().copied().collect();
                 prop_assert_eq!(&got, &want);
-                prop_assert_eq!(segmented.object_trace(run.into(), ObjectId(o)), want);
+                prop_assert_eq!(segmented.trajectories().of_object(run.into(), ObjectId(o)).unwrap(), want);
             }
 
             // Spatial: range query + kNN distance multiset.
@@ -235,7 +235,7 @@ proptest! {
             );
             prop_assert_eq!(&got, &want);
             prop_assert_eq!(
-                sorted_by(segmented.trajectories_range_query(run.into(), FloorId(0), &q), sample_key),
+                sorted_by(segmented.trajectories().range_query(run.into(), FloorId(0), &q).unwrap(), sample_key),
                 want
             );
 
@@ -245,7 +245,7 @@ proptest! {
             let got: Vec<u64> = single.trajectories.read().knn(run.into(), FloorId(0), p, k)
                 .iter().map(|(_, d)| d.to_bits()).collect();
             prop_assert_eq!(&got, &want);
-            let got: Vec<u64> = segmented.trajectories_knn(run.into(), FloorId(0), p, k)
+            let got: Vec<u64> = segmented.trajectories().knn(run.into(), FloorId(0), p, k).unwrap()
                 .iter().map(|(_, d)| d.to_bits()).collect();
             prop_assert_eq!(got, want);
         }
@@ -298,7 +298,7 @@ proptest! {
             let got: Vec<RssiMeasurement> =
                 single.rssi.read().time_window(run.into(), lo, hi).into_iter().copied().collect();
             prop_assert_eq!(&got, &want);
-            prop_assert_eq!(segmented.rssi_time_window(run.into(), lo, hi), want);
+            prop_assert_eq!(segmented.rssi().time_window(run.into(), lo, hi).unwrap(), want);
             for o in 0..OBJECTS {
                 let want: Vec<RssiMeasurement> =
                     solo.rssi.read().of_object(RunScope::All, ObjectId(o)).into_iter().copied().collect();
@@ -306,7 +306,7 @@ proptest! {
                     single.rssi.read().of_object(run.into(), ObjectId(o))
                         .into_iter().copied().collect();
                 prop_assert_eq!(&got, &want);
-                prop_assert_eq!(segmented.rssi_of_object(run.into(), ObjectId(o)), want);
+                prop_assert_eq!(segmented.rssi().of_object(run.into(), ObjectId(o)).unwrap(), want);
             }
             for d in 0..DEVICES {
                 let want = sorted_by(
@@ -320,23 +320,23 @@ proptest! {
                 );
                 prop_assert_eq!(&got, &want);
                 prop_assert_eq!(
-                    sorted_by(segmented.rssi_of_device(run.into(), DeviceId(d)), rssi_key),
+                    sorted_by(segmented.rssi().of_device(run.into(), DeviceId(d)).unwrap(), rssi_key),
                     want
                 );
             }
 
             // Fixes: scan + time window + per-object.
-            let want: Vec<Fix> = solo.fixes.read().scan().copied().collect();
+            let want: Vec<Fix> = solo.fixes.read().scan(RunScope::All).into_iter().copied().collect();
             let got: Vec<Fix> =
-                single.fixes.read().scan_run(run).into_iter().copied().collect();
+                single.fixes.read().scan(run.into()).into_iter().copied().collect();
             prop_assert_eq!(&got, &want);
-            prop_assert_eq!(segmented.fixes_scan(run.into()), want);
+            prop_assert_eq!(segmented.fixes().scan(run.into()).unwrap(), want);
             let want: Vec<Fix> =
                 solo.fixes.read().time_window(RunScope::All, lo, hi).into_iter().copied().collect();
             let got: Vec<Fix> =
                 single.fixes.read().time_window(run.into(), lo, hi).into_iter().copied().collect();
             prop_assert_eq!(&got, &want);
-            prop_assert_eq!(segmented.fixes_time_window(run.into(), lo, hi), want);
+            prop_assert_eq!(segmented.fixes().time_window(run.into(), lo, hi).unwrap(), want);
             for o in 0..OBJECTS {
                 let want: Vec<Fix> =
                     solo.fixes.read().of_object(RunScope::All, ObjectId(o)).into_iter().copied().collect();
@@ -344,7 +344,7 @@ proptest! {
                     single.fixes.read().of_object(run.into(), ObjectId(o))
                         .into_iter().copied().collect();
                 prop_assert_eq!(&got, &want);
-                prop_assert_eq!(segmented.fixes_of_object(run.into(), ObjectId(o)), want);
+                prop_assert_eq!(segmented.fixes().of_object(run.into(), ObjectId(o)).unwrap(), want);
             }
 
             // Proximity: overlap + per-object + per-device.
@@ -354,7 +354,7 @@ proptest! {
                 single.proximity.read().overlapping(run.into(), lo, hi)
                     .into_iter().copied().collect();
             prop_assert_eq!(&got, &want);
-            prop_assert_eq!(segmented.proximity_overlapping(run.into(), lo, hi), want);
+            prop_assert_eq!(segmented.proximity().overlapping(run.into(), lo, hi).unwrap(), want);
             for o in 0..OBJECTS {
                 let want: Vec<ProximityRecord> =
                     solo.proximity.read().of_object(RunScope::All, ObjectId(o)).into_iter().copied().collect();
@@ -362,7 +362,7 @@ proptest! {
                     single.proximity.read().of_object(run.into(), ObjectId(o))
                         .into_iter().copied().collect();
                 prop_assert_eq!(&got, &want);
-                prop_assert_eq!(segmented.proximity_of_object(run.into(), ObjectId(o)), want);
+                prop_assert_eq!(segmented.proximity().of_object(run.into(), ObjectId(o)).unwrap(), want);
             }
             for d in 0..DEVICES {
                 let want = sorted_by(
@@ -377,7 +377,7 @@ proptest! {
                 );
                 prop_assert_eq!(&got, &want);
                 prop_assert_eq!(
-                    sorted_by(segmented.proximity_of_device(run.into(), DeviceId(d)), prox_key),
+                    sorted_by(segmented.proximity().of_device(run.into(), DeviceId(d)).unwrap(), prox_key),
                     want
                 );
             }

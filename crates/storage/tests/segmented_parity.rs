@@ -124,11 +124,8 @@ proptest! {
             prop_assert_eq!(single.counts(scope), segmented.counts(scope));
 
             // Scan: exact, including arrival order, on every scope.
-            let a: Vec<TrajectorySample> = match scope.run() {
-                None => single.trajectories.read().scan().copied().collect(),
-                Some(r) => single.trajectories.read().scan_run(r).into_iter().copied().collect(),
-            };
-            prop_assert_eq!(a, segmented.trajectories_scan(scope));
+            let a: Vec<TrajectorySample> = single.trajectories.read().scan(scope).into_iter().copied().collect();
+            prop_assert_eq!(a, segmented.trajectories().scan(scope).unwrap());
 
             // Half-open time window: exact, tie order included.
             for (lo, hi) in [(from, from + width), (from, from), (0, T_MAX + 1)] {
@@ -137,27 +134,27 @@ proptest! {
                     .into_iter().copied().collect();
                 prop_assert_eq!(
                     a,
-                    segmented.trajectories_time_window(scope, Timestamp(lo), Timestamp(hi))
+                    segmented.trajectories().time_window(scope, Timestamp(lo), Timestamp(hi)).unwrap()
                 );
             }
 
             // Snapshot and traces: exact.
             let a: Vec<TrajectorySample> = single.trajectories.read()
                 .snapshot_at(scope, Timestamp(at)).into_iter().copied().collect();
-            prop_assert_eq!(a, segmented.trajectories_snapshot_at(scope, Timestamp(at)));
+            prop_assert_eq!(a, segmented.trajectories().snapshot_at(scope, Timestamp(at)).unwrap());
             for o in 0..OBJECTS {
                 let a: Vec<TrajectorySample> = single.trajectories.read()
                     .object_trace(scope, ObjectId(o)).into_iter().copied().collect();
-                prop_assert_eq!(a, segmented.object_trace(scope, ObjectId(o)));
+                prop_assert_eq!(a, segmented.trajectories().of_object(scope, ObjectId(o)).unwrap());
             }
         }
         prop_assert_eq!(single.run_ids(), segmented.run_ids());
 
         // A full maintenance round after the checks must change nothing.
-        let before = segmented.trajectories_scan(RunScope::All);
+        let before = segmented.trajectories().scan(RunScope::All).unwrap();
         segmented.seal_now();
         segmented.seal_now();
-        prop_assert_eq!(before, segmented.trajectories_scan(RunScope::All));
+        prop_assert_eq!(before, segmented.trajectories().scan(RunScope::All).unwrap());
         prop_assert_eq!(segmented.stats().unsealed_segments, 0);
     }
 
@@ -180,13 +177,13 @@ proptest! {
             for floor in [FloorId(0), FloorId(1), FloorId(7)] {
                 let a: Vec<TrajectorySample> = single.trajectories.read()
                     .range_query(scope, floor, &q).into_iter().copied().collect();
-                prop_assert_eq!(a, segmented.trajectories_range_query(scope, floor, &q));
+                prop_assert_eq!(a, segmented.trajectories().range_query(scope, floor, &q).unwrap());
             }
 
             // kNN: distance multiset bit-identical across both.
             let a: Vec<u64> = single.trajectories.read().knn(scope, FloorId(0), p, k)
                 .iter().map(|(_, d)| d.to_bits()).collect();
-            let c: Vec<u64> = segmented.trajectories_knn(scope, FloorId(0), p, k)
+            let c: Vec<u64> = segmented.trajectories().knn(scope, FloorId(0), p, k).unwrap()
                 .iter().map(|(_, d)| d.to_bits()).collect();
             prop_assert_eq!(&a, &c);
         }
@@ -212,23 +209,23 @@ proptest! {
 
             let a: Vec<RssiMeasurement> = single.rssi.read()
                 .time_window(scope, lo, hi).into_iter().copied().collect();
-            prop_assert_eq!(a, segmented.rssi_time_window(scope, lo, hi));
+            prop_assert_eq!(a, segmented.rssi().time_window(scope, lo, hi).unwrap());
             let a: Vec<Fix> = single.fixes.read()
                 .time_window(scope, lo, hi).into_iter().copied().collect();
-            prop_assert_eq!(a, segmented.fixes_time_window(scope, lo, hi));
+            prop_assert_eq!(a, segmented.fixes().time_window(scope, lo, hi).unwrap());
 
             for o in 0..OBJECTS {
                 let a: Vec<RssiMeasurement> = single.rssi.read()
                     .of_object(scope, ObjectId(o)).into_iter().copied().collect();
-                prop_assert_eq!(a, segmented.rssi_of_object(scope, ObjectId(o)));
+                prop_assert_eq!(a, segmented.rssi().of_object(scope, ObjectId(o)).unwrap());
                 let af: Vec<Fix> = single.fixes.read()
                     .of_object(scope, ObjectId(o)).into_iter().copied().collect();
-                prop_assert_eq!(af, segmented.fixes_of_object(scope, ObjectId(o)));
+                prop_assert_eq!(af, segmented.fixes().of_object(scope, ObjectId(o)).unwrap());
             }
             for d in 0..DEVICES {
                 let a: Vec<RssiMeasurement> = single.rssi.read()
                     .of_device(scope, DeviceId(d)).into_iter().copied().collect();
-                prop_assert_eq!(a, segmented.rssi_of_device(scope, DeviceId(d)));
+                prop_assert_eq!(a, segmented.rssi().of_device(scope, DeviceId(d)).unwrap());
             }
         }
     }
@@ -251,17 +248,17 @@ proptest! {
 
             let a: Vec<ProximityRecord> = single.proximity.read()
                 .overlapping(scope, lo, hi).into_iter().copied().collect();
-            prop_assert_eq!(a, segmented.proximity_overlapping(scope, lo, hi));
+            prop_assert_eq!(a, segmented.proximity().overlapping(scope, lo, hi).unwrap());
 
             for o in 0..OBJECTS {
                 let a: Vec<ProximityRecord> = single.proximity.read()
                     .of_object(scope, ObjectId(o)).into_iter().copied().collect();
-                prop_assert_eq!(a, segmented.proximity_of_object(scope, ObjectId(o)));
+                prop_assert_eq!(a, segmented.proximity().of_object(scope, ObjectId(o)).unwrap());
             }
             for d in 0..DEVICES {
                 let a: Vec<ProximityRecord> = single.proximity.read()
                     .of_device(scope, DeviceId(d)).into_iter().copied().collect();
-                prop_assert_eq!(a, segmented.proximity_of_device(scope, DeviceId(d)));
+                prop_assert_eq!(a, segmented.proximity().of_device(scope, DeviceId(d)).unwrap());
             }
         }
     }
@@ -281,23 +278,20 @@ proptest! {
         // are per-run sections, so import replays rows grouped by run: each
         // run scope round-trips exactly, and the merged scan comes back as
         // the run-grouped concatenation (in run-id order) on every backend.
-        let from_seg = Repository::import(&segmented.export()).unwrap();
+        let from_seg = Repository::import(&segmented.export().unwrap()).unwrap();
         let from_single = SegmentedRepository::import(&single.export()).unwrap();
         for scope in scopes() {
             let want = match scope.run() {
-                Some(_) => segmented.trajectories_scan(scope),
+                Some(_) => segmented.trajectories().scan(scope).unwrap(),
                 None => segmented
                     .run_ids()
                     .into_iter()
-                    .flat_map(|r| segmented.trajectories_scan(r.into()))
+                    .flat_map(|r| segmented.trajectories().scan(r.into()).unwrap())
                     .collect(),
             };
-            let a: Vec<TrajectorySample> = match scope.run() {
-                None => from_seg.trajectories.read().scan().copied().collect(),
-                Some(r) => from_seg.trajectories.read().scan_run(r).into_iter().copied().collect(),
-            };
+            let a: Vec<TrajectorySample> = from_seg.trajectories.read().scan(scope).into_iter().copied().collect();
             prop_assert_eq!(a, want.clone());
-            prop_assert_eq!(from_single.trajectories_scan(scope), want);
+            prop_assert_eq!(from_single.trajectories().scan(scope).unwrap(), want);
         }
     }
 }

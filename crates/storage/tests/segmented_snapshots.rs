@@ -74,7 +74,10 @@ fn pinned_snapshots_are_prefix_consistent_and_monotone() {
                     last_count = count;
 
                     for o in 0..objects {
-                        let trace = repo.object_trace(RunScope::All, ObjectId(o));
+                        let trace = repo
+                            .trajectories()
+                            .of_object(RunScope::All, ObjectId(o))
+                            .unwrap();
                         let want = &expected[o as usize];
                         // Whole batches only, never a torn one.
                         assert_eq!(
@@ -148,7 +151,9 @@ fn pinned_snapshots_are_prefix_consistent_and_monotone() {
     assert_eq!(repo.counts(RunScope::All).trajectories, rows);
     for o in 0..objects {
         assert_eq!(
-            repo.object_trace(RunScope::All, ObjectId(o)),
+            repo.trajectories()
+                .of_object(RunScope::All, ObjectId(o))
+                .unwrap(),
             full_stream(o)
         );
     }

@@ -58,11 +58,13 @@ fn ingest(repo: &SegmentedRepository) {
         let sealed_hi = ((b + 1) * BATCH / SEAL_ROWS * SEAL_ROWS) as u64;
         if (b + 1) % QUERY_EVERY == 0 && sealed_hi >= 2 * SEAL_ROWS as u64 {
             let _ = repo
-                .trajectories_time_window(
+                .trajectories()
+                .time_window(
                     RunScope::All,
                     Timestamp(sealed_hi - SEAL_ROWS as u64),
                     Timestamp(sealed_hi),
                 )
+                .unwrap()
                 .len();
         }
     }
@@ -127,8 +129,8 @@ fn tiny_budget_ingest_stalls_writer_and_loses_nothing() {
 
     // Paged-back rows are the control's rows, not just the same counts.
     assert_eq!(
-        spilled.trajectories_scan(RunScope::All),
-        control.trajectories_scan(RunScope::All)
+        spilled.trajectories().scan(RunScope::All).unwrap(),
+        control.trajectories().scan(RunScope::All).unwrap()
     );
 
     drop(spilled);

@@ -83,11 +83,16 @@ fn drop_removes_per_instance_spill_subdir_after_page_ins() {
     // Page spilled segments back in: a full scan touches every sealed
     // segment, and cold time windows walk the spilled prefix through the
     // clock cache.
-    assert_eq!(repo.trajectories_scan(RunScope::All).len(), TOTAL_ROWS);
+    assert_eq!(
+        repo.trajectories().scan(RunScope::All).unwrap().len(),
+        TOTAL_ROWS
+    );
     for seg in 0..TOTAL_ROWS / BUDGET {
         let from = (seg * BUDGET) as u64;
         let n = repo
-            .trajectories_time_window(RunScope::All, Timestamp(from), Timestamp(from + 64))
+            .trajectories()
+            .time_window(RunScope::All, Timestamp(from), Timestamp(from + 64))
+            .unwrap()
             .len();
         assert_eq!(n, 64);
     }

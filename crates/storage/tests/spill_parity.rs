@@ -11,10 +11,11 @@
 //!   decode) equals the typed re-encode path byte-for-byte and imports
 //!   into an identical repository;
 //! * truncating, bit-flipping, deleting, or swapping in another valid
-//!   spill file makes the `try_*` query twins and `try_export` return a
-//!   [`SpillError`] — never a panic, never silently wrong rows — while
-//!   metadata-only paths (`counts`, `run_ids`) keep answering without
-//!   touching disk;
+//!   spill file makes every query of all four table handles, and
+//!   `export`, return a [`SpillError`] — never a panic, never silently
+//!   wrong rows — while metadata-only paths (`counts`, `run_ids`) keep
+//!   answering without touching disk, and [`AnyRepository`] turns the
+//!   error into its documented panic;
 //! * the segment spill framing itself is pinned by a checked-in golden
 //!   fixture, so the canonical encoding cannot drift unnoticed.
 
@@ -28,8 +29,8 @@ use vita_mobility::TrajectorySample;
 use vita_positioning::{Fix, ProximityRecord};
 use vita_rssi::RssiMeasurement;
 use vita_storage::{
-    decode_segment, encode_segment, ProductBatch, ProductSink, Repository, RunScope, SegmentConfig,
-    SegmentSection, SegmentedRepository, SpillConfig, SpillError,
+    decode_segment, encode_segment, AnyRepository, ProductBatch, ProductSink, Repository, RunScope,
+    SegmentConfig, SegmentSection, SegmentedRepository, SpillConfig, SpillError,
 };
 
 const OBJECTS: u32 = 24;
@@ -176,11 +177,8 @@ proptest! {
         for scope in scopes() {
             prop_assert_eq!(single.counts(scope), spilled.counts(scope));
 
-            let a: Vec<TrajectorySample> = match scope.run() {
-                None => single.trajectories.read().scan().copied().collect(),
-                Some(r) => single.trajectories.read().scan_run(r).into_iter().copied().collect(),
-            };
-            prop_assert_eq!(a, spilled.trajectories_scan(scope));
+            let a: Vec<TrajectorySample> = single.trajectories.read().scan(scope).into_iter().copied().collect();
+            prop_assert_eq!(a, spilled.trajectories().scan(scope).unwrap());
 
             for (lo, hi) in [(from, from + width), (from, from), (0, T_MAX + 1)] {
                 let a: Vec<TrajectorySample> = single.trajectories.read()
@@ -188,17 +186,17 @@ proptest! {
                     .into_iter().copied().collect();
                 prop_assert_eq!(
                     a,
-                    spilled.trajectories_time_window(scope, Timestamp(lo), Timestamp(hi))
+                    spilled.trajectories().time_window(scope, Timestamp(lo), Timestamp(hi)).unwrap()
                 );
             }
 
             let a: Vec<TrajectorySample> = single.trajectories.read()
                 .snapshot_at(scope, Timestamp(at)).into_iter().copied().collect();
-            prop_assert_eq!(a, spilled.trajectories_snapshot_at(scope, Timestamp(at)));
+            prop_assert_eq!(a, spilled.trajectories().snapshot_at(scope, Timestamp(at)).unwrap());
             for o in 0..OBJECTS {
                 let a: Vec<TrajectorySample> = single.trajectories.read()
                     .object_trace(scope, ObjectId(o)).into_iter().copied().collect();
-                prop_assert_eq!(a, spilled.object_trace(scope, ObjectId(o)));
+                prop_assert_eq!(a, spilled.trajectories().of_object(scope, ObjectId(o)).unwrap());
             }
         }
         prop_assert_eq!(single.run_ids(), spilled.run_ids());
@@ -208,10 +206,10 @@ proptest! {
 
         // Queries paged segments back in; the next maintenance round must
         // bring the gauge back under the budget without changing answers.
-        let before = spilled.trajectories_scan(RunScope::All);
+        let before = spilled.trajectories().scan(RunScope::All).unwrap();
         spilled.seal_now();
         assert_budget_held(&spilled, budget, rows.len());
-        prop_assert_eq!(before, spilled.trajectories_scan(RunScope::All));
+        prop_assert_eq!(before, spilled.trajectories().scan(RunScope::All).unwrap());
     }
 
     /// Spatial paths page spilled segments in through the floor-pruned
@@ -240,12 +238,12 @@ proptest! {
             for floor in [FloorId(0), FloorId(1), FloorId(7)] {
                 let a: Vec<TrajectorySample> = single.trajectories.read()
                     .range_query(scope, floor, &q).into_iter().copied().collect();
-                prop_assert_eq!(a, spilled.trajectories_range_query(scope, floor, &q));
+                prop_assert_eq!(a, spilled.trajectories().range_query(scope, floor, &q).unwrap());
             }
 
             let a: Vec<u64> = single.trajectories.read().knn(scope, FloorId(0), p, k)
                 .iter().map(|(_, d)| d.to_bits()).collect();
-            let b: Vec<u64> = spilled.trajectories_knn(scope, FloorId(0), p, k)
+            let b: Vec<u64> = spilled.trajectories().knn(scope, FloorId(0), p, k).unwrap()
                 .iter().map(|(_, d)| d.to_bits()).collect();
             prop_assert_eq!(a, b);
         }
@@ -278,39 +276,36 @@ proptest! {
         for scope in scopes() {
             prop_assert_eq!(single.counts(scope), spilled.counts(scope));
 
-            let a: Vec<RssiMeasurement> = match scope.run() {
-                None => single.rssi.read().scan().copied().collect(),
-                Some(r) => single.rssi.read().scan_run(r).into_iter().copied().collect(),
-            };
-            prop_assert_eq!(a, spilled.rssi_scan(scope));
+            let a: Vec<RssiMeasurement> = single.rssi.read().scan(scope).into_iter().copied().collect();
+            prop_assert_eq!(a, spilled.rssi().scan(scope).unwrap());
             let a: Vec<RssiMeasurement> = single.rssi.read()
                 .time_window(scope, lo, hi).into_iter().copied().collect();
-            prop_assert_eq!(a, spilled.rssi_time_window(scope, lo, hi));
+            prop_assert_eq!(a, spilled.rssi().time_window(scope, lo, hi).unwrap());
             let a: Vec<Fix> = single.fixes.read()
                 .time_window(scope, lo, hi).into_iter().copied().collect();
-            prop_assert_eq!(a, spilled.fixes_time_window(scope, lo, hi));
+            prop_assert_eq!(a, spilled.fixes().time_window(scope, lo, hi).unwrap());
             let a: Vec<ProximityRecord> = single.proximity.read()
                 .overlapping(scope, lo, hi).into_iter().copied().collect();
-            prop_assert_eq!(a, spilled.proximity_overlapping(scope, lo, hi));
+            prop_assert_eq!(a, spilled.proximity().overlapping(scope, lo, hi).unwrap());
 
             for o in 0..OBJECTS {
                 let a: Vec<RssiMeasurement> = single.rssi.read()
                     .of_object(scope, ObjectId(o)).into_iter().copied().collect();
-                prop_assert_eq!(a, spilled.rssi_of_object(scope, ObjectId(o)));
+                prop_assert_eq!(a, spilled.rssi().of_object(scope, ObjectId(o)).unwrap());
                 let af: Vec<Fix> = single.fixes.read()
                     .of_object(scope, ObjectId(o)).into_iter().copied().collect();
-                prop_assert_eq!(af, spilled.fixes_of_object(scope, ObjectId(o)));
+                prop_assert_eq!(af, spilled.fixes().of_object(scope, ObjectId(o)).unwrap());
                 let ap: Vec<ProximityRecord> = single.proximity.read()
                     .of_object(scope, ObjectId(o)).into_iter().copied().collect();
-                prop_assert_eq!(ap, spilled.proximity_of_object(scope, ObjectId(o)));
+                prop_assert_eq!(ap, spilled.proximity().of_object(scope, ObjectId(o)).unwrap());
             }
             for d in 0..DEVICES {
                 let a: Vec<RssiMeasurement> = single.rssi.read()
                     .of_device(scope, DeviceId(d)).into_iter().copied().collect();
-                prop_assert_eq!(a, spilled.rssi_of_device(scope, DeviceId(d)));
+                prop_assert_eq!(a, spilled.rssi().of_device(scope, DeviceId(d)).unwrap());
                 let ap: Vec<ProximityRecord> = single.proximity.read()
                     .of_device(scope, DeviceId(d)).into_iter().copied().collect();
-                prop_assert_eq!(ap, spilled.proximity_of_device(scope, DeviceId(d)));
+                prop_assert_eq!(ap, spilled.proximity().of_device(scope, DeviceId(d)).unwrap());
             }
         }
     }
@@ -332,8 +327,8 @@ proptest! {
         );
         fill2(&rows, batch, seal_every, ProductBatch::Trajectories, &single, &spilled);
 
-        let spliced = spilled.export();
-        let reencoded = spilled.export_reencode();
+        let spliced = spilled.export().unwrap();
+        let reencoded = spilled.export_reencode().unwrap();
         prop_assert_eq!(&spliced.trajectories, &reencoded.trajectories);
         prop_assert_eq!(&spliced.rssi, &reencoded.rssi);
         prop_assert_eq!(&spliced.fixes, &reencoded.fixes);
@@ -342,9 +337,9 @@ proptest! {
         let from_spilled = Repository::import(&spliced).unwrap();
         for r in 0..RUNS {
             let a: Vec<TrajectorySample> = from_spilled.trajectories.read()
-                .scan_run(RunId(r)).into_iter().copied().collect();
+                .scan(RunId(r).into()).into_iter().copied().collect();
             let b: Vec<TrajectorySample> = single.trajectories.read()
-                .scan_run(RunId(r)).into_iter().copied().collect();
+                .scan(RunId(r).into()).into_iter().copied().collect();
             prop_assert_eq!(a, b);
         }
     }
@@ -352,15 +347,66 @@ proptest! {
 
 // ----------------------------------------------------------- corruption fuzz
 
-/// Build a repository holding exactly one sealed, spilled trajectory
-/// segment of `n` rows in `run` (budget 0 spills everything; a lone
-/// segment cannot be compacted away), and return it with the on-disk path
-/// of its spill file.
-fn one_spilled_segment(
+/// Rows per table in the damaged repositories.
+const DAMAGED_ROWS: u32 = 32;
+
+/// `n` rows of each table, all at floor 0 or no floor, one every 10 ms.
+fn trajectory_rows(n: u32) -> Vec<TrajectorySample> {
+    (0..n)
+        .map(|i| {
+            TrajectorySample::new(
+                ObjectId(i % 4),
+                BuildingId(0),
+                FloorId(0),
+                Point::new(i as f64, 1.0),
+                Timestamp(i as u64 * 10),
+            )
+        })
+        .collect()
+}
+
+fn rssi_rows(n: u32) -> Vec<RssiMeasurement> {
+    (0..n)
+        .map(|i| RssiMeasurement {
+            object: ObjectId(i % 4),
+            device: DeviceId(i % 3),
+            rssi: -50.0 - f64::from(i),
+            t: Timestamp(i as u64 * 10),
+        })
+        .collect()
+}
+
+fn fix_rows(n: u32) -> Vec<Fix> {
+    (0..n)
+        .map(|i| Fix {
+            object: ObjectId(i % 4),
+            loc: Loc::point(BuildingId(0), FloorId(0), Point::new(i as f64, 1.0)),
+            t: Timestamp(i as u64 * 10),
+        })
+        .collect()
+}
+
+fn proximity_rows(n: u32) -> Vec<ProximityRecord> {
+    (0..n)
+        .map(|i| ProximityRecord {
+            object: ObjectId(i % 4),
+            device: DeviceId(i % 3),
+            ts: Timestamp(i as u64 * 10),
+            te: Timestamp(i as u64 * 10 + 5),
+        })
+        .collect()
+}
+
+/// Build a repository holding exactly one sealed, spilled segment of `n`
+/// rows in `run` per table (budget 0 spills everything; a lone segment
+/// cannot be compacted away), and return it with the on-disk paths of
+/// its four spill files in table order: trajectories, RSSI, fixes,
+/// proximity.
+fn one_spilled_segment_per_table(
     tag: &str,
     run: RunId,
     n: u32,
-) -> (SegmentedRepository, PathBuf, Vec<TrajectorySample>) {
+) -> (SegmentedRepository, Vec<PathBuf>) {
     let parent = spill_dir(tag);
     let _ = std::fs::remove_dir_all(&parent);
     let repo = SegmentedRepository::with_spill(
@@ -374,22 +420,14 @@ fn one_spilled_segment(
             cache_segments: 2,
         },
     );
-    let rows: Vec<TrajectorySample> = (0..n)
-        .map(|i| {
-            TrajectorySample::new(
-                ObjectId(i % 4),
-                BuildingId(0),
-                FloorId(0),
-                Point::new(i as f64, 1.0),
-                Timestamp(i as u64 * 10),
-            )
-        })
-        .collect();
-    repo.accept_run(run, ProductBatch::Trajectories(rows.clone()));
+    repo.accept_run(run, ProductBatch::Trajectories(trajectory_rows(n)));
+    repo.accept_run(run, ProductBatch::Rssi(rssi_rows(n)));
+    repo.accept_run(run, ProductBatch::Fixes(fix_rows(n)));
+    repo.accept_run(run, ProductBatch::Proximity(proximity_rows(n)));
     repo.seal_now();
     let stats = repo.stats();
-    assert_eq!(stats.spilled_segments, 1, "{stats:?}");
-    assert_eq!(stats.spilled_rows, n as usize, "{stats:?}");
+    assert_eq!(stats.spilled_segments, 4, "{stats:?}");
+    assert_eq!(stats.spilled_rows, 4 * n as usize, "{stats:?}");
 
     let mut files = Vec::new();
     for entry in std::fs::read_dir(&parent).unwrap() {
@@ -401,17 +439,25 @@ fn one_spilled_segment(
             }
         }
     }
-    assert_eq!(files.len(), 1, "expected one spill file, got {files:?}");
-    (repo, files.remove(0), rows)
+    assert_eq!(
+        files.len(),
+        4,
+        "expected one spill file per table, got {files:?}"
+    );
+    // Byte 5 of a segment file is its record-type tag (1 = trajectory …
+    // 4 = proximity) with the segment flag 0x80 set.
+    files.sort_by_key(|p| std::fs::read(p).unwrap()[5] & 0x7f);
+    (repo, files)
 }
 
 /// Metadata-only paths never touch disk: they must keep answering even
 /// when every spilled byte is gone or corrupt.
 fn assert_planning_survives(repo: &SegmentedRepository) {
+    let n = DAMAGED_ROWS as usize;
     let c = repo.counts(RunScope::All);
-    assert_eq!(c.trajectories, 32);
+    assert_eq!((c.trajectories, c.rssi, c.fixes, c.proximity), (n, n, n, n));
     assert_eq!(repo.run_ids(), vec![RunId(0)]);
-    assert_eq!(repo.stats().spilled_rows, 32);
+    assert_eq!(repo.stats().spilled_rows, 4 * n);
 }
 
 /// The [`SpillError`] a damaged spill file must surface as.
@@ -422,84 +468,138 @@ enum Expect {
     WrongSegment,
 }
 
-/// Every row-materialising `try_*` path over the damaged segment must
-/// surface an error of the `expect`ed kind — never panic, never fabricate
-/// rows.
+/// Every query of every table handle, and export, must surface an error
+/// of the `expect`ed kind from its table's damaged segment — never panic,
+/// never fabricate rows. Every plan below touches the segment: the time
+/// bounds overlap the rows, and only the trajectory table keeps floor
+/// sets, all at floor 0.
 fn assert_queries_error(repo: &SegmentedRepository, expect: Expect) {
+    let (all, from, to) = (RunScope::All, Timestamp(0), Timestamp(1_000));
     let window = Aabb::new(Point::new(0.0, 0.0), Point::new(100.0, 2.0));
-    let results: Vec<Result<usize, SpillError>> = vec![
-        repo.try_trajectories_scan(RunScope::All).map(|v| v.len()),
-        repo.try_trajectories_time_window(RunScope::All, Timestamp(0), Timestamp(1_000))
-            .map(|v| v.len()),
-        repo.try_trajectories_snapshot_at(RunScope::All, Timestamp(500))
-            .map(|v| v.len()),
-        repo.try_object_trace(RunScope::All, ObjectId(1))
-            .map(|v| v.len()),
-        repo.try_trajectories_range_query(RunScope::All, FloorId(0), &window)
-            .map(|v| v.len()),
-        repo.try_trajectories_knn(RunScope::All, FloorId(0), Point::new(3.0, 1.0), 4)
-            .map(|v| v.len()),
-        repo.try_export().map(|e| e.trajectories.len()),
-    ];
-    for (i, r) in results.into_iter().enumerate() {
+    let p = Point::new(3.0, 1.0);
+    macro_rules! every_query {
+        ($table:ident) => {{
+            let t = repo.$table();
+            [
+                ("scan", t.scan(all).map(|v| v.len())),
+                ("time_window", t.time_window(all, from, to).map(|v| v.len())),
+                ("of_object", t.of_object(all, ObjectId(1)).map(|v| v.len())),
+                ("of_device", t.of_device(all, DeviceId(1)).map(|v| v.len())),
+                (
+                    "snapshot_at",
+                    t.snapshot_at(all, Timestamp(500)).map(|v| v.len()),
+                ),
+                (
+                    "range_query",
+                    t.range_query(all, FloorId(0), &window).map(|v| v.len()),
+                ),
+                ("knn", t.knn(all, FloorId(0), p, 4).map(|v| v.len())),
+            ]
+            .map(|(query, result)| (format!("{}.{query}", stringify!($table)), result))
+        }};
+    }
+    let results = [
+        every_query!(trajectories),
+        every_query!(rssi),
+        every_query!(fixes),
+        every_query!(proximity),
+    ]
+    .into_iter()
+    .flatten()
+    .chain([
+        (
+            "proximity.overlapping".to_string(),
+            repo.proximity().overlapping(all, from, to).map(|v| v.len()),
+        ),
+        (
+            "export".to_string(),
+            repo.export().map(|e| e.trajectories.len()),
+        ),
+    ]);
+    for (path, r) in results {
         match (expect, r) {
             (Expect::Io, Err(SpillError::Io(_)))
             | (Expect::Codec, Err(SpillError::Codec(_)))
             | (Expect::WrongSegment, Err(SpillError::WrongSegment { .. })) => {}
-            (_, other) => panic!("path {i}: expected {expect:?} error, got {other:?}"),
+            (_, other) => panic!("{path}: expected {expect:?} error, got {other:?}"),
         }
     }
 }
 
 #[test]
 fn truncated_spill_file_errors_and_never_panics() {
-    let (repo, file, _) = one_spilled_segment("trunc", RunId(0), 32);
-    let bytes = std::fs::read(&file).unwrap();
-    std::fs::write(&file, &bytes[..bytes.len() / 2]).unwrap();
+    let (repo, files) = one_spilled_segment_per_table("trunc", RunId(0), DAMAGED_ROWS);
+    for file in &files {
+        let bytes = std::fs::read(file).unwrap();
+        std::fs::write(file, &bytes[..bytes.len() / 2]).unwrap();
+    }
     assert_queries_error(&repo, Expect::Codec);
     assert_planning_survives(&repo);
 }
 
 #[test]
 fn bit_flipped_spill_file_errors_and_never_panics() {
-    let (repo, file, _) = one_spilled_segment("flip", RunId(0), 32);
-    let mut bytes = std::fs::read(&file).unwrap();
-    let mid = bytes.len() / 2;
-    bytes[mid] ^= 0x40;
-    std::fs::write(&file, &bytes).unwrap();
+    let (repo, files) = one_spilled_segment_per_table("flip", RunId(0), DAMAGED_ROWS);
+    for file in &files {
+        let mut bytes = std::fs::read(file).unwrap();
+        let mid = bytes.len() / 2;
+        bytes[mid] ^= 0x40;
+        std::fs::write(file, &bytes).unwrap();
+    }
     assert_queries_error(&repo, Expect::Codec);
     assert_planning_survives(&repo);
 }
 
 #[test]
 fn missing_spill_file_errors_and_never_panics() {
-    let (repo, file, _) = one_spilled_segment("gone", RunId(0), 32);
-    std::fs::remove_file(&file).unwrap();
+    let (repo, files) = one_spilled_segment_per_table("gone", RunId(0), DAMAGED_ROWS);
+    for file in &files {
+        std::fs::remove_file(file).unwrap();
+    }
     assert_queries_error(&repo, Expect::Io);
     assert_planning_survives(&repo);
 }
 
-/// A spill file replaced by another repository's perfectly valid one
-/// (run 1, 100 rows) passes every codec check; page-in and export must
-/// still refuse it, because it contradicts the segment's planning meta.
+/// Spill files replaced by another repository's perfectly valid ones of
+/// the same tables (run 1, 100 rows) pass every codec check; page-in and
+/// export must still refuse them, because they contradict the segments'
+/// planning meta.
 #[test]
 fn swapped_spill_file_errors_and_never_panics() {
-    let (repo, file, _) = one_spilled_segment("swap", RunId(0), 32);
-    let (donor, donor_file, _) = one_spilled_segment("swap-donor", RunId(1), 100);
-    std::fs::copy(&donor_file, &file).unwrap();
+    let (repo, files) = one_spilled_segment_per_table("swap", RunId(0), DAMAGED_ROWS);
+    let (donor, donor_files) = one_spilled_segment_per_table("swap-donor", RunId(1), 100);
+    for (from, to) in donor_files.iter().zip(&files) {
+        std::fs::copy(from, to).unwrap();
+    }
     drop(donor);
     assert_queries_error(&repo, Expect::WrongSegment);
     assert_planning_survives(&repo);
 }
 
-/// An intact spill file pages back to exactly the ingested rows — the
+/// Intact spill files page back to exactly the ingested rows — the
 /// positive control for the corruption tests above, driven through the
-/// same `try_*` twins.
+/// same table handles.
 #[test]
 fn intact_spill_file_pages_back_exactly() {
-    let (repo, _, rows) = one_spilled_segment("intact", RunId(0), 32);
-    assert_eq!(repo.try_trajectories_scan(RunScope::All).unwrap(), rows);
-    assert!(repo.stats().page_ins >= 1);
+    let n = DAMAGED_ROWS;
+    let (repo, _) = one_spilled_segment_per_table("intact", RunId(0), n);
+    let all = RunScope::All;
+    assert_eq!(repo.trajectories().scan(all).unwrap(), trajectory_rows(n));
+    assert_eq!(repo.rssi().scan(all).unwrap(), rssi_rows(n));
+    assert_eq!(repo.fixes().scan(all).unwrap(), fix_rows(n));
+    assert_eq!(repo.proximity().scan(all).unwrap(), proximity_rows(n));
+    assert!(repo.stats().page_ins >= 4);
+}
+
+/// [`AnyRepository`] keeps its infallible signatures: a spill file it
+/// cannot read back is the documented panic, not wrong rows.
+#[test]
+#[should_panic(expected = "spilled segment unreadable")]
+fn any_repository_panics_on_an_unreadable_spill_file() {
+    let (repo, files) = one_spilled_segment_per_table("panic", RunId(0), DAMAGED_ROWS);
+    std::fs::remove_file(&files[0]).unwrap();
+    let rows = AnyRepository::Segmented(repo).trajectories(RunScope::All);
+    unreachable!("{} rows from a missing spill file", rows.len());
 }
 
 // ----------------------------------------------------------- golden fixture

@@ -255,7 +255,7 @@ proptest! {
                 .collect();
             prop_assert_eq!(&got_single, &want);
             prop_assert_eq!(
-                segmented.as_segmented().unwrap().trajectories_time_window(run.into(), lo, hi),
+                segmented.as_segmented().unwrap().trajectories().time_window(run.into(), lo, hi).unwrap(),
                 want
             );
 
@@ -277,7 +277,7 @@ proptest! {
                 .collect();
             prop_assert_eq!(&got_single, &want);
             prop_assert_eq!(
-                segmented.as_segmented().unwrap().object_trace(run.into(), ObjectId(o)),
+                segmented.as_segmented().unwrap().trajectories().of_object(run.into(), ObjectId(o)).unwrap(),
                 want
             );
         }

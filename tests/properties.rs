@@ -85,9 +85,9 @@ proptest! {
                 Timestamp(*t),
             ))
             .collect();
-        let decoded = vita_storage::decode_trajectories(
-            vita_storage::encode_trajectories(&samples),
-        ).unwrap();
+        let encoded = vita_storage::encode_runs(&[(vita_storage::RunId::DEFAULT, &samples[..])]);
+        let decoded: Vec<vita_mobility::TrajectorySample> =
+            vita_storage::decode_runs(encoded).unwrap().into_iter().flat_map(|(_, rows)| rows).collect();
         prop_assert_eq!(decoded, samples);
     }
 }
