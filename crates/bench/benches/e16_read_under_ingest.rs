@@ -6,6 +6,8 @@
 //! the whole pipeline) is experiment E16 in
 //! `cargo run --release -p vita-bench --bin experiments`.
 
+#![expect(clippy::disallowed_methods, reason = "test code")]
+
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 

@@ -1,6 +1,6 @@
 //! E3 — Positioning method runtime on the shared workload (the accuracy
-//! table itself is produced by `cargo run --release -p vita-bench --bin
-//! experiments`, which regenerates the EXPERIMENTS.md numbers).
+//! table itself is printed by `cargo run --release -p vita-bench --bin
+//! experiments e3`).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use vita_bench::standard_workload;

@@ -1,22 +1,27 @@
-// Markdown tables on stdout are this binary's entire output contract
-// (audit.toml's R6 carves out the same exemption for vita-bench).
-#![allow(clippy::print_stdout, clippy::print_stderr)]
-//! The experiment harness: regenerates every measured table in
-//! EXPERIMENTS.md (E3–E11 plus the F3 deployment/crowd statistics) as
-//! markdown on stdout.
+//! The experiment harness: runs the measured experiments (the F3
+//! deployment/crowd statistics, E3–E17 and the A1 ablation; README,
+//! "Benchmarks") and prints each one's table as markdown on stdout.
 //!
 //! Run with: `cargo run --release -p vita-bench --bin experiments`
 //! (Pass experiment ids, e.g. `e3 e5`, to run a subset; an unknown id
-//! lists the known ones on stderr and exits 2 before anything runs. Pass
-//! `--json PATH` to additionally wrap the report in a
-//! `BENCH_seed.json`-style document written to PATH.) Usage errors and
-//! failing specs print one line to stderr and exit 2.
+//! lists the known ones on stderr and exits 2 before anything runs.)
+//! Usage errors and failing specs print one line to stderr and exit 2.
 //!
 //! `lab SPEC [--trials PATH] [--schema GOLDEN]` runs an arbitrary
 //! vita-lab scenario-matrix spec instead: analysis tables on stdout, one
 //! JSONL trial record per trial to PATH, and optional validation of every
 //! record's shape against a golden JSONL fixture. E11s/E13/E14 are thin
 //! front-ends over checked-in specs in `crates/bench/specs/`.
+
+#![expect(
+    clippy::print_stdout,
+    clippy::print_stderr,
+    reason = "R6: markdown tables on stdout, usage errors on stderr, are this binary's whole output contract"
+)]
+#![expect(
+    clippy::disallowed_methods,
+    reason = "R1, R2, R3: measurement code reads clocks, sleeps and reads and writes spec and trial files"
+)]
 
 use std::time::Instant;
 
@@ -29,7 +34,6 @@ use vita_devices::{
 };
 use vita_geometry::Point;
 use vita_indoor::{FloorId, Hz, RoutePlanner, RoutingSchema, Timestamp};
-use vita_lab::json_string;
 use vita_mobility::{initial_positions, InitialDistribution};
 use vita_positioning::{
     build_radio_map, default_conversion, evaluate_fixes, evaluate_prob_fixes, evaluate_proximity,
@@ -68,14 +72,7 @@ fn fail(msg: impl std::fmt::Display) -> ! {
 }
 
 fn main() {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let json = args.iter().position(|a| a == "--json").map(|i| {
-        let Some(path) = args.get(i + 1).cloned() else {
-            fail("--json requires an output path");
-        };
-        args.drain(i..=i + 1);
-        path
-    });
+    let args: Vec<String> = std::env::args().skip(1).collect();
     let lab = args.first().map(String::as_str) == Some("lab");
     // Every id is checked before anything is printed or written, so a
     // typo fails the run instead of producing an empty report.
@@ -95,10 +92,6 @@ fn main() {
             std::process::exit(2);
         }
     }
-    if let Some(path) = json {
-        write_json_report(&path, &args);
-        return;
-    }
     if lab {
         run_lab_command(&args[1..]);
         return;
@@ -109,51 +102,6 @@ fn main() {
             run();
         }
     }
-}
-
-/// Re-run this binary with the remaining args, capture its markdown report,
-/// and wrap it in a `BENCH_seed.json`-style document (description, command,
-/// rustc, wall clock, report) at `path`. The report is also echoed to
-/// stdout.
-fn write_json_report(path: &str, args: &[String]) {
-    let t0 = Instant::now();
-    let exe = std::env::current_exe().expect("current_exe");
-    let out = std::process::Command::new(exe)
-        .args(args)
-        .output()
-        .expect("re-exec experiments");
-    assert!(out.status.success(), "experiments run failed");
-    let report = String::from_utf8_lossy(&out.stdout).into_owned();
-    print!("{report}");
-    let rustc = std::process::Command::new("rustc")
-        .arg("--version")
-        .output()
-        .ok()
-        .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
-        .unwrap_or_else(|| "unknown".into());
-    // Label the document after its output file (BENCH_pr2.json → "pr2"),
-    // so rerunning the same command for a later baseline self-describes.
-    let label = std::path::Path::new(path)
-        .file_stem()
-        .map(|s| s.to_string_lossy().into_owned())
-        .unwrap_or_else(|| path.to_string());
-    let json = format!(
-        "{{\n  \"description\": {},\n  \"command\": {},\n  \"rustc\": {},\n  \"wall_clock_s\": {},\n  \"notes\": {},\n  \"report_markdown\": {}\n}}\n",
-        json_string(&format!(
-            "Perf baseline '{label}' for the VITA reproduction, written by the experiments harness. Compare section-by-section against earlier BENCH_*.json baselines; future PRs should append new entries rather than overwrite."
-        )),
-        json_string(&format!(
-            "cargo run --release -p vita-bench --bin experiments -- --json {path}{}{}",
-            if args.is_empty() { "" } else { " " },
-            args.join(" ")
-        )),
-        json_string(&rustc),
-        (t0.elapsed().as_secs_f64() * 10.0).round() / 10.0,
-        json_string("criterion micro-benches: `cargo bench` (vendored shim reports median wall time per iteration); E11 compares Vita::run_streaming vs the step path"),
-        json_string(&report),
-    );
-    std::fs::write(path, json).expect("write json report");
-    eprintln!("wrote {path}");
 }
 
 /// `lab SPEC [--trials PATH] [--schema GOLDEN]` — run a scenario-matrix
@@ -769,7 +717,7 @@ fn e17_out_of_core() {
 }
 
 /// A1 — ablation of the trilateration estimator's design choices
-/// (DESIGN.md: strongest-k anchor selection, range clamping, hull clamp).
+/// (strongest-k anchor selection, range clamping, hull clamp).
 fn a1_trilateration_ablation() {
     println!("## A1 — trilateration estimator ablation (office, 14 APs, σ=2 dBm)\n");
     let w = standard_workload(20, 14, 120, 2.0);

@@ -1,7 +1,6 @@
-#![forbid(unsafe_code)]
 //! Shared workload builders for the Vita benchmark and experiment harness.
 //!
-//! Every experiment in DESIGN.md §4 (F1–F4, D5, E1–E10) builds its world
+//! Every experiment (README, "Benchmarks") builds its world
 //! through these helpers so that benches (`benches/e*.rs`) and the
 //! measurement binary (`src/bin/experiments.rs`) agree on the workload.
 

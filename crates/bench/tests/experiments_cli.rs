@@ -3,6 +3,8 @@
 //! error or failing spec is one line on stderr and exit code 2 — never a
 //! panic.
 
+#![expect(clippy::disallowed_methods, reason = "test code")]
+
 use std::process::{Command, Output};
 
 fn experiments(args: &[&str]) -> Output {
@@ -34,17 +36,6 @@ fn one_unknown_id_stops_the_known_ones_too() {
     assert!(out.stdout.is_empty(), "e3 must not run: {out:?}");
 }
 
-#[test]
-fn unknown_id_writes_no_json_report() {
-    let path =
-        std::env::temp_dir().join(format!("vita-experiments-cli-{}.json", std::process::id()));
-    let _ = std::fs::remove_file(&path);
-    let out = experiments(&["--json", path.to_str().expect("utf-8 temp path"), "e99"]);
-    assert!(!out.status.success(), "{out:?}");
-    assert!(out.stdout.is_empty(), "{out:?}");
-    assert!(!path.exists(), "no report may be written");
-}
-
 /// Write `text` to a spec file unique to this test process and `name`.
 fn spec_file(name: &str, text: &str) -> String {
     let path = std::env::temp_dir().join(format!(
@@ -70,8 +61,7 @@ fn usage_and_spec_errors_exit_2_with_one_line() {
         "misspelled",
         &tiny.replace("objects.count", "objects.cuont"),
     );
-    let cases: [(&[&str], &str); 8] = [
-        (&["--json"], "--json"),
+    let cases: [(&[&str], &str); 7] = [
         (&["lab"], "usage: lab SPEC"),
         (&["lab", &missing], &missing),
         (&["lab", &ok, "--trials"], "--trials"),

@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! # vita-core
 //!
 //! The Vita toolkit: "a generic, user-configurable toolkit for generating
@@ -50,6 +49,8 @@
 //! }).unwrap();
 //! assert!(!fixes.is_empty());
 //! ```
+
+#![warn(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod config;
 pub mod pipeline;

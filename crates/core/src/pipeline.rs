@@ -50,7 +50,8 @@ use vita_positioning::{
 };
 use vita_rssi::{generate_rssi, RssiConfig, RssiGenerator, RssiStore};
 use vita_storage::{
-    AnyRepository, CodecError, ProductBatch, ProductSink, RepositoryExport, StorageBackend,
+    AnyRepository, CodecError, ProductBatch, ProductSink, RepositoryExport, SpillError,
+    StorageBackend,
 };
 
 /// Errors from assembling or running the pipeline.
@@ -71,6 +72,9 @@ pub enum VitaError {
     Codec(CodecError),
     /// File IO under [`Vita::save_to`] / [`Vita::load_from`] failed.
     Io(std::io::Error),
+    /// [`Vita::save_to`] could not read a spilled segment back; nothing
+    /// was written.
+    Spill(SpillError),
 }
 
 impl std::fmt::Display for VitaError {
@@ -87,6 +91,7 @@ impl std::fmt::Display for VitaError {
             ),
             VitaError::Codec(e) => write!(f, "storage decode: {e}"),
             VitaError::Io(e) => write!(f, "storage file IO: {e}"),
+            VitaError::Spill(e) => write!(f, "storage spill tier: {e}"),
         }
     }
 }
@@ -219,7 +224,11 @@ impl Vita {
             result.trajectories.all_samples_time_ordered(),
         ));
         self.last_generation = Some(result);
-        Ok(self.last_generation.as_ref().unwrap()) // audit: allow(R4) invariant: assigned Some on the previous line
+        #[expect(
+            clippy::unwrap_used,
+            reason = "invariant: assigned Some on the previous line"
+        )]
+        Ok(self.last_generation.as_ref().unwrap())
     }
 
     /// Step 5: generate raw RSSI measurements from devices × trajectories.
@@ -233,7 +242,11 @@ impl Vita {
         let store = generate_rssi(&self.env, &self.devices, &gen.trajectories, cfg);
         self.repo.accept(ProductBatch::Rssi(store.all().to_vec()));
         self.last_rssi = Some(store);
-        Ok(self.last_rssi.as_ref().unwrap()) // audit: allow(R4) invariant: assigned Some on the previous line
+        #[expect(
+            clippy::unwrap_used,
+            reason = "invariant: assigned Some on the previous line"
+        )]
+        Ok(self.last_rssi.as_ref().unwrap())
     }
 
     /// Step 6: run the chosen positioning method over the raw RSSI data.
@@ -339,6 +352,10 @@ impl Vita {
         run: RunId,
         scenario: &ScenarioConfig,
     ) -> Result<PipelineReport, VitaError> {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "measured wall-clock only: PipelineReport::elapsed, never generated data"
+        )]
         let start = Instant::now();
         let runs = [(run, scenario)];
         // Validate + build stage contexts before touching the repository:
@@ -347,7 +364,11 @@ impl Vita {
         let contexts = build_contexts(&self.env, &self.devices, &runs)?;
         apply_backend(&mut self.repo, scenario.options.backend.clone());
         let mut reports = self.stream_runs(start, &runs, &contexts)?;
-        Ok(reports.pop().expect("one report per run")) // audit: allow(R4) invariant: stream_runs returns exactly one report per scheduled run
+        #[expect(
+            clippy::expect_used,
+            reason = "invariant: stream_runs returns exactly one report per scheduled run"
+        )]
+        Ok(reports.pop().expect("one report per run"))
     }
 
     /// Run several scenarios concurrently through this toolkit — the
@@ -434,6 +455,10 @@ impl Vita {
         {
             return Err(VitaError::MixedBackends);
         }
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "measured wall-clock only: PipelineReport::elapsed, never generated data"
+        )]
         let start = Instant::now();
         // Allocate run ids past every run already stored, so repeated
         // schedules (or a prior `run_streaming`, which is run 0) never
@@ -511,7 +536,11 @@ impl Vita {
                     scope.spawn(move || loop {
                         // Hold the lock only for the receive; processing
                         // runs unlocked so workers overlap.
-                        let msg = rx.lock().expect("receiver lock").recv(); // audit: allow(R4) operational: a poisoned receiver mutex means a stage worker already panicked
+                        #[expect(
+                            clippy::expect_used,
+                            reason = "operational: a poisoned receiver mutex means a stage worker already panicked"
+                        )]
+                        let msg = rx.lock().expect("receiver lock").recv();
                         let Ok((idx, chunk)) = msg else {
                             return; // producers done, queue drained
                         };
@@ -557,15 +586,22 @@ impl Vita {
                             c.chunks.fetch_add(1, Ordering::Relaxed);
                             let now = c.in_flight.fetch_add(n, Ordering::Relaxed) + n;
                             c.peak_in_flight.fetch_max(now, Ordering::Relaxed);
-                            // audit: allow(R4) invariant: stage workers outlive producers inside this scope
+                            #[expect(
+                                clippy::expect_used,
+                                reason = "invariant: stage workers outlive producers inside this scope"
+                            )]
                             tx.send((idx, chunk)).expect("stage workers alive");
                         })
                     }));
                 }
                 drop(tx);
+                #[expect(
+                    clippy::expect_used,
+                    reason = "operational: a panicked producer thread has already poisoned the run"
+                )]
                 handles
                     .into_iter()
-                    .map(|h| h.join().expect("producer thread")) // audit: allow(R4) operational: a panicked producer thread has already poisoned the run
+                    .map(|h| h.join().expect("producer thread"))
                     .collect()
             });
 
@@ -666,7 +702,9 @@ impl Vita {
     /// `trajectories.vita`, `rssi.vita`, `fixes.vita`, `proximity.vita`
     /// (see [`vita_storage::RepositoryExport::FILE_NAMES`]). The format is
     /// run-segmented, so a multi-run repository (e.g. after
-    /// [`Vita::run_many`]) keeps its run tags on disk.
+    /// [`Vita::run_many`]) keeps its run tags on disk. A spilled segment
+    /// that cannot be read back is a [`VitaError::Spill`], returned before
+    /// any file is written.
     ///
     /// # Examples
     ///
@@ -709,10 +747,11 @@ impl Vita {
     /// std::fs::remove_dir_all(&dir).unwrap();
     /// ```
     pub fn save_to(&self, dir: impl AsRef<std::path::Path>) -> Result<(), VitaError> {
-        self.repo
-            .export()
-            .write_dir(dir.as_ref())
-            .map_err(VitaError::Io)
+        let export = match self.repo.as_segmented() {
+            Some(seg) => seg.export().map_err(VitaError::Spill)?,
+            None => self.repo.export(),
+        };
+        export.write_dir(dir.as_ref()).map_err(VitaError::Io)
     }
 
     /// Replace the repository contents with the four table files under
@@ -954,6 +993,8 @@ struct StreamCounters {
 
 #[cfg(test)]
 mod tests {
+    #![expect(clippy::disallowed_methods, reason = "test code")]
+
     use super::*;
     use vita_dbi::{office, write_step, SynthParams};
     use vita_devices::DeviceType;
@@ -1358,6 +1399,47 @@ mod tests {
         assert!(matches!(vita.load_from(&dir), Err(VitaError::Codec(_))));
         assert_eq!(vita.repository().counts(RunScope::All), counts);
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn save_to_with_unreadable_spill_file_is_spill_error_and_writes_nothing() {
+        let tag = format!("{}_{:?}", std::process::id(), std::thread::current().id());
+        let spill_dir = std::env::temp_dir().join(format!("vita_save_spill_{tag}"));
+        let out = std::env::temp_dir().join(format!("vita_save_out_{tag}"));
+        let backend = StorageBackend::Segmented {
+            spill: Some(vita_storage::SpillConfig {
+                memory_budget_rows: 64,
+                ..vita_storage::SpillConfig::new(&spill_dir)
+            }),
+        };
+        let mut vita = toolkit().with_backend(backend.clone());
+        vita.deploy_devices(
+            DeviceSpec::default_for(DeviceType::WiFi),
+            FloorId(0),
+            DeploymentModel::Coverage,
+            8,
+        );
+        // The scenario names the same backend, so run_streaming keeps the
+        // repository (and its spill directory) instead of migrating it.
+        let mut scenario = trilateration_scenario(quick_mobility());
+        scenario.options.backend = backend;
+        vita.run_streaming(&scenario).unwrap();
+        vita.repository().as_segmented().unwrap().seal_now();
+
+        let mut truncated = 0;
+        for instance in std::fs::read_dir(&spill_dir).unwrap() {
+            for file in std::fs::read_dir(instance.unwrap().path()).unwrap() {
+                let path = file.unwrap().path();
+                let bytes = std::fs::read(&path).unwrap();
+                std::fs::write(&path, &bytes[..bytes.len() / 2]).unwrap();
+                truncated += 1;
+            }
+        }
+        assert!(truncated > 0, "the tiny budget must spill");
+        assert!(matches!(vita.save_to(&out), Err(VitaError::Spill(_))));
+        assert!(!out.exists(), "a failed save must write nothing");
+        drop(vita);
+        std::fs::remove_dir_all(&spill_dir).unwrap();
     }
 
     #[test]

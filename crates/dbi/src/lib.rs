@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! # vita-dbi
 //!
 //! Digital Building Information (DBI) processing for the Vita toolkit.
@@ -14,7 +13,7 @@
 //!
 //! Because real IFC exports are proprietary, [`synth`] generates office,
 //! mall and clinic buildings *as STEP files*, so the full parse path is
-//! always exercised (see DESIGN.md, substitution table).
+//! always exercised.
 
 pub mod repair;
 pub mod schema;

@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! # vita-devices
 //!
 //! Positioning devices and deployment models: the Positioning Device

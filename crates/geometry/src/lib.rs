@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! # vita-geometry
 //!
 //! Planar geometry kernel for the Vita indoor mobility data generator.

@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! # vita-indoor
 //!
 //! The host indoor environment for the Vita toolkit: the output of the

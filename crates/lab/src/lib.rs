@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! # vita-lab
 //!
 //! The declarative experiment runner: "as many scenarios as you can
@@ -84,8 +83,6 @@ pub mod spec;
 
 pub use json::{schema_signature, trial_schema_signature, Json, JsonError};
 pub use plan::{expand, Trial};
-pub use report::{
-    json_string, AxisSummary, LabReport, PersistProbe, ServeProbe, TrialRecord, VariantSummary,
-};
+pub use report::{AxisSummary, LabReport, PersistProbe, ServeProbe, TrialRecord, VariantSummary};
 pub use run::{run_spec, CrossAxisRows, LabError};
 pub use spec::{parse_spec, Axis, Scenario, Spec, SpecError, Variant};

@@ -350,12 +350,20 @@ fn persistence_probe(
     trial_id: &str,
 ) -> Result<PersistProbe, LabError> {
     let repo = vita.repository();
-    let t0 = Instant::now(); // audit: allow(R1) measured wall-clock only; stripped from the byte-reproducible JSONL projection
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "measured wall-clock only; stripped from the byte-reproducible JSONL projection"
+    )]
+    let t0 = Instant::now();
     let export = repo.export();
     let export_ms = t0.elapsed().as_secs_f64() * 1000.0;
     let bytes =
         export.trajectories.len() + export.rssi.len() + export.fixes.len() + export.proximity.len();
-    let t0 = Instant::now(); // audit: allow(R1) measured wall-clock only; stripped from the byte-reproducible JSONL projection
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "measured wall-clock only; stripped from the byte-reproducible JSONL projection"
+    )]
+    let t0 = Instant::now();
     let imported =
         AnyRepository::import(&export, scenario.options.backend.clone()).map_err(|e| {
             LabError::Run {

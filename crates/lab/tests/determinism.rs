@@ -150,8 +150,9 @@ values = single, segmented
         assert!(record.contains("\"serve\":"));
         assert!(record.contains("\"persist\":"));
     }
-    // Regression (audit R1): the lab's only wall-clock reads are the
-    // annotated timing probes in run.rs, and their output must never
+    // Regression (R1, `clippy::disallowed_methods`): the lab's only
+    // wall-clock reads are the timing probes in run.rs that carry an
+    // `#[expect]`, and their output must never
     // leak into the byte-reproducible projection. If a future change
     // routes a measured duration into a deterministic field, the
     // byte-identity assertion above can still pass (both runs fast

@@ -9,6 +9,8 @@
 //! Regenerate after an intentional schema change with:
 //! `VITA_BLESS=1 cargo test -p vita-lab --test golden_schema`
 
+#![expect(clippy::disallowed_methods, reason = "test code")]
+
 use std::collections::BTreeSet;
 
 use vita_lab::{parse_spec, run_spec, trial_schema_signature, Json, TrialRecord};
@@ -71,10 +73,7 @@ fn golden_fixture_pins_the_record_schema() {
             out.push('\n');
         }
         std::fs::write(GOLDEN_PATH, out).expect("bless golden fixture");
-        #[allow(clippy::print_stderr)] // bless-mode progress note for the operator
-        {
-            eprintln!("blessed {GOLDEN_PATH}");
-        }
+        eprintln!("blessed {GOLDEN_PATH}");
         return;
     }
 

@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! # vita-mobility
 //!
 //! The Moving Object Layer (paper §2, §3.1): generates indoor moving objects

@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! # vita-positioning
 //!
 //! The second half of Vita's Positioning Layer (paper §2, §3.3): derive

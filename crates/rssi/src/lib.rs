@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! # vita-rssi
 //!
 //! Raw RSSI measurement generation: the first half of Vita's Positioning

@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! # vita-serve
 //!
 //! Online query serving over live ingestion: the front-end the VITA paper's
@@ -27,6 +26,8 @@
 //! published snapshot (segmented backend), so a response never contains a
 //! torn batch — it reflects every batch appended before some point and
 //! none after.
+
+#![warn(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod load;
 pub mod query;

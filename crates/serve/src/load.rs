@@ -14,6 +14,11 @@
 //! [`LoadProfile::satisfaction`] × target — the step-up protocol of
 //! throughput benchmarks like YCSB's target-rate mode.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "R1, R3: the load generator paces queries by wall clock, sleeping and spinning between slots"
+)]
+
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
@@ -338,13 +343,21 @@ fn run_step(
                         }
                     }
                 }
-                latencies.lock().expect("latency sink").append(&mut mine); // audit: allow(R4) operational: a poisoned latency mutex means a load worker already panicked
+                #[expect(
+                    clippy::expect_used,
+                    reason = "operational: a poisoned latency mutex means a load worker already panicked"
+                )]
+                latencies.lock().expect("latency sink").append(&mut mine);
             });
         }
     });
     let elapsed = started.elapsed().as_secs_f64();
 
-    let mut all = latencies.into_inner().expect("latency sink"); // audit: allow(R4) operational: a poisoned latency mutex means a load worker already panicked
+    #[expect(
+        clippy::expect_used,
+        reason = "operational: a poisoned latency mutex means a load worker already panicked"
+    )]
+    let mut all = latencies.into_inner().expect("latency sink");
     all.sort_unstable();
     StepReport {
         target_rps,

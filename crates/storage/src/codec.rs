@@ -78,6 +78,11 @@
 //! ([`CodecError::CountOverflow`] / [`CodecError::Truncated`]) instead of
 //! looping per-row on absurd counts.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "R2: the export directory's file I/O lives here"
+)]
+
 use bytes::{BufMut, Bytes, BytesMut};
 
 use vita_geometry::Point;
@@ -678,8 +683,8 @@ pub fn decode_runs<T: WireRecord>(data: Bytes) -> Result<Vec<(RunId, Vec<T>)>, C
 }
 
 /// Filesystem half of [`crate::RepositoryExport::write_dir`]: disk I/O
-/// stays confined to the persistence modules (audit rule R2), so the
-/// facade in `lib.rs` delegates the actual `fs` calls here. Each file is
+/// stays confined to the persistence modules (`clippy::disallowed_methods`
+/// elsewhere), so the facade in `lib.rs` delegates the actual `fs` calls here. Each file is
 /// written crash-atomically via [`crate::segment::write_atomic`].
 pub(crate) fn write_export_dir(
     export: &crate::RepositoryExport,

@@ -1,10 +1,9 @@
-#![forbid(unsafe_code)]
 //! # vita-storage
 //!
 //! The Storage component (paper §2, §4.2): repositories for every
 //! generated data product (indexed in the segmented engine), Data Stream
 //! APIs for the Producer, and binary persistence. Replaces the paper's PostgreSQL+PostGIS deployment with an
-//! embedded, laptop-scale engine (see DESIGN.md substitution table).
+//! embedded, laptop-scale engine (ARCHITECTURE.md, "Backend dispatch").
 //!
 //! * [`table`] — the single backend's reference store: one append-only
 //!   table per product, every query a linear scan.
@@ -110,6 +109,8 @@
 //! exporter had flattened them. [`RepositoryExport::write_dir`] /
 //! [`RepositoryExport::read_dir`] move the four table buffers to and from
 //! a directory on disk.
+
+#![warn(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod codec;
 mod row;
@@ -525,7 +526,10 @@ pub enum AnyRepository {
 /// The one place a [`SpillError`] becomes the panic [`AnyRepository`]
 /// documents.
 fn readable<T>(answer: Result<T, SpillError>) -> T {
-    // audit: allow(R4) documented contract: AnyRepository's row-returning queries and export panic on an unreadable spill file rather than return wrong rows; the segmented table handles return the SpillError
+    #[expect(
+        clippy::expect_used,
+        reason = "documented contract: AnyRepository's row-returning queries and export panic on an unreadable spill file rather than return wrong rows; the segmented table handles return the SpillError"
+    )]
     answer.expect("spilled segment unreadable")
 }
 

@@ -71,6 +71,11 @@
 //! the segment's meta) back into sections whose indexes again start
 //! unbuilt, so answers stay bit-identical to the all-resident backend.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "R2: the spill tier's segment files are read and written here"
+)]
+
 use std::collections::{BTreeMap, HashMap};
 use std::ffi::OsString;
 use std::fmt;
@@ -376,7 +381,10 @@ impl SpillConfig {
     /// value. Running at the default budget instead would leave a
     /// mistyped spill run with nothing spilled.
     pub fn from_env() -> Option<SpillConfig> {
-        // audit: allow(R4) operational: a malformed VITA_SPILL_* count fails construction loudly instead of silently running at the default budget
+        #[expect(
+            clippy::expect_used,
+            reason = "operational: a malformed VITA_SPILL_* count fails construction loudly instead of silently running at the default budget"
+        )]
         Self::from_vars(|name| std::env::var_os(name)).expect("malformed spill environment")
     }
 
@@ -482,22 +490,22 @@ struct SectionMeta {
     rows: usize,
     min_t: Timestamp,
     max_t: Timestamp,
-    /// Floors of point-located rows, sorted. `None` on tables that never
-    /// answer spatial queries (no pruning possible or needed).
+    /// Floors of point-located rows, sorted. `None` on unsealed heads,
+    /// which are never pruned, so ingest skips the scan.
     floors: Option<Vec<FloorId>>,
 }
 
 impl SectionMeta {
-    /// Whether the section may hold point rows on `floor` (always, on a
-    /// table that keeps no floor sets).
+    /// Whether the section may hold point rows on `floor` (always, on an
+    /// unsealed head).
     fn may_hold(&self, floor: FloorId) -> bool {
         self.floors
             .as_ref()
             .is_none_or(|fl| fl.binary_search(&floor).is_ok())
     }
 
-    fn of<R: SegmentRow>(sec: &Section<R>, track_floors: bool) -> Self {
-        let floors = track_floors.then(|| {
+    fn of<R: SegmentRow>(sec: &Section<R>, sealed: bool) -> Self {
+        let floors = sealed.then(|| {
             let mut floors: Vec<FloorId> = sec
                 .rows
                 .iter()
@@ -548,17 +556,21 @@ struct Segment<R> {
 }
 
 impl<R: SegmentRow> Segment<R> {
-    fn resident(sections: Vec<Section<R>>, sealed: bool, track_floors: bool) -> Self {
+    fn resident(sections: Vec<Section<R>>, sealed: bool) -> Self {
         let len = sections.iter().map(|s| s.rows.len()).sum();
         let meta = sections
             .iter()
-            .map(|s| SectionMeta::of(s, track_floors))
+            .map(|s| SectionMeta::of(s, sealed))
             .collect();
         let seqs = sections.iter().flat_map(|s| s.seqs.iter().copied());
+        #[expect(
+            clippy::expect_used,
+            reason = "invariant: a min implies the seq iterator is non-empty, so max exists"
+        )]
         let seq_range = seqs
             .clone()
             .min()
-            .map_or((0, 0), |min| (min, seqs.max().expect("nonempty"))); // audit: allow(R4) invariant: a min implies the seq iterator is non-empty, so max exists
+            .map_or((0, 0), |min| (min, seqs.max().expect("nonempty")));
         Segment {
             id: NEXT_SEGMENT_ID.fetch_add(1, Ordering::Relaxed),
             len,
@@ -795,7 +807,11 @@ fn time_window_sections<R: SegmentRow>(
                 }
             }
             None => {
-                let (rows, seqs) = owned_it.next().expect("one owned run per unsealed"); // audit: allow(R4) invariant: one owned-run entry was built per unsealed section just above
+                #[expect(
+                    clippy::expect_used,
+                    reason = "invariant: one owned-run entry was built per unsealed section just above"
+                )]
+                let (rows, seqs) = owned_it.next().expect("one owned run per unsealed");
                 if !rows.is_empty() {
                     inputs.push((&rows[..], &seqs[..]));
                 }
@@ -1259,10 +1275,6 @@ struct SegTable<R: SegmentRow> {
     /// the next sequence number. Held only to clone a segment-pointer list
     /// and swap the snapshot — never while rows are copied or indexed.
     writer: Mutex<Seq>,
-    /// Keep each sealed section's floor set in its meta, for floor
-    /// pruning (trajectory table only — the other tables answer no
-    /// spatial queries).
-    track_floors: bool,
     /// Spill tier shared state; `None` keeps the table all-resident.
     spill: Option<Arc<SpillShared>>,
     /// Decoded spilled segments, shared with in-flight queries.
@@ -1270,11 +1282,10 @@ struct SegTable<R: SegmentRow> {
 }
 
 impl<R: SegmentRow> SegTable<R> {
-    fn new(track_floors: bool, spill: Option<Arc<SpillShared>>) -> Self {
+    fn new(spill: Option<Arc<SpillShared>>) -> Self {
         SegTable {
             cell: SnapshotCell::new(TableSnapshot::default()),
             writer: Mutex::new(0),
-            track_floors,
             spill,
             cache: Mutex::new(ClockCache::default()),
         }
@@ -1297,11 +1308,10 @@ impl<R: SegmentRow> SegTable<R> {
         *next_seq += rows.len() as Seq;
         let seqs: Vec<Seq> = (base..*next_seq).collect();
         let len = rows.len();
-        // Heads are never pruned or spilled, so skip the floor-meta scan
-        // on the ingest path (`floors: None` means "never prune").
+        // An unsealed head keeps no floor set (`floors: None`, never
+        // pruned), so the ingest path skips that scan.
         let seg = Arc::new(Segment::resident(
             vec![Section::unsealed(run, rows, seqs)],
-            false,
             false,
         ));
         let cur = self.cell.pin();
@@ -1381,13 +1391,25 @@ impl<R: SegmentRow> SegTable<R> {
             _ => false,
         };
         let (replacement, written) = if spill_direct {
-            let sh = self.spill.as_ref().expect("direct spill requires config"); // audit: allow(R4) invariant: spill_direct is only called on budget-enforcing repositories
+            #[expect(
+                clippy::expect_used,
+                reason = "invariant: spill_direct is only called on budget-enforcing repositories"
+            )]
+            let sh = self.spill.as_ref().expect("direct spill requires config");
+            #[expect(
+                clippy::expect_used,
+                reason = "invariant: the replacement segment was rebuilt resident two lines up"
+            )]
             let sections = replacement
                 .resident_sections()
-                .expect("fresh replacement is resident"); // audit: allow(R4) invariant: the replacement segment was rebuilt resident two lines up
+                .expect("fresh replacement is resident");
             let bytes = encode_sections(sections);
             let path = sh.cfg.dir.join(format!("seg-{}.vita", replacement.id));
-            write_atomic(&path, &bytes).expect("segment spill failed"); // audit: allow(R4) operational: a failed spill write leaves the writer no correct continuation
+            #[expect(
+                clippy::expect_used,
+                reason = "operational: a failed spill write leaves the writer no correct continuation"
+            )]
+            write_atomic(&path, &bytes).expect("segment spill failed");
             (replacement.spilled_twin(path.clone()), Some(path))
         } else {
             (replacement, None)
@@ -1433,12 +1455,16 @@ impl<R: SegmentRow> SegTable<R> {
         let parts: Vec<&Section<R>> = minis
             .iter()
             .flat_map(|s| {
+                #[expect(
+                    clippy::expect_used,
+                    reason = "invariant: unsealed segments are never spilled, so they are resident"
+                )]
                 s.resident_sections()
-                    .expect("unsealed segments are resident") // audit: allow(R4) invariant: unsealed segments are never spilled, so they are resident
+                    .expect("unsealed segments are resident")
             })
             .collect();
         let merged = build_sealed(parts);
-        let replacement = Segment::resident(merged, true, self.track_floors);
+        let replacement = Segment::resident(merged, true);
         self.replace_maybe_spilled(minis, replacement, global_decoded)
     }
 
@@ -1541,17 +1567,21 @@ impl<R: SegmentRow> SegTable<R> {
         for seg in group {
             match seg.resident_sections() {
                 Some(s) => sections.extend(s.iter()),
+                #[expect(
+                    clippy::expect_used,
+                    reason = "invariant: compaction registered one cache holder per spilled input"
+                )]
                 None => sections.extend(
                     holder_it
                         .next()
-                        .expect("one holder per spilled input") // audit: allow(R4) invariant: compaction registered one cache holder per spilled input
+                        .expect("one holder per spilled input")
                         .sections
                         .iter(),
                 ),
             }
         }
         let merged = build_sealed(sections);
-        let replacement = Segment::resident(merged, true, self.track_floors);
+        let replacement = Segment::resident(merged, true);
         Ok(self.replace_maybe_spilled(group, replacement, global_decoded))
     }
 
@@ -1600,9 +1630,13 @@ impl<R: SegmentRow> SegTable<R> {
         for (si, wanted, holder) in &picks {
             let secs: &[Section<R>] = match holder {
                 Some(h) => &holders[*h].sections,
+                #[expect(
+                    clippy::expect_used,
+                    reason = "invariant: segments outside the spill set are resident by definition"
+                )]
                 None => snap.segments[*si]
                     .resident_sections()
-                    .expect("unspilled segments are resident"), // audit: allow(R4) invariant: segments outside the spill set are resident by definition
+                    .expect("unspilled segments are resident"),
             };
             sections.extend(wanted.iter().map(|&w| &secs[w]));
         }
@@ -1619,14 +1653,22 @@ impl<R: SegmentRow> SegTable<R> {
         seg: &Segment<R>,
         cache_rows_cap: usize,
     ) -> Result<Arc<SegmentData<R>>, SpillError> {
+        #[expect(
+            clippy::expect_used,
+            reason = "invariant: a Spilled state can only be produced under a spill config"
+        )]
         let sh = self
             .spill
             .as_ref()
-            .expect("spilled segment without spill config"); // audit: allow(R4) invariant: a Spilled state can only be produced under a spill config
+            .expect("spilled segment without spill config");
         if let Some(data) = self.cache.lock().get(seg.id) {
             return Ok(data);
         }
-        let path = seg.spill_path().expect("page_in on resident segment"); // audit: allow(R4) invariant: page_in is only called on segments in the Spilled state
+        #[expect(
+            clippy::expect_used,
+            reason = "invariant: page_in is only called on segments in the Spilled state"
+        )]
+        let path = seg.spill_path().expect("page_in on resident segment");
         let bytes = std::fs::read(path)?;
         let decoded = decode_segment::<R>(Bytes::from(bytes))?;
         let sections: Vec<Section<R>> = decoded
@@ -1666,7 +1708,11 @@ impl<R: SegmentRow> SegTable<R> {
         else {
             return Ok(0);
         };
-        let bytes = encode_sections(seg.resident_sections().expect("victim is resident")); // audit: allow(R4) invariant: the eviction victim was chosen from the resident set
+        #[expect(
+            clippy::expect_used,
+            reason = "invariant: the eviction victim was chosen from the resident set"
+        )]
+        let bytes = encode_sections(seg.resident_sections().expect("victim is resident"));
         let path = sh.cfg.dir.join(format!("seg-{}.vita", seg.id));
         write_atomic(&path, &bytes)?;
         let twin = seg.spilled_twin(path.clone());
@@ -1961,7 +2007,11 @@ impl SegInner {
         if let Some(sh) = &self.spill {
             if self.spill_pending_rows() >= self.config.seal_rows.max(1) {
                 sh.writer_stalls.fetch_add(1, Ordering::Relaxed);
-                self.enforce_budget().expect("segment spill failed"); // audit: allow(R4) operational: a failed spill under backpressure has no correct continuation
+                #[expect(
+                    clippy::expect_used,
+                    reason = "operational: a failed spill under backpressure has no correct continuation"
+                )]
+                self.enforce_budget().expect("segment spill failed");
             }
         }
     }
@@ -1989,7 +2039,11 @@ impl SegInner {
         round(self, &self.rssi, force, compact);
         round(self, &self.fixes, force, compact);
         round(self, &self.proximity, force, compact);
-        self.enforce_budget().expect("segment spill failed"); // audit: allow(R4) operational: a failed spill under backpressure has no correct continuation
+        #[expect(
+            clippy::expect_used,
+            reason = "operational: a failed spill under backpressure has no correct continuation"
+        )]
+        self.enforce_budget().expect("segment spill failed");
     }
 }
 
@@ -2004,16 +2058,24 @@ fn sealer_loop(inner: &SegInner) {
         }
         tick = tick.wrapping_add(1);
         inner.maintenance_pass(false, tick.is_multiple_of(COMPACT_EVERY));
-        let guard = inner.signal.lock().expect("sealer signal"); // audit: allow(R4) operational: a poisoned sealer mutex means a sealer thread already panicked
+        #[expect(
+            clippy::expect_used,
+            reason = "operational: a poisoned sealer mutex means a sealer thread already panicked"
+        )]
+        let guard = inner.signal.lock().expect("sealer signal");
         if inner.shutdown.load(Ordering::Acquire) {
             return;
         }
         // Timed wait: a writer's notify (threshold crossed) wakes it early,
         // the timeout bounds how stale an un-notified backlog can get.
+        #[expect(
+            clippy::expect_used,
+            reason = "operational: a poisoned sealer mutex means a sealer thread already panicked"
+        )]
         let _ = inner
             .wake
             .wait_timeout(guard, inner.config.tick)
-            .expect("sealer signal"); // audit: allow(R4) operational: a poisoned sealer mutex means a sealer thread already panicked
+            .expect("sealer signal");
     }
 }
 
@@ -2074,10 +2136,13 @@ impl fmt::Debug for SegmentedRepository {
 }
 
 impl Drop for SegmentedRepository {
+    #[expect(
+        clippy::expect_used,
+        reason = "operational: a poisoned handle mutex means a sealer thread already panicked"
+    )]
     fn drop(&mut self) {
         self.inner.shutdown.store(true, Ordering::Release);
         self.inner.wake.notify_all();
-        // audit: allow(R4) operational: a poisoned handle mutex means a sealer thread already panicked
         if let Some(handle) = self.sealer.lock().expect("sealer handle").take() {
             let _ = handle.join();
         }
@@ -2138,7 +2203,11 @@ impl SegmentedRepository {
                 std::process::id(),
                 NEXT_SPILL_INSTANCE.fetch_add(1, Ordering::Relaxed)
             ));
-            std::fs::create_dir_all(&dir).expect("create spill directory"); // audit: allow(R4) operational: an uncreatable spill directory fails construction loudly
+            #[expect(
+                clippy::expect_used,
+                reason = "operational: an uncreatable spill directory fails construction loudly"
+            )]
+            std::fs::create_dir_all(&dir).expect("create spill directory");
             let mut cfg = original.clone();
             cfg.dir = dir;
             Arc::new(SpillShared {
@@ -2152,10 +2221,10 @@ impl SegmentedRepository {
             })
         });
         let inner = Arc::new(SegInner {
-            trajectories: SegTable::new(true, spill.clone()),
-            rssi: SegTable::new(false, spill.clone()),
-            fixes: SegTable::new(false, spill.clone()),
-            proximity: SegTable::new(false, spill.clone()),
+            trajectories: SegTable::new(spill.clone()),
+            rssi: SegTable::new(spill.clone()),
+            fixes: SegTable::new(spill.clone()),
+            proximity: SegTable::new(spill.clone()),
             config,
             spill,
             seals: AtomicU64::new(0),
@@ -2165,10 +2234,14 @@ impl SegmentedRepository {
             wake: Condvar::new(),
         });
         let worker = Arc::clone(&inner);
+        #[expect(
+            clippy::expect_used,
+            reason = "operational: failing to spawn the sealer thread fails construction loudly"
+        )]
         let sealer = std::thread::Builder::new()
             .name("vita-sealer".into())
             .spawn(move || sealer_loop(&worker))
-            .expect("spawn sealer"); // audit: allow(R4) operational: failing to spawn the sealer thread fails construction loudly
+            .expect("spawn sealer");
         SegmentedRepository {
             inner,
             sealer: StdMutex::new(Some(sealer)),
@@ -2495,7 +2568,11 @@ fn export_table_raw<R: SegmentRow>(table: &SegTable<R>) -> Result<Bytes, SpillEr
                 }
             }
             None => {
-                let path = seg.spill_path().expect("non-resident segment is spilled"); // audit: allow(R4) invariant: a segment is either Resident or Spilled; non-resident implies a path
+                #[expect(
+                    clippy::expect_used,
+                    reason = "invariant: a segment is either Resident or Spilled; non-resident implies a path"
+                )]
+                let path = seg.spill_path().expect("non-resident segment is spilled");
                 let bytes = std::fs::read(path)?;
                 let sections = decode_segment_raw::<R>(Bytes::from(bytes))?;
                 let mut bounds = Vec::with_capacity(sections.len());
@@ -2535,7 +2612,7 @@ fn export_table_raw<R: SegmentRow>(table: &SegTable<R>) -> Result<Bytes, SpillEr
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vita_indoor::BuildingId;
+    use vita_indoor::{BuildingId, Loc};
 
     fn ts(o: u32, f: u32, x: f64, y: f64, t: u64) -> TrajectorySample {
         TrajectorySample::new(
@@ -2861,6 +2938,39 @@ mod tests {
                 .unwrap(),
             trace
         );
+        assert_eq!(repo.stats().page_ins, 1);
+    }
+
+    #[test]
+    fn spilled_fix_segment_on_another_floor_is_pruned_without_a_page_in() {
+        let repo =
+            SegmentedRepository::with_spill(SegmentConfig::default(), tiny_spill("fix-floors", 0));
+        stop_sealer(&repo);
+        let fixes: Vec<Fix> = (0..20)
+            .map(|i| Fix {
+                object: ObjectId(i % 4),
+                loc: Loc::point(BuildingId(0), FloorId(1), Point::new(i as f64, 1.0)),
+                t: Timestamp(u64::from(i) * 10),
+            })
+            .collect();
+        repo.accept(ProductBatch::Fixes(fixes));
+        repo.seal_now();
+        assert_eq!(repo.stats().spilled_rows, 20, "{:?}", repo.stats());
+        let everywhere = Aabb::new(Point::new(-1e6, -1e6), Point::new(1e6, 1e6));
+        let floor0 = repo
+            .fixes()
+            .range_query(RunScope::All, FloorId(0), &everywhere);
+        assert!(floor0.unwrap().is_empty());
+        let near = repo
+            .fixes()
+            .knn(RunScope::All, FloorId(0), Point::new(0.0, 0.0), 3);
+        assert!(near.unwrap().is_empty());
+        assert_eq!(repo.stats().page_ins, 0, "floor 0 must prune from meta");
+        // Floor 1 holds the rows, so that query pages the segment in.
+        let floor1 = repo
+            .fixes()
+            .range_query(RunScope::All, FloorId(1), &everywhere);
+        assert_eq!(floor1.unwrap().len(), 20);
         assert_eq!(repo.stats().page_ins, 1);
     }
 

@@ -12,6 +12,8 @@
 //! The sealer is tuned aggressively so seals and compactions land *during*
 //! the assertions, not after them.
 
+#![expect(clippy::disallowed_methods, reason = "test code")]
+
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 

@@ -5,6 +5,8 @@
 //! disk, and must lose nothing: post-run counts match an all-resident
 //! control fed the identical batches.
 
+#![expect(clippy::disallowed_methods, reason = "test code")]
+
 use vita_geometry::Point;
 use vita_indoor::{BuildingId, FloorId, ObjectId, RunId, Timestamp};
 use vita_mobility::TrajectorySample;

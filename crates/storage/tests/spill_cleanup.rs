@@ -7,6 +7,8 @@
 //! share is empty once both drop, and each instance only ever touched
 //! its own `vita-{pid}-{n}` subdir.
 
+#![expect(clippy::disallowed_methods, reason = "test code")]
+
 use vita_geometry::Point;
 use vita_indoor::{BuildingId, FloorId, ObjectId, RunId, Timestamp};
 use vita_mobility::TrajectorySample;

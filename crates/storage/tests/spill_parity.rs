@@ -19,6 +19,8 @@
 //! * the segment spill framing itself is pinned by a checked-in golden
 //!   fixture, so the canonical encoding cannot drift unnoticed.
 
+#![expect(clippy::disallowed_methods, reason = "test code")]
+
 use proptest::prelude::*;
 
 use std::path::PathBuf;
@@ -470,14 +472,29 @@ enum Expect {
 
 /// Every query of every table handle, and export, must surface an error
 /// of the `expect`ed kind from its table's damaged segment — never panic,
-/// never fabricate rows. Every plan below touches the segment: the time
-/// bounds overlap the rows, and only the trajectory table keeps floor
-/// sets, all at floor 0.
+/// never fabricate rows. Every plan below touches the segment (the time
+/// bounds overlap the rows; trajectory and fix rows are all on floor 0)
+/// except a spatial query on RSSI or proximity: those rows carry no
+/// point, so each sealed section's floor set is empty and the plan
+/// prunes the segment from meta, answering no rows without a page-in.
 fn assert_queries_error(repo: &SegmentedRepository, expect: Expect) {
     let (all, from, to) = (RunScope::All, Timestamp(0), Timestamp(1_000));
     let window = Aabb::new(Point::new(0.0, 0.0), Point::new(100.0, 2.0));
     let p = Point::new(3.0, 1.0);
-    macro_rules! every_query {
+    macro_rules! spatial_queries {
+        ($table:ident) => {{
+            let t = repo.$table();
+            [
+                (
+                    "range_query",
+                    t.range_query(all, FloorId(0), &window).map(|v| v.len()),
+                ),
+                ("knn", t.knn(all, FloorId(0), p, 4).map(|v| v.len())),
+            ]
+            .map(|(query, result)| (format!("{}.{query}", stringify!($table)), result))
+        }};
+    }
+    macro_rules! every_other_query {
         ($table:ident) => {{
             let t = repo.$table();
             [
@@ -489,23 +506,28 @@ fn assert_queries_error(repo: &SegmentedRepository, expect: Expect) {
                     "snapshot_at",
                     t.snapshot_at(all, Timestamp(500)).map(|v| v.len()),
                 ),
-                (
-                    "range_query",
-                    t.range_query(all, FloorId(0), &window).map(|v| v.len()),
-                ),
-                ("knn", t.knn(all, FloorId(0), p, 4).map(|v| v.len())),
             ]
             .map(|(query, result)| (format!("{}.{query}", stringify!($table)), result))
         }};
     }
+    let page_ins = repo.stats().page_ins;
+    for (path, r) in [spatial_queries!(rssi), spatial_queries!(proximity)]
+        .into_iter()
+        .flatten()
+    {
+        assert!(matches!(r, Ok(0)), "{path}: expected no rows, got {r:?}");
+    }
+    assert_eq!(repo.stats().page_ins, page_ins, "a pruned plan paged in");
     let results = [
-        every_query!(trajectories),
-        every_query!(rssi),
-        every_query!(fixes),
-        every_query!(proximity),
+        every_other_query!(trajectories),
+        every_other_query!(rssi),
+        every_other_query!(fixes),
+        every_other_query!(proximity),
     ]
     .into_iter()
     .flatten()
+    .chain(spatial_queries!(trajectories))
+    .chain(spatial_queries!(fixes))
     .chain([
         (
             "proximity.overlapping".to_string(),

@@ -1,15 +1,15 @@
-// Examples narrate to stdout by design.
-#![allow(clippy::print_stdout, clippy::print_stderr)]
 //! Method accuracy study (a preview of experiment E3): generate one shared
 //! workload, run all four positioning pipelines over the same raw RSSI
 //! data, and print the error statistics side by side.
 //!
-//! The expected shape (DESIGN.md §4): fingerprinting (which learned the
+//! The expected shape: fingerprinting (which learned the
 //! wall-attenuated signal landscape during its site survey) beats naive
 //! trilateration in the wall-heavy office; proximity error is bounded by
 //! device spacing.
 //!
 //! Run with: `cargo run --release --example accuracy_study`
+
+#![expect(clippy::print_stdout, reason = "examples narrate to stdout by design")]
 
 use vita_core::prelude::*;
 use vita_positioning::{evaluate_fixes, evaluate_prob_fixes, evaluate_proximity};

@@ -1,5 +1,3 @@
-// Examples narrate to stdout by design.
-#![allow(clippy::print_stdout, clippy::print_stderr)]
 //! The six-step demonstration script of paper §5 (experiment D5), run over
 //! all three building archetypes with the paper's device/method combos:
 //!
@@ -14,6 +12,8 @@
 //! properties text, exactly like the paper's "generated properties file".
 //!
 //! Run with: `cargo run --example demo_script`
+
+#![expect(clippy::print_stdout, reason = "examples narrate to stdout by design")]
 
 use vita_core::prelude::*;
 use vita_core::{load_method, load_mobility, load_rssi, Properties};

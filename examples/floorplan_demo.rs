@@ -1,5 +1,3 @@
-// Examples narrate to stdout by design.
-#![allow(clippy::print_stdout, clippy::print_stderr)]
 //! Floor-plan demo (experiments F3 + F4): regenerates the content of paper
 //! Fig. 3 — a two-floor real-world-style building where
 //!
@@ -16,6 +14,12 @@
 //! to skip the ASCII art.
 //!
 //! Run with: `cargo run --example floorplan_demo`
+
+#![expect(clippy::print_stdout, reason = "examples narrate to stdout by design")]
+#![expect(
+    clippy::disallowed_methods,
+    reason = "example code: writes its SVGs under target/floorplans"
+)]
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;

@@ -1,5 +1,3 @@
-// Examples narrate to stdout by design.
-#![allow(clippy::print_stdout, clippy::print_stderr)]
 //! Quickstart (experiment F1): one full pass through the three-layer
 //! pipeline of paper Fig. 1, printing the five data products' counts.
 //!
@@ -14,6 +12,8 @@
 //! ```
 //!
 //! Run with: `cargo run --example quickstart`
+
+#![expect(clippy::print_stdout, reason = "examples narrate to stdout by design")]
 
 use vita_core::prelude::*;
 

@@ -9,6 +9,8 @@
 //! The pipeline-level half drives `Vita::run_many` → `save_to` →
 //! `load_from` and checks the restored repository run by run.
 
+#![expect(clippy::disallowed_methods, reason = "test code")]
+
 use proptest::prelude::*;
 
 use vita_core::prelude::*;
