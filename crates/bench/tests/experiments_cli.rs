@@ -5,6 +5,7 @@
 
 #![expect(clippy::disallowed_methods, reason = "test code")]
 
+use std::path::PathBuf;
 use std::process::{Command, Output};
 
 fn experiments(args: &[&str]) -> Output {
@@ -36,14 +37,30 @@ fn one_unknown_id_stops_the_known_ones_too() {
     assert!(out.stdout.is_empty(), "e3 must not run: {out:?}");
 }
 
-/// Write `text` to a spec file unique to this test process and `name`.
-fn spec_file(name: &str, text: &str) -> String {
-    let path = std::env::temp_dir().join(format!(
-        "vita-experiments-cli-{}-{name}.lab",
-        std::process::id()
-    ));
-    std::fs::write(&path, text).expect("write spec");
-    path.to_str().expect("utf-8 temp path").to_string()
+/// A spec file unique to this test process and `name`, removed when
+/// dropped, so a failing assertion cleans up too.
+struct SpecFile(PathBuf);
+
+impl SpecFile {
+    fn new(name: &str, text: &str) -> Self {
+        let path = std::env::temp_dir().join(format!(
+            "vita-experiments-cli-{}-{name}.lab",
+            std::process::id()
+        ));
+        std::fs::write(&path, text).expect("write spec");
+        SpecFile(path)
+    }
+
+    fn path(&self) -> &str {
+        self.0.to_str().expect("utf-8 temp path")
+    }
+}
+
+impl Drop for SpecFile {
+    fn drop(&mut self) {
+        // Already gone for the `missing` case.
+        let _ = std::fs::remove_file(&self.0);
+    }
 }
 
 /// One case per error path: exit code 2, nothing on stdout, and exactly
@@ -52,23 +69,23 @@ fn spec_file(name: &str, text: &str) -> String {
 fn usage_and_spec_errors_exit_2_with_one_line() {
     let tiny = "run.duration_s = 2\nobjects.lifespan_min_s = 2\n\
                 objects.lifespan_max_s = 2\n[scenario s]\nobjects.count = 1\n";
-    let ok = spec_file("ok", tiny);
-    let missing = spec_file("missing", "");
-    std::fs::remove_file(&missing).expect("remove spec");
-    let bogus = spec_file("bogus", &format!("{tiny}storage.backend = bogus(3)\n"));
-    let sharded = spec_file("sharded", &format!("{tiny}storage.backend = sharded(8)\n"));
-    let misspelled = spec_file(
+    let ok = SpecFile::new("ok", tiny);
+    let missing = SpecFile::new("missing", "");
+    std::fs::remove_file(&missing.0).expect("remove spec");
+    let bogus = SpecFile::new("bogus", &format!("{tiny}storage.backend = bogus(3)\n"));
+    let sharded = SpecFile::new("sharded", &format!("{tiny}storage.backend = sharded(8)\n"));
+    let misspelled = SpecFile::new(
         "misspelled",
         &tiny.replace("objects.count", "objects.cuont"),
     );
     let cases: [(&[&str], &str); 7] = [
         (&["lab"], "usage: lab SPEC"),
-        (&["lab", &missing], &missing),
-        (&["lab", &ok, "--trials"], "--trials"),
-        (&["lab", &ok, "--schema"], "--schema"),
-        (&["lab", &bogus], "bogus(3)"),
-        (&["lab", &sharded], "sharded(8)"),
-        (&["lab", &misspelled], "objects.cuont"),
+        (&["lab", missing.path()], missing.path()),
+        (&["lab", ok.path(), "--trials"], "--trials"),
+        (&["lab", ok.path(), "--schema"], "--schema"),
+        (&["lab", bogus.path()], "bogus(3)"),
+        (&["lab", sharded.path()], "sharded(8)"),
+        (&["lab", misspelled.path()], "objects.cuont"),
     ];
     for (args, needle) in cases {
         let out = experiments(args);

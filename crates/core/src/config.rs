@@ -178,6 +178,22 @@ pub fn load_mobility(p: &Properties) -> Result<MobilityConfig, ConfigLoadError> 
     })
 }
 
+/// A sampling rate: finite and positive, the rule
+/// [`MobilityConfig::validate`] applies to `trajectory_hz`. Anything else
+/// would reach [`Hz::period_ms`], which has no grid for it.
+fn rate(p: &Properties, key: &str, default: f64) -> Result<Hz, PropsError> {
+    let hz = Hz(p.f64_or(key, default)?);
+    if hz.is_valid() {
+        Ok(hz)
+    } else {
+        Err(PropsError::BadValue {
+            key: key.to_string(),
+            value: p.str_or(key, "").to_string(),
+            expected: "positive, finite rate in Hz",
+        })
+    }
+}
+
 /// Load the RSSI Measurement Controller configuration.
 pub fn load_rssi(p: &Properties) -> Result<RssiConfig, ConfigLoadError> {
     let d = RssiConfig::default();
@@ -197,7 +213,7 @@ pub fn load_rssi(p: &Properties) -> Result<RssiConfig, ConfigLoadError> {
         }
     };
     let sampling_hz = if p.contains("rssi.hz") {
-        Some(Hz(p.f64_or("rssi.hz", 1.0)?))
+        Some(rate(p, "rssi.hz", 1.0)?)
     } else {
         None
     };
@@ -215,7 +231,7 @@ pub fn load_rssi(p: &Properties) -> Result<RssiConfig, ConfigLoadError> {
 
 /// Load the Positioning Method Controller configuration.
 pub fn load_method(p: &Properties) -> Result<MethodConfig, ConfigLoadError> {
-    let sampling_hz = Hz(p.f64_or("positioning.hz", 0.5)?);
+    let sampling_hz = rate(p, "positioning.hz", 0.5)?;
     let window_ms = p.u64_or("positioning.window_ms", 3_000)?;
     let rssi_cfg = load_rssi(p)?;
 
@@ -385,6 +401,30 @@ run.seed = 42
     fn rssi_hz_override_detected() {
         let p = Properties::parse("rssi.hz = 2\n").unwrap();
         assert_eq!(load_rssi(&p).unwrap().sampling_hz, Some(Hz(2.0)));
+    }
+
+    #[test]
+    fn rates_that_are_not_finite_and_positive_are_rejected() {
+        for key in ["rssi.hz", "positioning.hz"] {
+            for value in ["nan", "inf", "0", "-1"] {
+                let p = Properties::parse(&format!("{key} = {value}\n")).unwrap();
+                let err = if key == "rssi.hz" {
+                    load_rssi(&p).unwrap_err()
+                } else {
+                    load_method(&p).unwrap_err()
+                };
+                assert!(
+                    matches!(
+                        &err,
+                        ConfigLoadError::Props(PropsError::BadValue { key: k, value: v, .. })
+                            if k == key && v == value
+                    ),
+                    "{key} = {value}: {err:?}"
+                );
+                let text = err.to_string();
+                assert!(text.contains(key) && text.contains(value), "{text}");
+            }
+        }
     }
 
     #[test]

@@ -12,6 +12,8 @@
 //!   line-of-sight predicates ([`line_of_sight`], [`count_crossings`]).
 //! * [`Polygon`] — footprints; containment, triangulation, uniform sampling,
 //!   half-plane clipping and line splits used by partition decomposition.
+//! * [`SightIndex`] — one origin's walls filed by direction and distance,
+//!   for repeated crossing counts from a fixed device.
 //! * [`Aabb`] — bounding boxes.
 //! * [`GridIndex`] — rebuild-friendly uniform grid for dynamic data.
 //! * [`RTree`] — STR bulk-loaded R-tree for static building geometry.
@@ -25,6 +27,7 @@ pub mod point;
 pub mod polygon;
 pub mod rtree;
 pub mod segment;
+pub mod sight;
 
 pub use bbox::Aabb;
 pub use grid::GridIndex;
@@ -32,3 +35,4 @@ pub use point::{orient, Orientation, Point, Point3, Vec2, EPS};
 pub use polygon::{Polygon, PolygonError, PolygonSampler};
 pub use rtree::RTree;
 pub use segment::{count_crossings, line_of_sight, Segment};
+pub use sight::SightIndex;

@@ -4,7 +4,8 @@
 use proptest::prelude::*;
 
 use vita_geometry::{
-    count_crossings, Aabb, GridIndex, Point, Polygon, PolygonSampler, RTree, Segment, Vec2,
+    count_crossings, Aabb, GridIndex, Point, Polygon, PolygonSampler, RTree, Segment, SightIndex,
+    Vec2,
 };
 
 fn pt() -> impl Strategy<Value = Point> {
@@ -73,6 +74,42 @@ proptest! {
             Segment::new(Point::new(-200.0, 0.0), Point::new(200.0, 0.0)),
         ];
         prop_assert_eq!(count_crossings(a, b, &walls), count_crossings(b, a, &walls));
+    }
+
+    #[test]
+    fn sight_index_matches_brute_force(
+        origin in pt(),
+        raw in prop::collection::vec((pt(), pt(), 0u32..6), 1..40),
+        probes in prop::collection::vec(pt(), 1..60),
+    ) {
+        let walls: Vec<Segment> = raw
+            .iter()
+            .map(|&(a, b, kind)| {
+                let d = origin.to(a);
+                match kind {
+                    // Zero length; through the origin; ending at it; on a
+                    // ray from it; anywhere.
+                    0 => Segment::new(a, a),
+                    1 => Segment::new(a, origin + d * -0.5),
+                    2 => Segment::new(origin, a),
+                    3 => Segment::new(origin + d * 0.5, origin + d * 2.0),
+                    _ => Segment::new(a, b),
+                }
+            })
+            .collect();
+        let index = SightIndex::new(origin, &walls);
+        // Endpoints, midpoints, collinear points, and just beyond each
+        // midpoint as seen from the origin.
+        let special = walls.iter().flat_map(|w| {
+            let beyond = origin + origin.to(w.midpoint()) * 1.01;
+            [w.a, w.b, w.midpoint(), w.at(-0.5), w.at(1.5), beyond]
+        });
+        for p in probes.iter().copied().chain(special).chain([origin]) {
+            prop_assert_eq!(
+                index.count_crossings(p, origin.dist(p)),
+                count_crossings(origin, p, &walls)
+            );
+        }
     }
 
     // ── boxes ───────────────────────────────────────────────────────────

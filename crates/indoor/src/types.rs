@@ -192,9 +192,10 @@ impl fmt::Display for Timestamp {
 pub struct Hz(pub f64);
 
 impl Hz {
-    /// Sampling period in milliseconds (clamped to at least 1 ms).
+    /// Sampling period in milliseconds (clamped to at least 1 ms);
+    /// `u64::MAX`, never, for a rate that is not positive or is NaN.
     pub fn period_ms(&self) -> u64 {
-        if self.0 <= 0.0 {
+        if self.0.is_nan() || self.0 <= 0.0 {
             u64::MAX
         } else {
             ((1000.0 / self.0).round() as u64).max(1)
@@ -252,6 +253,7 @@ mod tests {
         assert_eq!(Hz(10.0).period_ms(), 100);
         assert_eq!(Hz(0.5).period_ms(), 2000);
         assert_eq!(Hz(0.0).period_ms(), u64::MAX);
+        assert_eq!(Hz(f64::NAN).period_ms(), u64::MAX);
         assert!(!Hz(0.0).is_valid());
         assert!(!Hz(f64::NAN).is_valid());
         assert!(Hz(2.0).is_valid());

@@ -3,7 +3,11 @@
 //! For every device, at that device's detection frequency (or a global
 //! override), the generator measures every object that is on the device's
 //! floor and within detection range, applying the path-loss model with the
-//! wall/obstacle crossing count between device and object.
+//! wall/obstacle crossing count between device and object. Devices that
+//! share a sampling grid are measured together, one interpolated position
+//! per grid instant, and each counts crossings through its own
+//! [`SightIndex`], so a trajectory's measurements come out in
+//! `(t, device)` order per grid.
 //!
 //! Fluctuation noise is drawn from a generator **derived per measurement**
 //! from `(seed, device, object, t)`, so a measurement's value does not
@@ -15,8 +19,8 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use vita_devices::DeviceRegistry;
-use vita_geometry::{count_crossings, Segment};
+use vita_devices::{Device, DeviceRegistry};
+use vita_geometry::SightIndex;
 use vita_indoor::{DeviceId, Hz, IndoorEnvironment, ObjectId, Timestamp};
 use vita_mobility::{Trajectory, TrajectoryStore};
 
@@ -63,26 +67,41 @@ pub fn generate_rssi(
     RssiStore::new(measurements)
 }
 
-/// The RSSI Measurement Controller, set up once per run: per-floor wall
-/// sets (including user obstacles) are precomputed so per-chunk generation
-/// does no repeated geometry work.
+/// The RSSI Measurement Controller, set up once per run: each device gets a
+/// [`SightIndex`] over its floor's walls (including user obstacles), and the
+/// devices are grouped by sampling grid, so per-chunk generation does no
+/// repeated geometry work and interpolates each instant once.
 pub struct RssiGenerator<'a> {
-    devices: &'a DeviceRegistry,
     cfg: RssiConfig,
-    /// Per-floor walls + user-obstacle edges, indexed by floor.
-    walls: Vec<Vec<Segment>>,
+    grids: Vec<Grid<'a>>,
+}
+
+/// The devices that sample on one grid (period in milliseconds, anchored at
+/// `t = 0`), in registry order, each with its wall index.
+struct Grid<'a> {
+    period: u64,
+    devices: Vec<(&'a Device, SightIndex)>,
 }
 
 impl<'a> RssiGenerator<'a> {
     pub fn new(env: &IndoorEnvironment, devices: &'a DeviceRegistry, cfg: &RssiConfig) -> Self {
-        let walls = (0..env.floors().len())
-            .map(|f| env.walls_with_obstacles(vita_indoor::FloorId(f as u32)))
-            .collect();
-        RssiGenerator {
-            devices,
-            cfg: *cfg,
-            walls,
+        let mut grids: Vec<Grid<'a>> = Vec::new();
+        for device in devices.devices() {
+            let hz = cfg.sampling_hz.unwrap_or(device.spec.detection_hz);
+            let period = hz.period_ms();
+            if period == u64::MAX {
+                continue;
+            }
+            let sight = SightIndex::new(device.position, &env.walls_with_obstacles(device.floor));
+            match grids.iter_mut().find(|g| g.period == period) {
+                Some(grid) => grid.devices.push((device, sight)),
+                None => grids.push(Grid {
+                    period,
+                    devices: vec![(device, sight)],
+                }),
+            }
         }
+        RssiGenerator { cfg: *cfg, grids }
     }
 
     /// Measure one object's trajectory against every device. Each device
@@ -90,61 +109,51 @@ impl<'a> RssiGenerator<'a> {
     /// the global override), restricted to `[0, duration]` — exactly the
     /// instants the whole-store sweep would evaluate for this object, so
     /// the union over all objects reproduces [`generate_rssi`] exactly.
-    /// Measurements are returned in `(device, t)` order; [`RssiStore::new`]
-    /// re-sorts into canonical `(t, object, device)` order.
+    /// Each grid is walked once, interpolating the object's position once
+    /// per instant for all of the grid's devices, so measurements come out
+    /// in `(t, device)` order per grid: already sorted for
+    /// [`RssiStore::new`]'s canonical `(t, object, device)` order when all
+    /// devices share one grid, one sorted run per grid otherwise.
     pub fn measure_trajectory(&self, object: ObjectId, tr: &Trajectory) -> Vec<RssiMeasurement> {
         let mut out = Vec::new();
         let (Some(start), Some(end)) = (tr.start_time(), tr.end_time()) else {
             return out;
         };
         let t_end = end.min(self.cfg.duration);
-        for device in self.devices.devices() {
-            let hz = self.cfg.sampling_hz.unwrap_or(device.spec.detection_hz);
-            let period = hz.period_ms();
-            if period == u64::MAX {
-                continue;
-            }
-            let floor_walls = &self.walls[device.floor.index()];
+        for grid in &self.grids {
             // First grid instant at or after the object's birth.
-            let mut t = Timestamp(start.0.div_ceil(period) * period);
+            let mut t = Timestamp(start.0.div_ceil(grid.period) * grid.period);
             while t <= t_end {
-                if let Some(m) = self.measure_at(device, object, tr, t, floor_walls) {
-                    out.push(m);
+                if let Some((floor, pos)) = tr.position_at(t) {
+                    for (device, sight) in &grid.devices {
+                        if device.floor != floor {
+                            continue;
+                        }
+                        let dist = device.position.dist(pos);
+                        if dist > device.spec.detection_range {
+                            continue;
+                        }
+                        let crossings = sight.count_crossings(pos, dist);
+                        let mut rng = measurement_rng(self.cfg.seed, device.id, object, t);
+                        let rssi = self.cfg.path_loss.measure(
+                            dist,
+                            device.spec.rssi_at_1m,
+                            crossings,
+                            0.0,
+                            &mut rng,
+                        );
+                        out.push(RssiMeasurement {
+                            object,
+                            device: device.id,
+                            rssi,
+                            t,
+                        });
+                    }
                 }
-                t = t.advance(period);
+                t = t.advance(grid.period);
             }
         }
         out
-    }
-
-    fn measure_at(
-        &self,
-        device: &vita_devices::Device,
-        object: ObjectId,
-        tr: &Trajectory,
-        t: Timestamp,
-        floor_walls: &[Segment],
-    ) -> Option<RssiMeasurement> {
-        let (floor, pos) = tr.position_at(t)?;
-        if floor != device.floor {
-            return None;
-        }
-        let dist = device.position.dist(pos);
-        if dist > device.spec.detection_range {
-            return None;
-        }
-        let crossings = count_crossings(device.position, pos, floor_walls);
-        let mut rng = measurement_rng(self.cfg.seed, device.id, object, t);
-        let rssi =
-            self.cfg
-                .path_loss
-                .measure(dist, device.spec.rssi_at_1m, crossings, 0.0, &mut rng);
-        Some(RssiMeasurement {
-            object,
-            device: device.id,
-            rssi,
-            t,
-        })
     }
 }
 
@@ -192,8 +201,9 @@ mod tests {
     use crate::model::NoiseModel;
     use vita_dbi::{office, SynthParams};
     use vita_devices::{deploy, DeploymentModel, DeviceSpec, DeviceType};
+    use vita_geometry::{count_crossings, Polygon};
     use vita_indoor::{build_environment, BuildParams, FloorId};
-    use vita_mobility::{generate, LifespanConfig, MobilityConfig};
+    use vita_mobility::{generate, ArrivalProcess, LifespanConfig, MobilityConfig};
 
     use vita_indoor::Hz as HzT;
 
@@ -263,7 +273,7 @@ mod tests {
             let dev = reg.get(m.device).unwrap();
             let (_, pos) = trs.get(m.object).unwrap().position_at(m.t).unwrap();
             let walls = env.walls_with_obstacles(dev.floor);
-            if vita_geometry::count_crossings(dev.position, pos, &walls) == 0 {
+            if count_crossings(dev.position, pos, &walls) == 0 {
                 clear.push((dev.position.dist(pos), m.rssi));
             }
         }
@@ -349,6 +359,152 @@ mod tests {
             assert_eq!(a.device, b.device);
             assert_eq!(a.t, b.t);
             assert_eq!(a.rssi.to_bits(), b.rssi.to_bits(), "noise differs");
+        }
+    }
+
+    /// Two floors with Wi-Fi (1 Hz), Bluetooth (2 Hz) and RFID (4 Hz)
+    /// devices on each, an obstacle on a sight-line of the first access
+    /// point, and objects arriving and leaving mid-run.
+    fn mixed_setup() -> (IndoorEnvironment, DeviceRegistry, TrajectoryStore) {
+        let model = office(&SynthParams::with_floors(2));
+        let mut env = build_environment(&model, &BuildParams::default())
+            .unwrap()
+            .env;
+        let mut reg = DeviceRegistry::new();
+        for floor in [FloorId(0), FloorId(1)] {
+            for (ty, n) in [
+                (DeviceType::WiFi, 4),
+                (DeviceType::Bluetooth, 4),
+                (DeviceType::Rfid, 8),
+            ] {
+                let spec = DeviceSpec::default_for(ty);
+                deploy(&env, &mut reg, spec, floor, DeploymentModel::Coverage, n);
+            }
+        }
+        let cfg = MobilityConfig {
+            object_count: 16,
+            duration: Timestamp(90_000),
+            lifespan: LifespanConfig {
+                min: Timestamp(20_000),
+                max: Timestamp(60_000),
+            },
+            arrivals: ArrivalProcess::Poisson { rate_per_min: 12.0 },
+            trajectory_hz: HzT(2.0),
+            seed: 11,
+            ..Default::default()
+        };
+        let trs = generate(&env, &cfg).unwrap().trajectories;
+        // The obstacle straddles the sight-line from the first access point
+        // to the first object it sees from more than 3 m away.
+        let ap = reg.devices()[0].position;
+        let seen = trs
+            .iter()
+            .flat_map(|(_, tr)| (0..90).filter_map(|s| tr.position_at(Timestamp(s * 1000))))
+            .find(|&(floor, p)| floor == FloorId(0) && (3.0..25.0).contains(&ap.dist(p)))
+            .unwrap();
+        let mid = ap.midpoint(seen.1);
+        let obstacle = Polygon::rect(mid.x - 0.3, mid.y - 0.3, mid.x + 0.3, mid.y + 0.3);
+        env.deploy_obstacle(FloorId(0), obstacle, 3.0);
+        (env, reg, trs)
+    }
+
+    /// The reference: a per-device loop with one `position_at` and one
+    /// brute-force crossing count per device per instant.
+    fn per_device_loop(
+        env: &IndoorEnvironment,
+        devices: &DeviceRegistry,
+        cfg: &RssiConfig,
+        object: ObjectId,
+        tr: &Trajectory,
+    ) -> Vec<RssiMeasurement> {
+        let mut out = Vec::new();
+        let (Some(start), Some(end)) = (tr.start_time(), tr.end_time()) else {
+            return out;
+        };
+        let t_end = end.min(cfg.duration);
+        for device in devices.devices() {
+            let period = cfg
+                .sampling_hz
+                .unwrap_or(device.spec.detection_hz)
+                .period_ms();
+            if period == u64::MAX {
+                continue;
+            }
+            let walls = env.walls_with_obstacles(device.floor);
+            let mut t = Timestamp(start.0.div_ceil(period) * period);
+            while t <= t_end {
+                if let Some((floor, pos)) = tr.position_at(t) {
+                    let dist = device.position.dist(pos);
+                    if floor == device.floor && dist <= device.spec.detection_range {
+                        let crossings = count_crossings(device.position, pos, &walls);
+                        let mut rng = measurement_rng(cfg.seed, device.id, object, t);
+                        let rssi = cfg.path_loss.measure(
+                            dist,
+                            device.spec.rssi_at_1m,
+                            crossings,
+                            0.0,
+                            &mut rng,
+                        );
+                        out.push(RssiMeasurement {
+                            object,
+                            device: device.id,
+                            rssi,
+                            t,
+                        });
+                    }
+                }
+                t = t.advance(period);
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn grid_walk_reproduces_the_per_device_loop_bit_for_bit() {
+        let (env, reg, trs) = mixed_setup();
+        assert!(
+            trs.iter()
+                .any(|(_, tr)| tr.start_time() > Some(Timestamp(0))),
+            "no object is born mid-run"
+        );
+        assert!(
+            trs.iter()
+                .any(|(_, tr)| tr.end_time() < Some(Timestamp(80_000))),
+            "no object leaves mid-run"
+        );
+        for sampling_hz in [None, Some(HzT(3.0))] {
+            let cfg = RssiConfig {
+                sampling_hz,
+                duration: Timestamp(90_000),
+                ..Default::default()
+            };
+            let generator = RssiGenerator::new(&env, &reg, &cfg);
+            let (mut grid, mut reference) = (Vec::new(), Vec::new());
+            for (oid, tr) in trs.iter() {
+                grid.extend(generator.measure_trajectory(*oid, tr));
+                reference.extend(per_device_loop(&env, &reg, &cfg, *oid, tr));
+            }
+            let (grid, reference) = (RssiStore::new(grid), RssiStore::new(reference));
+            assert_eq!(grid.len(), reference.len(), "{sampling_hz:?}");
+            for (a, b) in grid.all().iter().zip(reference.all()) {
+                assert_eq!((a.t, a.object, a.device), (b.t, b.object, b.device));
+                assert_eq!(a.rssi.to_bits(), b.rssi.to_bits(), "{a:?} vs {b:?}");
+            }
+            // The setup reaches what it is meant to: every device type and
+            // both floors measure, and the obstacle is on some sight-line.
+            let measured = |pred: &dyn Fn(&vita_devices::Device) -> bool| {
+                grid.all().iter().any(|m| pred(reg.get(m.device).unwrap()))
+            };
+            for ty in DeviceType::ALL {
+                assert!(measured(&|d| d.spec.device_type == ty), "{ty:?}");
+            }
+            assert!(measured(&|d| d.floor == FloorId(1)));
+            let obstacle_edges: Vec<_> = env.obstacles()[0].polygon.edges().collect();
+            assert!(grid.all().iter().any(|m| {
+                let d = reg.get(m.device).unwrap();
+                let (_, pos) = trs.get(m.object).unwrap().position_at(m.t).unwrap();
+                d.floor == FloorId(0) && count_crossings(d.position, pos, &obstacle_edges) > 0
+            }));
         }
     }
 

@@ -9,7 +9,9 @@
 //!   geometrically, reproducing Fig. 3(a)'s d1/d2 asymmetry), and
 //!   fluctuation noise models.
 //! * [`generate`] — the RSSI Measurement Controller: sampling every device
-//!   against every trajectory at the configured frequency.
+//!   against every trajectory at the configured frequency, one grid of
+//!   devices at a time, emitting each trajectory's measurements in
+//!   `(t, device)` order per grid.
 //! * [`store`] — the `(o_id, d_id, rssi)` record format (§4.2) with
 //!   time-window queries used by the positioning methods.
 
