@@ -240,8 +240,9 @@ fn e11_streaming_pipeline() {
 /// historical E11 seed and carries the experiment's core guarantee as
 /// `assert.cross_axis_rows = backend` — the run aborts if the backends'
 /// products diverge. The wall-clock delta is the segmented backend's
-/// ingest cost (sealer thread, per-batch segment publication), which is
-/// why single stays the offline default.
+/// ingest cost (per-batch segment publication, and the seals and
+/// compactions the appends run inline), which is why single stays the
+/// offline default.
 fn e11_at_scale() {
     println!("## E11s — E11 at scale: single vs segmented repository (lab matrix)\n");
     run_lab_text(include_str!("../../specs/e11s.lab"), "specs/e11s.lab");
@@ -386,8 +387,8 @@ fn e15_query_serving() {
 /// backend while a writer thread keeps `run_many` ingesting. Every query
 /// answers from a pinned immutable snapshot, so the read tail
 /// should stay flat while the writer runs; the seal / compaction columns
-/// count the sealer's in-step work, confirming it was actually churning
-/// during the measurement, not idle. The row is the median-p99 rep of
+/// count the seals and compactions the writer's appends ran in the step,
+/// confirming maintenance was actually churning during the measurement. The row is the median-p99 rep of
 /// three independent reps, each over a freshly built repository.
 /// Absolute numbers are container-sensitive; compare within one run.
 fn e16_read_under_ingest() {

@@ -178,9 +178,9 @@ pub fn load_mobility(p: &Properties) -> Result<MobilityConfig, ConfigLoadError> 
     })
 }
 
-/// A sampling rate: finite and positive, the rule
+/// A sampling rate in (0, 1000] Hz ([`Hz::is_valid`]), the rule
 /// [`MobilityConfig::validate`] applies to `trajectory_hz`. Anything else
-/// would reach [`Hz::period_ms`], which has no grid for it.
+/// would reach [`Hz::period_ms`], which has no grid of its own for it.
 fn rate(p: &Properties, key: &str, default: f64) -> Result<Hz, PropsError> {
     let hz = Hz(p.f64_or(key, default)?);
     if hz.is_valid() {
@@ -189,7 +189,7 @@ fn rate(p: &Properties, key: &str, default: f64) -> Result<Hz, PropsError> {
         Err(PropsError::BadValue {
             key: key.to_string(),
             value: p.str_or(key, "").to_string(),
-            expected: "positive, finite rate in Hz",
+            expected: "rate in Hz, above 0 and at most 1000",
         })
     }
 }
@@ -404,9 +404,15 @@ run.seed = 42
     }
 
     #[test]
-    fn rates_that_are_not_finite_and_positive_are_rejected() {
+    fn rates_outside_the_supported_range_are_rejected() {
         for key in ["rssi.hz", "positioning.hz"] {
-            for value in ["nan", "inf", "0", "-1"] {
+            let p = Properties::parse(&format!("{key} = 1000\n")).unwrap();
+            if key == "rssi.hz" {
+                assert_eq!(load_rssi(&p).unwrap().sampling_hz, Some(Hz(1000.0)));
+            } else {
+                assert!(load_method(&p).is_ok());
+            }
+            for value in ["nan", "inf", "0", "-1", "1000.5", "5000", "1e9"] {
                 let p = Properties::parse(&format!("{key} = {value}\n")).unwrap();
                 let err = if key == "rssi.hz" {
                     load_rssi(&p).unwrap_err()
@@ -424,6 +430,20 @@ run.seed = 42
                 let text = err.to_string();
                 assert!(text.contains(key) && text.contains(value), "{text}");
             }
+        }
+        // `trajectory.hz` loads as given; `MobilityConfig::validate`
+        // applies the same range.
+        let mobility = |value: &str| {
+            let p = Properties::parse(&format!("trajectory.hz = {value}\n")).unwrap();
+            load_mobility(&p).unwrap().validate()
+        };
+        assert_eq!(mobility("1000"), Ok(()));
+        for value in ["0", "1000.5", "5000", "1e9"] {
+            assert_eq!(
+                mobility(value),
+                Err(vita_mobility::ConfigError::BadSamplingFrequency),
+                "{value}"
+            );
         }
     }
 

@@ -41,7 +41,7 @@ use std::time::{Duration, Instant};
 
 use vita_dbi::LoadedDbi;
 use vita_devices::{deploy, DeploymentModel, DeviceRegistry, DeviceSpec};
-use vita_indoor::{build_environment, BuildParams, FloorId, IndoorEnvironment, RunId};
+use vita_indoor::{build_environment, BuildParams, FloorId, Hz, IndoorEnvironment, RunId};
 use vita_mobility::{
     GenerationResult, GenerationStats, MobilityConfig, StreamedGeneration, TrajectoryChunk,
 };
@@ -75,6 +75,12 @@ pub enum VitaError {
     /// [`Vita::save_to`] could not read a spilled segment back; nothing
     /// was written.
     Spill(SpillError),
+    /// A sampling rate a run would read is outside (0, 1000] Hz
+    /// ([`Hz::is_valid`]); `source` names where it was set.
+    UnsupportedRate {
+        source: String,
+        hz: Hz,
+    },
 }
 
 impl std::fmt::Display for VitaError {
@@ -92,6 +98,10 @@ impl std::fmt::Display for VitaError {
             VitaError::Codec(e) => write!(f, "storage decode: {e}"),
             VitaError::Io(e) => write!(f, "storage file IO: {e}"),
             VitaError::Spill(e) => write!(f, "storage spill tier: {e}"),
+            VitaError::UnsupportedRate { source, hz } => write!(
+                f,
+                "{source} = {hz}: sampling rates must be above 0 and at most 1000 Hz"
+            ),
         }
     }
 }
@@ -239,6 +249,7 @@ impl Vita {
             .ok_or(VitaError::MissingStage(
                 "generate_objects must run before generate_rssi",
             ))?;
+        check_rates(&self.devices, Some(cfg), None)?;
         let store = generate_rssi(&self.env, &self.devices, &gen.trajectories, cfg);
         self.repo.accept(ProductBatch::Rssi(store.all().to_vec()));
         self.last_rssi = Some(store);
@@ -254,6 +265,7 @@ impl Vita {
         let rssi = self.last_rssi.as_ref().ok_or(VitaError::MissingStage(
             "generate_rssi must run before run_positioning",
         ))?;
+        check_rates(&self.devices, None, Some(method))?;
         let data = run_positioning(&self.env, &self.devices, rssi, method)
             .map_err(VitaError::Positioning)?;
         self.repo.accept(positioning_batch_ref(&data));
@@ -797,6 +809,7 @@ fn build_contexts<'a>(
         let mut mobility = scenario.mobility.clone();
         mobility.seed = derive_run_seed(mobility.seed, *run);
         mobility.validate().map_err(VitaError::Mobility)?;
+        check_rates(devices, Some(&scenario.rssi), Some(&scenario.method))?;
         let mut rssi_cfg = scenario.rssi;
         rssi_cfg.seed = derive_run_seed(rssi_cfg.seed, *run);
         contexts.push(RunContext {
@@ -808,6 +821,43 @@ fn build_contexts<'a>(
         });
     }
     Ok(contexts)
+}
+
+/// Reject a sampling rate outside (0, 1000] Hz that a run would read:
+/// every deployed device's `detection_hz`, the RSSI override and the
+/// positioning method's rate. [`Hz::period_ms`] would otherwise sample a
+/// faster rate every millisecond, and skip a rate that is not positive,
+/// without a word.
+fn check_rates(
+    devices: &DeviceRegistry,
+    rssi: Option<&RssiConfig>,
+    method: Option<&MethodConfig>,
+) -> Result<(), VitaError> {
+    let unsupported = |source: String, hz: Hz| Err(VitaError::UnsupportedRate { source, hz });
+    for d in devices.devices() {
+        if !d.spec.detection_hz.is_valid() {
+            return unsupported(format!("device {} detection_hz", d.id), d.spec.detection_hz);
+        }
+    }
+    if let Some(hz) = rssi.and_then(|cfg| cfg.sampling_hz) {
+        if !hz.is_valid() {
+            return unsupported("rssi sampling_hz".to_string(), hz);
+        }
+    }
+    let method_hz = match method {
+        Some(MethodConfig::Trilateration { config, .. }) => Some(config.sampling_hz),
+        Some(
+            MethodConfig::FingerprintingKnn { online, .. }
+            | MethodConfig::FingerprintingBayes { online, .. },
+        ) => Some(online.sampling_hz),
+        Some(MethodConfig::Proximity(_)) | None => None,
+    };
+    if let (Some(m), Some(hz)) = (method, method_hz) {
+        if !hz.is_valid() {
+            return unsupported(format!("{} sampling_hz", m.method_name()), hz);
+        }
+    }
+    Ok(())
 }
 
 /// [`Vita::migrate_backend`] over the bare repository handle (free
@@ -1162,6 +1212,95 @@ mod tests {
         ));
         // Nothing was stored.
         assert_eq!(vita.repository().counts(RunScope::All).total(), 0);
+    }
+
+    /// Rates the millisecond grid cannot honour fail before anything of
+    /// their stage is stored, on the streamed and the step path alike;
+    /// 1000 Hz, the finest grid, is accepted.
+    #[test]
+    fn rates_above_1000_hz_are_rejected_on_every_path() {
+        let wifi = |hz: f64| DeviceSpec {
+            detection_hz: Hz(hz),
+            ..DeviceSpec::default_for(DeviceType::WiFi)
+        };
+        let deployed = |hz: f64| {
+            let mut vita = toolkit();
+            vita.deploy_devices(wifi(hz), FloorId(0), DeploymentModel::Coverage, 4);
+            vita
+        };
+        fn rejected<T>(result: Result<T, VitaError>, hz: f64, source: &str) {
+            let Err(err) = result else {
+                panic!("{source} = {hz} Hz was accepted");
+            };
+            assert!(
+                matches!(&err, VitaError::UnsupportedRate { hz: h, .. } if h.0 == hz),
+                "{err}"
+            );
+            assert!(err.to_string().starts_with(source), "{err}");
+        }
+        let with_rates = |rssi: Option<f64>, method: f64| {
+            let mut scenario = trilateration_scenario(quick_mobility());
+            scenario.rssi.sampling_hz = rssi.map(Hz);
+            scenario.method = MethodConfig::Trilateration {
+                config: TrilaterationConfig {
+                    sampling_hz: Hz(method),
+                    ..TrilaterationConfig::default()
+                },
+                conversion_model: PathLossModel::default(),
+            };
+            scenario
+        };
+
+        // One object for two seconds keeps the 1000 Hz run small.
+        let mut finest = with_rates(Some(1000.0), 1000.0);
+        finest.mobility.object_count = 1;
+        finest.mobility.duration = Timestamp(2_000);
+        finest.mobility.lifespan = LifespanConfig {
+            min: Timestamp(2_000),
+            max: Timestamp(2_000),
+        };
+        finest.rssi.duration = Timestamp(2_000);
+        let report = deployed(1000.0).run_streaming(&finest).unwrap();
+        assert!(report.stats.samples > 0);
+        for hz in [1000.5, 5000.0, 1e9] {
+            // Streamed: a device, the RSSI override, the method.
+            let mut vita = deployed(hz);
+            let fine = with_rates(None, 1.0);
+            let device = "device DeviceId0 detection_hz";
+            rejected(vita.run_streaming(&fine), hz, device);
+            assert_eq!(vita.repository().counts(RunScope::All).total(), 0);
+            let mut vita = deployed(1.0);
+            rejected(
+                vita.run_streaming(&with_rates(Some(hz), 1.0)),
+                hz,
+                "rssi sampling_hz",
+            );
+            rejected(
+                vita.run_streaming(&with_rates(None, hz)),
+                hz,
+                "trilateration sampling_hz",
+            );
+            assert_eq!(vita.repository().counts(RunScope::All).total(), 0);
+
+            // Step path: the same three sources.
+            let mut vita = deployed(hz);
+            vita.generate_objects(&quick_mobility()).unwrap();
+            rejected(vita.generate_rssi(&fine.rssi), hz, device);
+            let mut vita = deployed(1.0);
+            vita.generate_objects(&quick_mobility()).unwrap();
+            rejected(
+                vita.generate_rssi(&with_rates(Some(hz), 1.0).rssi),
+                hz,
+                "rssi sampling_hz",
+            );
+            vita.generate_rssi(&fine.rssi).unwrap();
+            rejected(
+                vita.run_positioning(&with_rates(None, hz).method),
+                hz,
+                "trilateration sampling_hz",
+            );
+            assert_eq!(vita.repository().counts(RunScope::All).fixes, 0);
+        }
     }
 
     fn trilateration_scenario(mobility: MobilityConfig) -> ScenarioConfig {

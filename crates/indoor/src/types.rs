@@ -194,6 +194,8 @@ pub struct Hz(pub f64);
 impl Hz {
     /// Sampling period in milliseconds (clamped to at least 1 ms);
     /// `u64::MAX`, never, for a rate that is not positive or is NaN.
+    /// Only rates [`Hz::is_valid`] accepts have a period of their own:
+    /// past 1000 Hz every rate clamps to 1 ms.
     pub fn period_ms(&self) -> u64 {
         if self.0.is_nan() || self.0 <= 0.0 {
             u64::MAX
@@ -202,8 +204,10 @@ impl Hz {
         }
     }
 
+    /// Whether the rate is supported: in (0, 1000] Hz. Timestamps are
+    /// whole milliseconds, so 1000 Hz is the finest sampling grid.
     pub fn is_valid(&self) -> bool {
-        self.0.is_finite() && self.0 > 0.0
+        self.0 > 0.0 && self.0 <= 1000.0
     }
 }
 
@@ -257,7 +261,13 @@ mod tests {
         assert!(!Hz(0.0).is_valid());
         assert!(!Hz(f64::NAN).is_valid());
         assert!(Hz(2.0).is_valid());
-        // Very high frequencies clamp to 1 ms.
+        assert!(Hz(1000.0).is_valid());
+        assert_eq!(Hz(1000.0).period_ms(), 1);
+        // Faster rates would clamp to the same 1 ms grid, so they are
+        // rejected rather than silently sampled every millisecond.
         assert_eq!(Hz(5000.0).period_ms(), 1);
+        for hz in [1000.5, 5000.0, 1e9, f64::INFINITY] {
+            assert!(!Hz(hz).is_valid(), "{hz}");
+        }
     }
 }

@@ -181,7 +181,9 @@ impl std::fmt::Display for ConfigError {
             ConfigError::NoObjects => write!(f, "object_count must be > 0"),
             ConfigError::BadSpeedRange => write!(f, "need 0 < min_speed <= max_speed"),
             ConfigError::BadLifespan => write!(f, "need 0 < lifespan.min <= lifespan.max"),
-            ConfigError::BadSamplingFrequency => write!(f, "trajectory_hz must be positive"),
+            ConfigError::BadSamplingFrequency => {
+                write!(f, "trajectory_hz must be above 0 and at most 1000 Hz")
+            }
             ConfigError::ZeroDuration => write!(f, "duration must be > 0"),
             ConfigError::BadCrowdParams => {
                 write!(f, "crowd_fraction must be in [0,1], crowds > 0, radius > 0")
@@ -261,9 +263,14 @@ mod tests {
         };
         assert_eq!(c.validate(), Err(ConfigError::BadLifespan));
 
+        for hz in [0.0, 1000.5, 5000.0, 1e9] {
+            let mut c = base.clone();
+            c.trajectory_hz = Hz(hz);
+            assert_eq!(c.validate(), Err(ConfigError::BadSamplingFrequency), "{hz}");
+        }
         let mut c = base.clone();
-        c.trajectory_hz = Hz(0.0);
-        assert_eq!(c.validate(), Err(ConfigError::BadSamplingFrequency));
+        c.trajectory_hz = Hz(1000.0);
+        assert_eq!(c.validate(), Ok(()));
 
         let mut c = base.clone();
         c.duration = Timestamp(0);

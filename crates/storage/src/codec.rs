@@ -78,11 +78,6 @@
 //! ([`CodecError::CountOverflow`] / [`CodecError::Truncated`]) instead of
 //! looping per-row on absurd counts.
 
-#![expect(
-    clippy::disallowed_methods,
-    reason = "R2: the export directory's file I/O lives here"
-)]
-
 use bytes::{BufMut, Bytes, BytesMut};
 
 use vita_geometry::Point;
@@ -684,8 +679,13 @@ pub fn decode_runs<T: WireRecord>(data: Bytes) -> Result<Vec<(RunId, Vec<T>)>, C
 
 /// Filesystem half of [`crate::RepositoryExport::write_dir`]: disk I/O
 /// stays confined to the persistence modules (`clippy::disallowed_methods`
-/// elsewhere), so the facade in `lib.rs` delegates the actual `fs` calls here. Each file is
-/// written crash-atomically via [`crate::segment::write_atomic`].
+/// elsewhere), so the facade in `lib.rs` delegates the actual `fs` calls
+/// here. Each file is written crash-atomically via
+/// [`crate::segment::write_atomic`].
+#[expect(
+    clippy::disallowed_methods,
+    reason = "R2: the export directory is created here"
+)]
 pub(crate) fn write_export_dir(
     export: &crate::RepositoryExport,
     dir: &std::path::Path,
@@ -705,6 +705,10 @@ pub(crate) fn write_export_dir(
 
 /// Filesystem half of [`crate::RepositoryExport::read_dir`]: purely file
 /// I/O — decode errors surface when the export is imported.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "R2: the export directory's table files are read here"
+)]
 pub(crate) fn read_export_dir(dir: &std::path::Path) -> std::io::Result<crate::RepositoryExport> {
     let read = |name: &str| std::fs::read(dir.join(name)).map(Bytes::from);
     let [t, r, f, p] = crate::RepositoryExport::FILE_NAMES;

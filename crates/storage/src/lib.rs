@@ -46,18 +46,19 @@
 //!
 //! * [`Repository`] — the reference store: four append-only [`table`]s
 //!   behind one `RwLock` each, with no index, so every query is a linear
-//!   scan. The offline default: ingest is a `Vec` append, there is no
-//!   background thread, and export and import are single passes. It is
+//!   scan. The offline default: ingest is a `Vec` append with no sealing
+//!   or compaction, and export and import are single passes. It is
 //!   also the oracle the cross-backend parity suites compare against, and
 //!   it shares no index or grid code with the engine it checks.
 //! * [`SegmentedRepository`] — the indexed engine. Each table is a list of
-//!   immutable, run-segmented segments published by atomic snapshot swap,
-//!   with a background sealer/compactor that sorts sealed sections by
-//!   time; a sealed section's object, device and spatial indexes are each
-//!   built by the first query that needs them (see the [`segment`] module
-//!   docs). A reader pins a snapshot by cloning an `Arc` under a read
-//!   lock held for just that, so it never waits on ingestion, sealing,
-//!   compaction or spill work. Choose it whenever queries matter: for
+//!   immutable, run-segmented segments published by atomic snapshot swap;
+//!   the appends that fill them seal them (sorting each sealed section by
+//!   time) and compact them inline, with no thread of their own. A sealed
+//!   section's object, device and spatial indexes are each built by the
+//!   first query that needs them (see the [`segment`] module docs). A
+//!   reader pins a snapshot by cloning an `Arc` under a read lock held for
+//!   just that, so it never waits on ingestion, sealing, compaction or
+//!   spill work. Choose it whenever queries matter: for
 //!   serving, for queries *while* ingestion runs, and for data that must
 //!   outgrow memory (its spill tier). Its queries go through one generic
 //!   handle per table ([`SegmentedRepository::trajectories`] and its
@@ -418,9 +419,9 @@ pub enum StorageBackend {
     Single,
     /// A [`SegmentedRepository`]: immutable segments, snapshot-pinned
     /// reads (a read lock held only to clone an `Arc`, never across
-    /// ingestion, sealing, compaction or spill work), background
-    /// sealer/compactor. With a [`SpillConfig`], sealed segments past the
-    /// memory budget are spilled to disk and paged back on query; `None`
+    /// ingestion, sealing, compaction or spill work), sealed and compacted
+    /// inline by the appends. With a [`SpillConfig`], sealed segments past
+    /// the memory budget are spilled to disk and paged back on query; `None`
     /// keeps the store all-resident (and still honors the `VITA_SPILL_*`
     /// environment — see [`SpillConfig::from_env`]).
     Segmented { spill: Option<SpillConfig> },
@@ -892,6 +893,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "test code: detached threads, joined below"
+    )]
     fn concurrent_readers_and_writer() {
         use std::sync::Arc;
         let repo = Arc::new(Repository::new());

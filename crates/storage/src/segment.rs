@@ -1,6 +1,6 @@
 //! The segmented storage backend: immutable run-segmented segments with
-//! snapshot-pinned reads and a background sealer/compactor. It is
-//! the workspace's one indexed storage engine.
+//! snapshot-pinned reads, sealed and compacted by the appends that fill
+//! them. It is the workspace's one indexed storage engine.
 //!
 //! The single [`Repository`](crate::Repository) is a linear-scan
 //! reference store whose readers and writers share `RwLock`s, so under
@@ -11,17 +11,20 @@
 //!
 //! * Each table is a list of **immutable segments**. Every accepted batch
 //!   becomes a small unsealed segment (one per-run section, rows in
-//!   arrival order, no indexes); a background **sealer** merges unsealed
-//!   segments into sealed ones — per-run sections, exactly like the v2
-//!   wire format's section layout — with rows physically sorted by
-//!   `(t, seq)`, which is all a time window needs. A **compactor** folds
-//!   accumulated sealed segments together so the list stays short.
+//!   arrival order, no indexes). The append that crosses a seal trigger
+//!   **seals** the unsealed segments into one sealed segment — per-run
+//!   sections, exactly like the v2 wire format's section layout — with
+//!   rows physically sorted by `(t, seq)`, which is all a time window
+//!   needs, and then runs one **compaction** pass, which folds
+//!   accumulated small sealed segments together so the list stays short.
+//!   No thread and no clock is involved, so one append sequence gives one
+//!   segment history.
 //! * A sealed section's object, device and per-floor spatial indexes are
 //!   built **on first use**, each behind its own `OnceLock`: the first
 //!   object trace or snapshot builds the object map, the first device
 //!   lookup the device map, the first range or kNN query the spatial
-//!   grids; scans, counts and time windows build nothing. Writers, the
-//!   sealer, the compactor and page-in do no index work at all, so an
+//!   grids; scans, counts and time windows build nothing. Appends,
+//!   sealing, compaction and page-in do no index work at all, so an
 //!   index no query reads is never built.
 //! * The current segment list is published through a `SnapshotCell`:
 //!   readers pin the current snapshot (an `Arc` — the pin is the
@@ -58,33 +61,25 @@
 //! query that actually needs a spilled section's rows pages the segment
 //! back in, through a per-table capacity-bounded clock cache of decoded
 //! segments. `memory_budget_rows` bounds decoded sealed rows held by the
-//! repository (segment lists + caches together) after every maintenance
-//! pass ([`SpillConfig::memory_budget_rows`] says what can exceed it
-//! between passes); maintenance evicts coldest-first by last-pinned tick,
-//! and a seal/compact output that cannot fit is spilled directly instead
-//! of being published resident.
-//! Writers that outrun the spiller stall on the
-//! [`SegmentedRepository::spill_pending_rows`] high-water mark and pay
-//! the eviction IO themselves — explicit backpressure instead of
-//! unbounded growth. Readers pin snapshots exactly as above; page-in
+//! repository (segment lists + caches together;
+//! [`SpillConfig::memory_budget_rows`] says by how much and when it can be
+//! exceeded). Eviction goes coldest-first by last-pinned tick, and a
+//! seal/compact output that cannot fit is spilled directly instead of
+//! being published resident. A writer whose append leaves the
+//! [`SegmentedRepository::spill_pending_rows`] high-water mark reached
+//! stalls and pays the eviction IO itself — explicit backpressure instead
+//! of unbounded growth. Readers pin snapshots exactly as above; page-in
 //! decodes a segment file (checksum-verified, then cross-checked against
 //! the segment's meta) back into sections whose indexes again start
 //! unbuilt, so answers stay bit-identical to the all-resident backend.
-
-#![expect(
-    clippy::disallowed_methods,
-    reason = "R2: the spill tier's segment files are read and written here"
-)]
 
 use std::collections::{BTreeMap, HashMap};
 use std::ffi::OsString;
 use std::fmt;
 use std::hash::Hash;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex as StdMutex, OnceLock};
-use std::thread::JoinHandle;
-use std::time::Duration;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock};
 
 use bytes::{Bytes, BytesMut};
 use parking_lot::{Mutex, RwLock};
@@ -214,32 +209,22 @@ impl<R: SegmentRow> Section<R> {
 
     /// A sealed section built by *merging* already-sealed parts — the
     /// compaction path. The dominant cost of sealing is the `(t, seq)`
-    /// sort; the parts are already physically sorted, so an `O(n log k)`
-    /// k-way merge replaces it. On one-core hosts this is the difference
-    /// between compaction being invisible to query threads and showing up
-    /// in their tail latency.
+    /// sort; the parts are already physically sorted, so the k-way merge
+    /// time windows use ([`merge_sorted`]) replaces it. Compaction runs on
+    /// the appending writer, so this merge is paid by ingestion.
     fn merged(run: RunId, parts: &[&Section<R>]) -> Self {
-        use std::cmp::Reverse;
-        use std::collections::BinaryHeap;
-        let total: usize = parts.iter().map(|p| p.rows.len()).sum();
+        let inputs: Vec<(&[R], &[Seq])> = parts
+            .iter()
+            .filter(|p| !p.rows.is_empty())
+            .map(|p| (&p.rows[..], &p.seqs[..]))
+            .collect();
+        let total: usize = inputs.iter().map(|(rows, _)| rows.len()).sum();
         let mut rows = Vec::with_capacity(total);
         let mut seqs = Vec::with_capacity(total);
-        let key = |pi: usize, pos: usize| (parts[pi].rows[pos].time(), parts[pi].seqs[pos]);
-        let mut heap: BinaryHeap<Reverse<(Timestamp, Seq, usize, usize)>> = (0..parts.len())
-            .filter(|&pi| !parts[pi].rows.is_empty())
-            .map(|pi| {
-                let (t, s) = key(pi, 0);
-                Reverse((t, s, pi, 0))
-            })
-            .collect();
-        while let Some(Reverse((_, s, pi, pos))) = heap.pop() {
-            rows.push(parts[pi].rows[pos]);
-            seqs.push(s);
-            if pos + 1 < parts[pi].rows.len() {
-                let (t, s) = key(pi, pos + 1);
-                heap.push(Reverse((t, s, pi, pos + 1)));
-            }
-        }
+        merge_sorted(&inputs, |li, pos| {
+            rows.push(inputs[li].0[pos]);
+            seqs.push(inputs[li].1[pos]);
+        });
         Self::from_sorted(run, rows, seqs)
     }
 
@@ -343,15 +328,17 @@ pub struct SpillConfig {
     /// [`SegmentStats::resident_rows`] reports. Unsealed (head) segments
     /// are always resident on top of this.
     ///
-    /// The gauge is at most this budget right after a maintenance pass
-    /// (the sealer's, or the one [`SegmentedRepository::seal_now`] runs)
-    /// that no query paged in alongside. Between passes each table's
+    /// The gauge is at most this budget right after
+    /// [`SegmentedRepository::seal_now`], if no query paged in alongside.
+    /// Between calls it can exceed the budget by less than
+    /// [`SegmentConfig::seal_rows`] before an append stalls to evict (see
+    /// [`SegmentedRepository::spill_pending_rows`]), and each table's
     /// page-in cache keeps its newest entry even past the room the budget
-    /// leaves, so the gauge can exceed the budget by the segments queries
-    /// just paged in; the next pass evicts them. Rows that only in-flight
-    /// queries hold — a pinned snapshot's since-spilled segments, a
-    /// page-in evicted mid-query — are outside the gauge and are freed
-    /// when those queries finish.
+    /// leaves, so the gauge can also exceed it by the segments queries
+    /// just paged in until the next stall or `seal_now` evicts them. Rows
+    /// that only in-flight queries hold — a pinned snapshot's
+    /// since-spilled segments, a page-in evicted mid-query — are outside
+    /// the gauge and are freed when those queries finish.
     pub memory_budget_rows: usize,
     /// Per-table capacity (in segments) of the page-in clock cache.
     pub cache_segments: usize,
@@ -473,6 +460,10 @@ impl From<CodecError> for SpillError {
 /// Write `bytes` to `path` crash-atomically: a temp file in the same
 /// directory, then rename. A crash mid-write leaves a `.tmp` orphan,
 /// never a torn file under the final name.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "R2: spill and export files are written here"
+)]
 pub(crate) fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
     let tmp = path.with_extension("vita.tmp");
     std::fs::write(&tmp, bytes)?;
@@ -818,7 +809,15 @@ fn time_window_sections<R: SegmentRow>(
             }
         }
     }
-    merge_sorted_slices(inputs)
+    match inputs[..] {
+        [(rows, _)] => rows.to_vec(),
+        _ => {
+            let total: usize = inputs.iter().map(|(rows, _)| rows.len()).sum();
+            let mut out = Vec::with_capacity(total);
+            merge_sorted(&inputs, |li, pos| out.push(inputs[li].0[pos]));
+            out
+        }
+    }
 }
 
 /// Rows of object `o` ordered by `(t, seq)`.
@@ -1050,58 +1049,51 @@ fn overlapping_sections(
     out.into_iter().map(|(_, r)| r).collect()
 }
 
-/// Merge `(rows, seqs)` slice pairs — each already `(t, seq)`-sorted —
-/// into one `(t, seq)`-ordered row vector. A lone input is a straight
-/// `memcpy`. A handful of inputs (the common case: one compacted segment
-/// holds one section per run) merge by a linear min-pick over the cursors
-/// — cheaper than a heap at small k because the cursors stay in registers
+/// Walk `(rows, seqs)` slice pairs — each non-empty and already
+/// `(t, seq)`-sorted — in global `(t, seq)` order, calling `emit(input,
+/// position)` once per row; time windows and compaction both merge
+/// through it. A handful of inputs (the common case: one compacted
+/// segment holds one section per run, and a compaction folds at most
+/// `compact_segments` parts) merge by a linear min-pick over the cursors —
+/// cheaper than a heap at small k because the cursors stay in registers
 /// and there is no sift traffic. Beyond that, a min-heap gives
 /// `O(n log k)`. All access is sequential: the inputs are contiguous,
 /// there is no id-list indirection anywhere.
-fn merge_sorted_slices<R: SegmentRow>(inputs: Vec<(&[R], &[Seq])>) -> Vec<R> {
+fn merge_sorted<R: SegmentRow>(inputs: &[(&[R], &[Seq])], mut emit: impl FnMut(usize, usize)) {
     use std::cmp::Reverse;
     use std::collections::BinaryHeap;
     const LINEAR_MAX: usize = 8;
-    let total: usize = inputs.iter().map(|(rows, _)| rows.len()).sum();
-    let mut out = Vec::with_capacity(total);
-    match inputs.len() {
-        0 => {}
-        1 => out.extend_from_slice(inputs[0].0),
-        k if k <= LINEAR_MAX => {
-            // (next key, cursor, input) per input; exhausted inputs drop
-            // out.
-            let mut cursors: Vec<((Timestamp, Seq), usize, usize)> = inputs
-                .iter()
-                .enumerate()
-                .map(|(li, (rows, seqs))| ((rows[0].time(), seqs[0]), 0, li))
-                .collect();
-            while let Some(win) = (0..cursors.len()).min_by_key(|&c| cursors[c].0) {
-                let (_, pos, li) = cursors[win];
-                let (rows, seqs) = inputs[li];
-                out.push(rows[pos]);
-                if pos + 1 < rows.len() {
-                    cursors[win] = ((rows[pos + 1].time(), seqs[pos + 1]), pos + 1, li);
-                } else {
-                    cursors.swap_remove(win);
-                }
+    if inputs.len() <= LINEAR_MAX {
+        // (next key, cursor, input) per input; exhausted inputs drop out.
+        let mut cursors: Vec<((Timestamp, Seq), usize, usize)> = inputs
+            .iter()
+            .enumerate()
+            .map(|(li, (rows, seqs))| ((rows[0].time(), seqs[0]), 0, li))
+            .collect();
+        while let Some(win) = (0..cursors.len()).min_by_key(|&c| cursors[c].0) {
+            let (_, pos, li) = cursors[win];
+            emit(li, pos);
+            let (rows, seqs) = inputs[li];
+            if pos + 1 < rows.len() {
+                cursors[win] = ((rows[pos + 1].time(), seqs[pos + 1]), pos + 1, li);
+            } else {
+                cursors.swap_remove(win);
             }
         }
-        _ => {
-            let mut heap: BinaryHeap<Reverse<(Timestamp, Seq, usize, usize)>> = inputs
-                .iter()
-                .enumerate()
-                .map(|(li, (rows, seqs))| Reverse((rows[0].time(), seqs[0], li, 0)))
-                .collect();
-            while let Some(Reverse((_, _, li, pos))) = heap.pop() {
-                let (rows, seqs) = inputs[li];
-                out.push(rows[pos]);
-                if pos + 1 < rows.len() {
-                    heap.push(Reverse((rows[pos + 1].time(), seqs[pos + 1], li, pos + 1)));
-                }
+    } else {
+        let mut heap: BinaryHeap<Reverse<(Timestamp, Seq, usize, usize)>> = inputs
+            .iter()
+            .enumerate()
+            .map(|(li, (rows, seqs))| Reverse((rows[0].time(), seqs[0], li, 0)))
+            .collect();
+        while let Some(Reverse((_, _, li, pos))) = heap.pop() {
+            emit(li, pos);
+            let (rows, seqs) = inputs[li];
+            if pos + 1 < rows.len() {
+                heap.push(Reverse((rows[pos + 1].time(), seqs[pos + 1], li, pos + 1)));
             }
         }
     }
-    out
 }
 
 // ---------------------------------------------------------------------------
@@ -1123,8 +1115,8 @@ struct SpillShared {
     spills: AtomicU64,
     page_ins: AtomicU64,
     writer_stalls: AtomicU64,
-    /// Serializes budget enforcement (the sealer tick and stalled
-    /// writers), so concurrent enforcers never double-spill.
+    /// Serializes budget enforcement (stalled writers and `seal_now`),
+    /// so concurrent enforcers never double-spill.
     enforce_lock: Mutex<()>,
 }
 
@@ -1328,9 +1320,10 @@ impl<R: SegmentRow> SegTable<R> {
     }
 
     /// Swap a contiguous group of segments for its merged replacement, if
-    /// the group is still present unchanged (identity-compared). Only the
-    /// sealer removes segments, so a `false` means another maintenance
-    /// pass got there first — the caller just drops its build.
+    /// the group is still present unchanged (identity-compared). Only
+    /// maintenance passes remove segments, so a `false` means a concurrent
+    /// pass (another writer's, or `seal_now`) got there first — the caller
+    /// just drops its build.
     fn try_replace(&self, consumed: &[Arc<Segment<R>>], replacement: Segment<R>) -> bool {
         if consumed.is_empty() {
             return false;
@@ -1372,6 +1365,10 @@ impl<R: SegmentRow> SegTable<R> {
     /// inputs drop their cache entries, but their files stay on disk
     /// until the repository drops — an already-pinned snapshot may still
     /// page them in.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "R2: a directly spilled replacement that lost the race is deleted here"
+    )]
     fn replace_maybe_spilled(
         &self,
         consumed: &[Arc<Segment<R>>],
@@ -1434,9 +1431,7 @@ impl<R: SegmentRow> SegTable<R> {
     }
 
     /// Seal the trailing unsealed suffix when it is past the thresholds
-    /// (always, under `force`). Called by the background sealer on its
-    /// tick and by writers whose append crossed `seal_rows` — see
-    /// [`SegInner::append_and_seal`].
+    /// (always, under `force`); see [`SegInner::maintain`].
     fn seal_pass(&self, cfg: &SegmentConfig, force: bool, global_decoded: usize) -> bool {
         let snap = self.cell.pin();
         let first_unsealed = snap
@@ -1471,19 +1466,20 @@ impl<R: SegmentRow> SegTable<R> {
     /// Compact the sealed prefix: fold at most one size-tiered run of
     /// small adjacent segments (the whole prefix under `force`).
     ///
-    /// Background compaction is **size-tiered and budget-bounded**: one
-    /// pass folds at most one adjacent run of *small* sealed segments whose
-    /// merged size fits a row budget of `compact_segments × seal_rows`, and
-    /// leaves graduated (half-budget-or-larger) segments alone. Every row
-    /// is therefore merged O(log) times and no single pass merges more than
+    /// Compaction is **size-tiered and budget-bounded**: one pass folds at
+    /// most one adjacent run of *small* sealed segments whose merged size
+    /// fits a row budget of `compact_segments × seal_rows`, and leaves
+    /// graduated (half-budget-or-larger) segments alone. Every row is
+    /// therefore merged O(log) times and no single pass merges more than
     /// one budget's worth of rows — re-merging the whole prefix on every
-    /// pass would be quadratic, and on small hosts that CPU draw evicts the
-    /// query threads and shows up directly as read tail latency. Under
-    /// `force` the whole sealed prefix folds into one segment — except with
-    /// a spill tier, where groups are additionally capped so no segment
-    /// outgrows the spill grain. Spilled inputs are paged in through the
-    /// table's cache; a page-in failure skips the pass (queries surface
-    /// the error, compaction never panics over it).
+    /// pass would be quadratic, and the pass runs on the appending writer.
+    /// Until `compact_segments` small segments have piled up a pass folds
+    /// nothing, so running one after every seal costs a scan of the
+    /// segment list. Under `force` the whole sealed prefix folds into one
+    /// segment — except with a spill tier, where groups are additionally
+    /// capped so no segment outgrows the spill grain. Spilled inputs are
+    /// paged in through the table's cache; a page-in failure skips the
+    /// pass (queries surface the error, compaction never panics over it).
     fn compact_pass(&self, cfg: &SegmentConfig, force: bool, global_decoded: usize) -> bool {
         let snap = self.cell.pin();
         let prefix = snap.segments.iter().take_while(|s| s.sealed).count();
@@ -1648,6 +1644,10 @@ impl<R: SegmentRow> SegTable<R> {
     /// and deterministically rebuilt from its file. The stored `(t, seq)`
     /// order, and the indexes later queries derive from it, make the
     /// paged-in copy answer bit-identically to the resident original.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "R2: spilled segment files are read back here"
+    )]
     fn page_in(
         &self,
         seg: &Segment<R>,
@@ -1695,6 +1695,10 @@ impl<R: SegmentRow> SegTable<R> {
     /// Spill this table's coldest sealed resident segment. Returns the
     /// rows moved out of memory (0 when nothing is spillable or a
     /// concurrent maintenance pass replaced the victim first).
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "R2: a spill file whose segment was replaced meanwhile is deleted here"
+    )]
     fn spill_coldest(&self) -> Result<usize, SpillError> {
         let Some(sh) = &self.spill else {
             return Ok(0);
@@ -1781,27 +1785,23 @@ impl<R: SegmentRow> SegTable<R> {
 // The repository facade
 // ---------------------------------------------------------------------------
 
-/// Sealer/compactor tuning for [`SegmentedRepository`].
+/// Seal and compaction tuning for [`SegmentedRepository`]. Both seal
+/// triggers fire inside the append that crosses them, and every seal is
+/// followed by one compaction pass on the same table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SegmentConfig {
     /// Seal the pending unsealed segments once they hold this many rows.
-    /// The writer whose append crosses this seals inline, so full
-    /// backlogs seal promptly regardless of `tick` and the seal sort is
-    /// paced by ingestion rather than bursting on the background thread.
     pub seal_rows: usize,
     /// … or once this many unsealed segments have accumulated. Unsealed
     /// segments are scanned linearly but are batch-sized, so this trades a
     /// little read work for a lot less sealing churn.
     pub seal_segments: usize,
-    /// Sizes background compaction: one pass folds at most one run of
-    /// adjacent small sealed segments totalling `compact_segments ×
-    /// seal_rows` rows, and segments past half that row budget are left
-    /// alone until `seal_now`.
+    /// Sizes compaction: one pass folds at most one run of adjacent small
+    /// sealed segments totalling `compact_segments × seal_rows` rows, only
+    /// once `compact_segments` of them have piled up (or the row budget is
+    /// full), and segments past half that row budget are left alone until
+    /// `seal_now`.
     pub compact_segments: usize,
-    /// How long the background sealer sleeps when no writer signals it.
-    /// Count-triggered seals and compaction advance at most once per tick,
-    /// bounding the sealer's steady-state CPU draw next to query threads.
-    pub tick: Duration,
 }
 
 impl Default for SegmentConfig {
@@ -1810,12 +1810,11 @@ impl Default for SegmentConfig {
             seal_rows: 4096,
             seal_segments: 64,
             compact_segments: 8,
-            tick: Duration::from_millis(40),
         }
     }
 }
 
-/// Sealer/compactor/spiller progress counters plus the current segment
+/// Seal, compaction and spill progress counters plus the current segment
 /// inventory, summed over the four tables.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SegmentStats {
@@ -1833,10 +1832,10 @@ pub struct SegmentStats {
     pub spilled_rows: usize,
     /// Decoded sealed rows in memory — sealed resident segments plus the
     /// page-in caches. This is the gauge `memory_budget_rows` bounds: at
-    /// most the budget right after a maintenance pass, and above it
-    /// between passes by at most what queries just paged in (see
-    /// [`SpillConfig::memory_budget_rows`]). Rows that only in-flight
-    /// queries hold are not counted.
+    /// most the budget right after [`SegmentedRepository::seal_now`], and
+    /// above it in between by less than a seal's rows plus what queries
+    /// just paged in (see [`SpillConfig::memory_budget_rows`]). Rows that
+    /// only in-flight queries hold are not counted.
     pub resident_rows: usize,
     /// Rows in unsealed heads (always resident, not counted against the
     /// budget).
@@ -1859,9 +1858,6 @@ struct SegInner {
     spill: Option<Arc<SpillShared>>,
     seals: AtomicU64,
     compactions: AtomicU64,
-    shutdown: AtomicBool,
-    signal: StdMutex<()>,
-    wake: Condvar,
 }
 
 impl SegInner {
@@ -1910,8 +1906,8 @@ impl SegInner {
     /// Evict until decoded sealed rows fit the budget: shrink the fattest
     /// page-in cache first (those rows already have a disk copy — dropping
     /// them is free), then spill the globally coldest sealed resident
-    /// segment. Serialized so concurrent enforcers (the sealer tick plus
-    /// stalled writers) never double-spill the same victim.
+    /// segment. Serialized so concurrent enforcers (stalled writers and
+    /// `seal_now`) never double-spill the same victim.
     fn enforce_budget(&self) -> Result<(), SpillError> {
         let Some(sh) = &self.spill else {
             return Ok(());
@@ -1976,33 +1972,21 @@ impl SegInner {
         }
     }
 
-    /// Append one batch; when the unsealed backlog crosses `seal_rows`,
-    /// the *writer* seals it inline. This paces the seal sort to ingestion,
-    /// without a read lock anywhere, instead of letting it burst on the
-    /// background thread.
-    /// On one-core hosts a background burst evicts the query threads and
-    /// lands straight in their tail latency; writer-side sealing also
-    /// backpressures ingestion instead of letting the backlog run ahead
-    /// of the sealer. The mini-count trigger is deliberately left to the
-    /// background tick: firing it inline would seal on every 64th tiny
-    /// streamed chunk, producing far more (and far smaller) sealed
-    /// segments per second than the tick-paced sealer does, and the extra
-    /// compaction debt those small segments accrue (one more merge level
-    /// each to reach graduation) costs more CPU than the fused burst
-    /// saves. The background thread also owns all compaction, so it is
-    /// signalled either way.
+    /// Append one batch; when the unsealed backlog crosses `seal_rows` or
+    /// `seal_segments`, the *writer* seals and compacts that table inline
+    /// ([`Self::maintain`]). This paces the seal sort and the merges to
+    /// ingestion and backpressures it, and it makes the segment history a
+    /// function of the append sequence (and, with a spill tier, of the
+    /// queries in between, whose page-ins and heat stamps steer eviction).
     ///
     /// With a spill tier the writer additionally stalls while the decoded
     /// backlog sits a full seal past the budget, paying the eviction IO
-    /// itself — explicit backpressure, so an ingest burst cannot outrun
-    /// the spiller and blow the memory ceiling.
+    /// itself — explicit backpressure, so an ingest burst cannot blow the
+    /// memory ceiling.
     fn append_and_seal<R: SegmentRow>(&self, table: &SegTable<R>, run: RunId, rows: Vec<R>) {
-        let (pending, _minis) = table.append(run, rows);
-        if pending >= self.config.seal_rows {
-            if table.seal_pass(&self.config, false, self.decoded_sealed_rows()) {
-                self.seals.fetch_add(1, Ordering::Relaxed);
-            }
-            self.wake.notify_one();
+        let (pending, minis) = table.append(run, rows);
+        if pending >= self.config.seal_rows || minis >= self.config.seal_segments {
+            self.maintain(table, false);
         }
         if let Some(sh) = &self.spill {
             if self.spill_pending_rows() >= self.config.seal_rows.max(1) {
@@ -2016,80 +2000,31 @@ impl SegInner {
         }
     }
 
-    /// One maintenance round over all four tables: seal checks every
-    /// call, compaction only when `compact` is set, then budget
-    /// enforcement (the background spiller). A compaction is the biggest
-    /// single burst of background CPU (up to a whole row budget
-    /// re-merged), so the sealer runs it on a slower cadence than the
-    /// seal check — on one-core hosts every burst event collides with a
-    /// handful of in-flight queries, and the collision count, not the
-    /// per-event cost, is what shows up at p99.
-    fn maintenance_pass(&self, force: bool, compact: bool) {
-        fn round<R: SegmentRow>(inner: &SegInner, table: &SegTable<R>, force: bool, compact: bool) {
-            if table.seal_pass(&inner.config, force, inner.decoded_sealed_rows()) {
-                inner.seals.fetch_add(1, Ordering::Relaxed);
-            }
-            if (force || compact)
-                && table.compact_pass(&inner.config, force, inner.decoded_sealed_rows())
-            {
-                inner.compactions.fetch_add(1, Ordering::Relaxed);
-            }
+    /// One table's maintenance: seal its unsealed suffix if a trigger
+    /// fired (always, under `force`), then run one compaction pass
+    /// (folding the whole sealed prefix, under `force`). Writers call it
+    /// non-forced, [`SegmentedRepository::seal_now`] forced.
+    fn maintain<R: SegmentRow>(&self, table: &SegTable<R>, force: bool) {
+        if table.seal_pass(&self.config, force, self.decoded_sealed_rows()) {
+            self.seals.fetch_add(1, Ordering::Relaxed);
         }
-        round(self, &self.trajectories, force, compact);
-        round(self, &self.rssi, force, compact);
-        round(self, &self.fixes, force, compact);
-        round(self, &self.proximity, force, compact);
-        #[expect(
-            clippy::expect_used,
-            reason = "operational: a failed spill under backpressure has no correct continuation"
-        )]
-        self.enforce_budget().expect("segment spill failed");
-    }
-}
-
-/// Compact on every Nth sealer tick (seal checks run every tick).
-const COMPACT_EVERY: u32 = 8;
-
-fn sealer_loop(inner: &SegInner) {
-    let mut tick = 0u32;
-    loop {
-        if inner.shutdown.load(Ordering::Acquire) {
-            return;
+        if table.compact_pass(&self.config, force, self.decoded_sealed_rows()) {
+            self.compactions.fetch_add(1, Ordering::Relaxed);
         }
-        tick = tick.wrapping_add(1);
-        inner.maintenance_pass(false, tick.is_multiple_of(COMPACT_EVERY));
-        #[expect(
-            clippy::expect_used,
-            reason = "operational: a poisoned sealer mutex means a sealer thread already panicked"
-        )]
-        let guard = inner.signal.lock().expect("sealer signal");
-        if inner.shutdown.load(Ordering::Acquire) {
-            return;
-        }
-        // Timed wait: a writer's notify (threshold crossed) wakes it early,
-        // the timeout bounds how stale an un-notified backlog can get.
-        #[expect(
-            clippy::expect_used,
-            reason = "operational: a poisoned sealer mutex means a sealer thread already panicked"
-        )]
-        let _ = inner
-            .wake
-            .wait_timeout(guard, inner.config.tick)
-            .expect("sealer signal");
     }
 }
 
 /// The indexed storage engine: immutable, sorted, run-segmented segments
-/// published by atomic snapshot swap, with a background sealer/compactor
-/// (see the module docs for the design).
+/// published by atomic snapshot swap, sealed and compacted by the appends
+/// that fill them (see the module docs for the design).
 ///
 /// Readers pin a snapshot per query, holding a table's read lock only to
 /// clone an `Arc`, and never wait on ingestion, sealing, compaction or
 /// spill work — while writers pay O(segment count) pointer copies per
-/// batch and no index maintenance at all. Choose it whenever queries
-/// matter, above all *while* `run_many` ingests; the single backend's
-/// reference store serves purely offline workloads, which skip the sealer
-/// thread.
+/// batch, no index maintenance at all, and the seal or merge their append
+/// triggers. Choose it whenever queries matter, above all *while*
+/// `run_many` ingests; the single backend's reference store serves purely
+/// offline workloads, which skip sealing.
 ///
 /// # Examples
 ///
@@ -2107,8 +2042,8 @@ fn sealer_loop(inner: &SegInner) {
 ///     Point::new(1.0, 2.0),
 ///     Timestamp(100),
 /// )]));
-/// // Queries answer from a pinned snapshot; sealing in the background
-/// // never changes an answer.
+/// // Queries answer from a pinned snapshot; sealing and compaction never
+/// // change an answer.
 /// assert_eq!(repo.counts(RunScope::All).trajectories, 1);
 /// repo.seal_now();
 /// assert_eq!(repo.trajectories().of_object(RunScope::All, ObjectId(7))?.len(), 1);
@@ -2116,8 +2051,9 @@ fn sealer_loop(inner: &SegInner) {
 /// # Ok::<(), vita_storage::SpillError>(())
 /// ```
 pub struct SegmentedRepository {
-    inner: Arc<SegInner>,
-    sealer: StdMutex<Option<JoinHandle<()>>>,
+    /// Boxed so the repository stays one pointer wide, like the single
+    /// backend's variant of [`crate::AnyRepository`].
+    inner: Box<SegInner>,
 }
 
 impl Default for SegmentedRepository {
@@ -2137,19 +2073,14 @@ impl fmt::Debug for SegmentedRepository {
 
 impl Drop for SegmentedRepository {
     #[expect(
-        clippy::expect_used,
-        reason = "operational: a poisoned handle mutex means a sealer thread already panicked"
+        clippy::disallowed_methods,
+        reason = "R2: the instance's spill directory is removed here"
     )]
     fn drop(&mut self) {
-        self.inner.shutdown.store(true, Ordering::Release);
-        self.inner.wake.notify_all();
-        if let Some(handle) = self.sealer.lock().expect("sealer handle").take() {
-            let _ = handle.join();
-        }
-        // The spill subdirectory is per-instance, so with the sealer
-        // joined and every query handle gone nothing can page from it;
-        // consumed segments' files were deliberately kept for old pinned
-        // snapshots and are swept here with the rest.
+        // The spill subdirectory is per-instance, so with every query
+        // handle gone nothing can page from it; consumed segments' files
+        // were deliberately kept for old pinned snapshots and are swept
+        // here with the rest.
         if let Some(sh) = &self.inner.spill {
             let _ = std::fs::remove_dir_all(&sh.cfg.dir);
         }
@@ -2169,15 +2100,14 @@ impl ProductSink for SegmentedRepository {
 }
 
 impl SegmentedRepository {
-    /// A segmented repository with the default [`SegmentConfig`] and the
-    /// background sealer running. Consults [`SpillConfig::from_env`], so
-    /// whole suites can be rerun against the spill tier without code
-    /// changes.
+    /// A segmented repository with the default [`SegmentConfig`].
+    /// Consults [`SpillConfig::from_env`], so whole suites can be rerun
+    /// against the spill tier without code changes.
     pub fn new() -> Self {
         Self::with_config(SegmentConfig::default())
     }
 
-    /// A segmented repository with explicit sealer/compactor tuning (and
+    /// A segmented repository with explicit seal/compaction tuning (and
     /// the spill tier if [`SpillConfig::from_env`] finds one).
     pub fn with_config(config: SegmentConfig) -> Self {
         Self::build(config, SpillConfig::from_env(), true)
@@ -2192,6 +2122,10 @@ impl SegmentedRepository {
 
     /// `from_env`: `spill` came from [`SpillConfig::from_env`] rather than
     /// from the caller, so [`Self::spill_config`] does not report it.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "R2: the instance's spill directory is created here"
+    )]
     fn build(config: SegmentConfig, spill: Option<SpillConfig>, from_env: bool) -> Self {
         // Distinguishes repositories sharing one configured dir (and one
         // process): each instance spills into its own subdirectory and
@@ -2220,41 +2154,36 @@ impl SegmentedRepository {
                 enforce_lock: Mutex::new(()),
             })
         });
-        let inner = Arc::new(SegInner {
-            trajectories: SegTable::new(spill.clone()),
-            rssi: SegTable::new(spill.clone()),
-            fixes: SegTable::new(spill.clone()),
-            proximity: SegTable::new(spill.clone()),
-            config,
-            spill,
-            seals: AtomicU64::new(0),
-            compactions: AtomicU64::new(0),
-            shutdown: AtomicBool::new(false),
-            signal: StdMutex::new(()),
-            wake: Condvar::new(),
-        });
-        let worker = Arc::clone(&inner);
-        #[expect(
-            clippy::expect_used,
-            reason = "operational: failing to spawn the sealer thread fails construction loudly"
-        )]
-        let sealer = std::thread::Builder::new()
-            .name("vita-sealer".into())
-            .spawn(move || sealer_loop(&worker))
-            .expect("spawn sealer");
         SegmentedRepository {
-            inner,
-            sealer: StdMutex::new(Some(sealer)),
+            inner: Box::new(SegInner {
+                trajectories: SegTable::new(spill.clone()),
+                rssi: SegTable::new(spill.clone()),
+                fixes: SegTable::new(spill.clone()),
+                proximity: SegTable::new(spill.clone()),
+                config,
+                spill,
+                seals: AtomicU64::new(0),
+                compactions: AtomicU64::new(0),
+            }),
         }
     }
 
-    /// Run one synchronous seal+compact round, regardless of thresholds:
-    /// every pending unsealed segment is sealed and the sealed prefix is
-    /// folded. Queries answer identically before and after — this exists
-    /// so tests and benches can put the repository in a known segment
-    /// state deterministically.
+    /// Run one seal+compact round over all four tables, regardless of
+    /// thresholds: every pending unsealed segment is sealed and the sealed
+    /// prefix is folded, then the memory budget is enforced. Queries
+    /// answer identically before and after — this exists so tests and
+    /// benches can put the repository in a known segment state.
     pub fn seal_now(&self) {
-        self.inner.maintenance_pass(true, true);
+        let i = &self.inner;
+        i.maintain(&i.trajectories, true);
+        i.maintain(&i.rssi, true);
+        i.maintain(&i.fixes, true);
+        i.maintain(&i.proximity, true);
+        #[expect(
+            clippy::expect_used,
+            reason = "operational: a failed spill write has no correct continuation"
+        )]
+        i.enforce_budget().expect("segment spill failed");
     }
 
     /// The spill config this repository was built with, as the caller
@@ -2272,7 +2201,7 @@ impl SegmentedRepository {
         self.inner.spill_pending_rows()
     }
 
-    /// Sealer/compactor/spiller counters and the live segment inventory.
+    /// Seal, compaction and spill counters and the live segment inventory.
     pub fn stats(&self) -> SegmentStats {
         let i = &self.inner;
         let mut stats = SegmentStats {
@@ -2548,6 +2477,10 @@ impl TableHandle<'_, ProximityRecord> {
 /// row bytes already sitting in their files. Rows are regrouped per run
 /// and ordered by seq — the same splice either way, so spilled and
 /// resident state export byte-identically.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "R2: spilled segments' raw row bytes are read here"
+)]
 fn export_table_raw<R: SegmentRow>(table: &SegTable<R>) -> Result<Bytes, SpillError> {
     use crate::codec::RawSection;
     let snap = table.pin();
@@ -2611,6 +2544,8 @@ fn export_table_raw<R: SegmentRow>(table: &SegTable<R>) -> Result<Bytes, SpillEr
 
 #[cfg(test)]
 mod tests {
+    #![expect(clippy::disallowed_methods, reason = "test code")]
+
     use super::*;
     use vita_indoor::{BuildingId, Loc};
 
@@ -2849,17 +2784,6 @@ mod tests {
         );
     }
 
-    /// Join `repo`'s sealer thread (as its drop would), so no background
-    /// pass holds a snapshot while a test watches what gets freed. The
-    /// repository keeps answering queries, and `seal_now` still works.
-    fn stop_sealer(repo: &SegmentedRepository) {
-        repo.inner.shutdown.store(true, Ordering::Release);
-        repo.inner.wake.notify_all();
-        if let Some(handle) = repo.sealer.lock().unwrap().take() {
-            handle.join().unwrap();
-        }
-    }
-
     #[test]
     fn dropped_repository_frees_the_snapshots_this_thread_queried() {
         let repo = filled();
@@ -2887,7 +2811,6 @@ mod tests {
     #[test]
     fn superseded_snapshot_lives_exactly_as_long_as_its_pin() {
         let repo = SegmentedRepository::new();
-        stop_sealer(&repo);
         repo.accept(ProductBatch::Trajectories(
             (0..5).map(|i| ts(0, 0, i as f64, 0.0, i * 10)).collect(),
         ));
@@ -2912,7 +2835,6 @@ mod tests {
             SegmentConfig::default(),
             SpillConfig::new(spill_dir("freed")),
         );
-        stop_sealer(&repo);
         fill(&repo);
         repo.seal_now();
         let trace = repo
@@ -2945,7 +2867,6 @@ mod tests {
     fn spilled_fix_segment_on_another_floor_is_pruned_without_a_page_in() {
         let repo =
             SegmentedRepository::with_spill(SegmentConfig::default(), tiny_spill("fix-floors", 0));
-        stop_sealer(&repo);
         let fixes: Vec<Fix> = (0..20)
             .map(|i| Fix {
                 object: ObjectId(i % 4),

@@ -7,8 +7,8 @@
 //! This also exercises the read-path locking fix end to end (the readers
 //! run `range_query` / `knn` through a table **read** lock, concurrently
 //! with ingestion) and the segmented backend's snapshot path: its readers
-//! pin snapshots while producers publish and the background sealer seals
-//! and compacts underneath them.
+//! pin snapshots while producers publish, and the producers' appends seal
+//! and compact underneath them.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -86,7 +86,6 @@ fn concurrent_producers_yield_identical_backends() {
         seal_rows: 64,
         seal_segments: 4,
         compact_segments: 3,
-        ..SegmentConfig::default()
     }));
     let done = Arc::new(AtomicBool::new(false));
 
@@ -176,9 +175,9 @@ fn concurrent_producers_yield_identical_backends() {
         single.counts(RunScope::All),
         segmented.counts(RunScope::All)
     );
-    // The aggressive thresholds must have exercised the sealer for real.
+    // The aggressive thresholds must have exercised sealing for real.
     let stats = segmented.stats();
-    assert!(stats.seals > 0, "sealer never sealed: {stats:?}");
+    assert!(stats.seals > 0, "appends never sealed: {stats:?}");
 
     // Per-object time order is preserved on both backends, and each
     // object's rows match bit-identically (one producer per object ⇒

@@ -1,7 +1,7 @@
 //! Snapshot semantics of the segmented backend under racing writers:
 //! every query a reader issues answers from one pinned snapshot, so while
-//! producers append and the background sealer seals and compacts, each
-//! reader must observe
+//! producers append, and their appends seal and compact, each reader must
+//! observe
 //!
 //! * **prefix consistency** — an object's trace is always exactly a
 //!   prefix of the deterministic stream its producer appends (whole
@@ -9,7 +9,7 @@
 //! * **per-thread monotonicity** — successive pins never go back in time:
 //!   row counts and trace lengths never shrink within one thread.
 //!
-//! The sealer is tuned aggressively so seals and compactions land *during*
+//! Sealing is tuned aggressively so seals and compactions land *during*
 //! the assertions, not after them.
 
 #![expect(clippy::disallowed_methods, reason = "test code")]
@@ -51,7 +51,6 @@ fn pinned_snapshots_are_prefix_consistent_and_monotone() {
         seal_rows: 128,
         seal_segments: 4,
         compact_segments: 3,
-        ..SegmentConfig::default()
     }));
     let done = Arc::new(AtomicBool::new(false));
     let objects = PRODUCERS * OBJECTS_PER_PRODUCER;
@@ -130,9 +129,9 @@ fn pinned_snapshots_are_prefix_consistent_and_monotone() {
                                 .collect();
                             repo.accept_run(RunId(p), ProductBatch::Trajectories(batch));
                         }
-                        // Pace the ingest across several sealer ticks so the
-                        // readers actually observe seals and compactions in
-                        // flight, not just the unsealed tail.
+                        // Pace the ingest so the readers run between the
+                        // producers' seals and compactions, not just after
+                        // the last one.
                         std::thread::sleep(std::time::Duration::from_micros(300));
                     }
                 })
@@ -148,7 +147,7 @@ fn pinned_snapshots_are_prefix_consistent_and_monotone() {
         }
     });
 
-    // Final state: complete streams, sealer actually ran.
+    // Final state: complete streams, appends actually sealed.
     let rows = (objects as u64 * BATCHES_PER_OBJECT * ROWS_PER_BATCH) as usize;
     assert_eq!(repo.counts(RunScope::All).trajectories, rows);
     for o in 0..objects {
@@ -159,14 +158,8 @@ fn pinned_snapshots_are_prefix_consistent_and_monotone() {
             full_stream(o)
         );
     }
-    // The background sealer runs on its own clock; give it a moment to
-    // drain the backlog before insisting it did.
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
-    while repo.stats().seals == 0 && std::time::Instant::now() < deadline {
-        std::thread::sleep(std::time::Duration::from_millis(1));
-    }
     let stats = repo.stats();
-    assert!(stats.seals > 0, "sealer never sealed: {stats:?}");
+    assert!(stats.seals > 0, "appends never sealed: {stats:?}");
     repo.seal_now();
     repo.seal_now();
     assert_eq!(repo.stats().unsealed_segments, 0);

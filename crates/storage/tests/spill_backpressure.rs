@@ -15,11 +15,9 @@ use vita_storage::{
 };
 
 const TOTAL_ROWS: usize = 16_384;
-/// Batches must be smaller than the seal threshold: an append that
-/// seals inline wakes the background sealer, whose enforcement pass
-/// races ahead of the writer's own high-water check and clears the
-/// backlog first — the small appends in between are where the stall
-/// path is observable (same geometry as E17).
+/// Batches are smaller than the seal threshold, so several appends land
+/// between two seals; the queries between them are what can push the
+/// gauge to the high-water mark (same geometry as E17).
 const BATCH: usize = 128;
 const SEAL_ROWS: usize = 512;
 const BUDGET: usize = 512;

@@ -4,7 +4,8 @@
 //! the single [`vita_storage::Repository`] or a
 //! [`vita_storage::SegmentedRepository`] — at ≥ 4 concurrent stage
 //! workers, where the per-table lock of the single backend is actually
-//! contended and the segmented backend's sealer runs alongside them.
+//! contended and the segmented backend's writers seal and compact as
+//! they append.
 
 use vita_core::prelude::*;
 
