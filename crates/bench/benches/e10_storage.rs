@@ -103,7 +103,7 @@ fn bench_codec(c: &mut Criterion) {
         b.iter(|| encode_runs(&sections));
     });
     g.bench_function("decode_100k", |b| {
-        b.iter(|| decode_runs::<TrajectorySample>(encoded.clone()).unwrap());
+        b.iter(|| decode_runs::<TrajectorySample>(&encoded).unwrap());
     });
     g.finish();
 }

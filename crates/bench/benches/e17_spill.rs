@@ -1,10 +1,11 @@
 //! E17 — tiered-storage micro-costs: query latency when segments must be
-//! paged in from disk vs served resident, and whole-repository export via
-//! raw byte splice vs typed re-encode. The spilled repository keeps a
-//! two-segment clock cache against a corpus of many segments, so cold
-//! windows miss the cache on nearly every iteration; the resident twin
-//! holds the identical rows decoded. Compare the groups pairwise — the
-//! gap is the page-in tax the memory budget buys.
+//! paged in from disk vs served resident, and whole-repository export of
+//! the spilled corpus, which reads every spilled segment back from disk.
+//! The spilled repository keeps a two-segment clock cache against a
+//! corpus of many segments, so cold windows miss the cache on nearly
+//! every iteration; the resident twin holds the identical rows decoded.
+//! Compare the query groups pairwise — the gap is the page-in tax the
+//! memory budget buys.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use vita_geometry::Point;
@@ -127,11 +128,8 @@ fn bench_export(c: &mut Criterion) {
     let cold = spilled();
     let mut g = c.benchmark_group("e17/export");
     g.sample_size(10);
-    g.bench_function("raw_splice", |b| {
+    g.bench_function("export", |b| {
         b.iter(|| cold.export().unwrap().trajectories.len());
-    });
-    g.bench_function("typed_reencode", |b| {
-        b.iter(|| cold.export_reencode().unwrap().trajectories.len());
     });
     g.finish();
 }

@@ -270,10 +270,11 @@ fn e13_concurrent_scenarios() {
 /// the `measure.persistence` probe exports it, times the re-import into
 /// the same backend, records the serialized size, and asserts every run's
 /// counts survive the round trip. All backends write the identical
-/// backend-agnostic v2 wire format, so the timing deltas isolate the
-/// backends' scan/ingest costs, not the codec. (The spilled backend's
-/// raw-splice vs typed re-encode comparison lives in the `e17_spill`
-/// criterion bench and the `spill_parity` test.)
+/// backend-agnostic v2 wire format through the same encoder and load it
+/// through one replay (`RepositoryExport::ingest_into`), so the timing
+/// deltas isolate the backends' scan/ingest costs, not the codec — on
+/// the spilled backend, the export's scan includes reading every spilled
+/// segment back from disk.
 fn e14_persistence() {
     println!("## E14 — run-aware persistence: export/import round trip (lab matrix)\n");
     run_lab_text(include_str!("../../specs/e14.lab"), "specs/e14.lab");

@@ -1,5 +1,6 @@
 //! Binary persistence for the generated data tables — the versioned wire
-//! format behind [`crate::Repository::export`] / `import` and the
+//! format behind every backend's `export`, the one replay
+//! [`crate::RepositoryExport::ingest_into`] that loads it back, and the
 //! `Vita::save_to` / `load_from` convenience in `vita-core`.
 //!
 //! ## Wire format (version 2, current)
@@ -43,8 +44,9 @@
 //! keeps the two shapes mutually unreadable: feeding a segment file to a
 //! table decoder (or vice versa) is [`CodecError::WrongRecordType`],
 //! never a silent misparse. [`encode_segment`] / [`decode_segment`] are
-//! the public entry points; whole-repository export composes the same
-//! framing walker and row codecs.
+//! the public entry points; whole-repository export decodes spilled
+//! segments back to rows through [`decode_segment`] and writes every table
+//! file with [`encode_runs`].
 //!
 //! The trailing checksum of a segment file is not FNV-1a but a
 //! word-at-a-time 64-bit checksum: the body is read as little-endian
@@ -431,32 +433,6 @@ pub fn encode_runs<T: WireRecord>(sections: &[(RunId, &[T])]) -> Bytes {
     v2_finish(T::TAG, buf)
 }
 
-/// Encode a table file from **already-encoded** row bytes — the splice
-/// path `export` uses to reuse spilled segment bytes without a typed
-/// decode/re-encode. Each chunk must hold a whole number of `T` rows;
-/// chunks are concatenated in the given order within their section.
-pub(crate) fn encode_runs_raw<T: WireRecord>(sections: &[(RunId, Vec<&[u8]>)]) -> Bytes {
-    let mut by_run: std::collections::BTreeMap<u32, Vec<&[u8]>> = std::collections::BTreeMap::new();
-    for (run, chunks) in sections {
-        for chunk in chunks {
-            debug_assert_eq!(chunk.len() % T::ROW, 0, "chunk must be whole rows");
-            if !chunk.is_empty() {
-                by_run.entry(run.0).or_default().push(chunk);
-            }
-        }
-    }
-    let bytes_total: usize = by_run.values().flatten().map(|c| c.len()).sum();
-    let mut buf = v2_header(T::TAG, by_run.len(), bytes_total);
-    for (run, chunks) in by_run {
-        buf.put_u32_le(run);
-        buf.put_u64_le(chunks.iter().map(|c| (c.len() / T::ROW) as u64).sum());
-        for chunk in chunks {
-            buf.put_slice(chunk);
-        }
-    }
-    v2_finish(T::TAG, buf)
-}
-
 /// One run section of a segment file: rows plus their per-table arrival
 /// stamps, parallel arrays in the stored `(t, seq)` order.
 #[derive(Debug, Clone, PartialEq)]
@@ -512,35 +488,11 @@ pub fn encode_segment<T: WireRecord>(sections: &[(RunId, &[T], &[u64])]) -> Byte
 /// [`CodecError::WrongRecordType`] on a plain table file (and table
 /// decoders fail the same way on segment files) — the two framings are
 /// mutually unreadable by construction.
-pub fn decode_segment<T: WireRecord>(data: Bytes) -> Result<Vec<SegmentSection<T>>, CodecError> {
-    walk_v2(T::TAG | SEQ_FLAG, &data, |buf, run, count| {
+pub fn decode_segment<T: WireRecord>(data: &[u8]) -> Result<Vec<SegmentSection<T>>, CodecError> {
+    walk_v2(T::TAG | SEQ_FLAG, data, |buf, run, count| {
         let rows = read_rows(buf, count)?;
         let seqs = read_seqs(buf, count)?;
         Ok((!rows.is_empty()).then_some(SegmentSection { run, rows, seqs }))
-    })
-}
-
-/// A segment section with rows left as raw bytes — the encoded rows of
-/// the (checksum-verified) file, used to splice spilled rows straight
-/// into a table export without a typed round trip.
-#[derive(Debug, Clone)]
-pub(crate) struct RawSection {
-    pub run: RunId,
-    /// `seqs.len() × T::ROW` bytes of encoded rows in stored order.
-    pub rows: Bytes,
-    pub seqs: Vec<u64>,
-}
-
-/// Decode a segment file keeping row payloads as raw bytes. The checksum
-/// is still verified before anything is returned; only the per-row field
-/// parse is skipped.
-pub(crate) fn decode_segment_raw<T: WireRecord>(
-    data: Bytes,
-) -> Result<Vec<RawSection>, CodecError> {
-    walk_v2(T::TAG | SEQ_FLAG, &data, |buf, run, count| {
-        let rows = Bytes::copy_from_slice(take_block(buf, count, T::ROW)?);
-        let seqs = read_seqs(buf, count)?;
-        Ok((!seqs.is_empty()).then_some(RawSection { run, rows, seqs }))
     })
 }
 
@@ -654,14 +606,14 @@ fn walk_v2<S>(
 /// Decode a table file of either version into its run sections, ascending
 /// by run id. v1 files decode as one [`RunId::DEFAULT`] section (or none,
 /// when empty). Sections with zero rows are never produced.
-pub fn decode_runs<T: WireRecord>(data: Bytes) -> Result<Vec<(RunId, Vec<T>)>, CodecError> {
-    if check_magic(&data)? == VERSION_V1 {
-        check_tag(&data, T::TAG)?;
+pub fn decode_runs<T: WireRecord>(data: &[u8]) -> Result<Vec<(RunId, Vec<T>)>, CodecError> {
+    if check_magic(data)? == VERSION_V1 {
+        check_tag(data, T::TAG)?;
         if data.len() < V1_HEADER {
             return Err(CodecError::Truncated);
         }
         let mut buf = &data[V1_HEADER..];
-        let rows = read_rows(&mut buf, u64_at(&data, 6))?;
+        let rows = read_rows(&mut buf, u64_at(data, 6))?;
         if !buf.is_empty() {
             return Err(CodecError::TrailingBytes);
         }
@@ -671,7 +623,7 @@ pub fn decode_runs<T: WireRecord>(data: Bytes) -> Result<Vec<(RunId, Vec<T>)>, C
             vec![(RunId::DEFAULT, rows)]
         });
     }
-    walk_v2(T::TAG, &data, |buf, run, count| {
+    walk_v2(T::TAG, data, |buf, run, count| {
         let rows = read_rows(buf, count)?;
         Ok((!rows.is_empty()).then_some((run, rows)))
     })
@@ -748,7 +700,7 @@ mod tests {
 
     /// A table file's rows, every run concatenated in section order.
     fn decode_flat<T: WireRecord>(data: Bytes) -> Result<Vec<T>, CodecError> {
-        Ok(decode_runs(data)?
+        Ok(decode_runs(&data)?
             .into_iter()
             .flat_map(|(_, rows)| rows)
             .collect())
@@ -838,7 +790,7 @@ mod tests {
             (RunId(3), run3.as_slice()),
             (RunId(7), run0.as_slice()),
         ];
-        let decoded = decode_runs::<TrajectorySample>(encode_runs(&sections)).unwrap();
+        let decoded = decode_runs::<TrajectorySample>(&encode_runs(&sections)).unwrap();
         assert_eq!(decoded.len(), 3);
         for ((run, rows), (want_run, want_rows)) in decoded.iter().zip(&sections) {
             assert_eq!(run, want_run);
@@ -861,7 +813,7 @@ mod tests {
             (RunId(1), extra.as_slice()),
             (RunId(5), extra.as_slice()),
         ];
-        let decoded = decode_runs::<TrajectorySample>(encode_runs(&messy)).unwrap();
+        let decoded = decode_runs::<TrajectorySample>(&encode_runs(&messy)).unwrap();
         let mut run5 = rows.clone();
         run5.extend_from_slice(&extra);
         assert_eq!(decoded, vec![(RunId(1), extra), (RunId(5), run5)]);
@@ -875,7 +827,7 @@ mod tests {
             (RunId(2), rows.as_slice()),
             (RunId(5), [].as_slice()),
         ];
-        let decoded = decode_runs::<TrajectorySample>(encode_runs(&sections)).unwrap();
+        let decoded = decode_runs::<TrajectorySample>(&encode_runs(&sections)).unwrap();
         assert_eq!(decoded.len(), 1);
         assert_eq!(decoded[0].0, RunId(2));
     }
@@ -901,7 +853,7 @@ mod tests {
                 .is_empty()
         );
         assert!(
-            decode_runs::<TrajectorySample>(encode_one::<TrajectorySample>(&[]))
+            decode_runs::<TrajectorySample>(&encode_one::<TrajectorySample>(&[]))
                 .unwrap()
                 .is_empty()
         );
@@ -915,14 +867,16 @@ mod tests {
             decode_flat::<TrajectorySample>(v1.clone()).unwrap(),
             original
         );
-        let sections = decode_runs::<TrajectorySample>(v1).unwrap();
+        let sections = decode_runs::<TrajectorySample>(&v1).unwrap();
         assert_eq!(sections.len(), 1);
         assert_eq!(sections[0].0, RunId::DEFAULT);
         assert_eq!(sections[0].1, original);
         // An empty v1 file has no sections at all.
-        assert!(decode_runs::<TrajectorySample>(encode_trajectories_v1(&[]))
-            .unwrap()
-            .is_empty());
+        assert!(
+            decode_runs::<TrajectorySample>(&encode_trajectories_v1(&[]))
+                .unwrap()
+                .is_empty()
+        );
     }
 
     #[test]
@@ -1100,7 +1054,7 @@ mod tests {
             (RunId(1), rows.as_slice(), seqs_a.as_slice()),
             (RunId(4), rows.as_slice(), seqs_b.as_slice()),
         ];
-        let decoded = decode_segment::<TrajectorySample>(encode_segment(&sections)).unwrap();
+        let decoded = decode_segment::<TrajectorySample>(&encode_segment(&sections)).unwrap();
         assert_eq!(decoded.len(), 2);
         assert_eq!(decoded[0].run, RunId(1));
         assert_eq!(decoded[0].rows, rows);
@@ -1122,7 +1076,7 @@ mod tests {
             e => panic!("wrong error {e:?}"),
         }
         let table = encode_one(&rows);
-        match decode_segment::<TrajectorySample>(table).unwrap_err() {
+        match decode_segment::<TrajectorySample>(&table).unwrap_err() {
             CodecError::WrongRecordType { expected, got } => {
                 assert_eq!(expected, TAG_TRAJECTORY | SEQ_FLAG);
                 assert_eq!(got, TAG_TRAJECTORY);
@@ -1130,7 +1084,7 @@ mod tests {
             e => panic!("wrong error {e:?}"),
         }
         // Cross-table segment mismatch is caught the same way.
-        match decode_segment::<RssiMeasurement>(seg).unwrap_err() {
+        match decode_segment::<RssiMeasurement>(&seg).unwrap_err() {
             CodecError::WrongRecordType { expected, got } => {
                 assert_eq!(expected, TAG_RSSI | SEQ_FLAG);
                 assert_eq!(got, TAG_TRAJECTORY | SEQ_FLAG);
@@ -1146,55 +1100,26 @@ mod tests {
         let seg = encode_segment(&[(RunId(2), rows.as_slice(), seqs.as_slice())]);
         for cut in [seg.len() - 1, seg.len() - 9, V2_HEADER + 3, 5] {
             assert!(
-                decode_segment::<TrajectorySample>(seg.slice(..cut)).is_err(),
+                decode_segment::<TrajectorySample>(&seg[..cut]).is_err(),
                 "cut at {cut} must error"
             );
         }
         // Flip a seq byte: the structure still parses, the checksum does
-        // not — and the raw decoder fails identically.
+        // not.
         let mut bytes = seg.as_ref().to_vec();
         let seq_off = V2_HEADER + SECTION_HEADER + 2 * TRAJECTORY_ROW + 3;
         bytes[seq_off] ^= 0x10;
         assert_eq!(
-            decode_segment::<TrajectorySample>(Bytes::from(bytes.clone())).unwrap_err(),
+            decode_segment::<TrajectorySample>(&bytes).unwrap_err(),
             CodecError::ChecksumMismatch
         );
-        assert_eq!(
-            decode_segment_raw::<TrajectorySample>(Bytes::from(bytes)).unwrap_err(),
-            CodecError::ChecksumMismatch
-        );
-    }
-
-    #[test]
-    fn raw_segment_decode_matches_typed_decode() {
-        let rows = sample_trajectories();
-        let seqs = [1u64, 0];
-        let seg = encode_segment(&[
-            (RunId(0), rows.as_slice(), seqs.as_slice()),
-            (RunId(6), rows.as_slice(), seqs.as_slice()),
-        ]);
-        let typed = decode_segment::<TrajectorySample>(seg.clone()).unwrap();
-        let raw = decode_segment_raw::<TrajectorySample>(seg).unwrap();
-        assert_eq!(typed.len(), raw.len());
-        for (t, r) in typed.iter().zip(&raw) {
-            assert_eq!(t.run, r.run);
-            assert_eq!(t.seqs, r.seqs);
-            // Re-decoding the raw row bytes yields the typed rows.
-            assert_eq!(r.rows.len(), t.rows.len() * TRAJECTORY_ROW);
-            let redecoded: Vec<TrajectorySample> = r
-                .rows
-                .chunks_exact(TRAJECTORY_ROW)
-                .map(|row| TrajectorySample::decode_row(row).unwrap())
-                .collect();
-            assert_eq!(redecoded, t.rows);
-        }
     }
 
     /// A small two-section segment file: every single-bit flip and every
-    /// truncation must fail both segment decoders. Flips the framing
-    /// cannot notice — row and seq payload, the checksum itself — must be
-    /// caught by the checksum, so the raw decoder (which parses no row
-    /// fields) reports exactly [`CodecError::ChecksumMismatch`] there.
+    /// truncation must fail the segment decoder. Flips the framing cannot
+    /// notice — row and seq payload, the checksum itself — must be caught
+    /// by the checksum alone: the flipped body no longer hashes to the
+    /// stored trailer, whatever a row field parse would have said first.
     #[test]
     fn segment_checksum_catches_every_bit_flip_and_truncation() {
         let rows = sample_trajectories();
@@ -1202,12 +1127,7 @@ mod tests {
             (RunId(0), rows.as_slice(), [4u64, 1].as_slice()),
             (RunId(5), &rows[..1], [7u64].as_slice()),
         ]);
-        assert_eq!(
-            decode_segment::<TrajectorySample>(seg.clone())
-                .unwrap()
-                .len(),
-            2
-        );
+        assert_eq!(decode_segment::<TrajectorySample>(&seg).unwrap().len(), 2);
         let payload0 = V2_HEADER + SECTION_HEADER;
         let payload1 = payload0 + 2 * (TRAJECTORY_ROW + 8) + SECTION_HEADER;
         let payload = |at: usize| {
@@ -1219,19 +1139,20 @@ mod tests {
             for bit in 0..8 {
                 let mut bytes = seg.to_vec();
                 bytes[at] ^= 1 << bit;
-                let typed = decode_segment::<TrajectorySample>(Bytes::from(bytes.clone()));
-                assert!(typed.is_err(), "flip of bit {bit} at byte {at} decoded");
-                let raw = decode_segment_raw::<TrajectorySample>(Bytes::from(bytes));
+                let decoded = decode_segment::<TrajectorySample>(&bytes);
+                assert!(decoded.is_err(), "flip of bit {bit} at byte {at} decoded");
                 if payload(at) {
-                    assert_eq!(raw.unwrap_err(), CodecError::ChecksumMismatch);
-                } else {
-                    assert!(raw.is_err(), "flip of bit {bit} at byte {at} decoded raw");
+                    let (body, trailer) = bytes.split_at(bytes.len() - CHECKSUM_SIZE);
+                    assert_ne!(
+                        word_checksum(body),
+                        u64_at(trailer, 0),
+                        "flip of bit {bit} at byte {at} kept the checksum"
+                    );
                 }
             }
         }
         for cut in 0..seg.len() {
-            assert!(decode_segment::<TrajectorySample>(seg.slice(..cut)).is_err());
-            assert!(decode_segment_raw::<TrajectorySample>(seg.slice(..cut)).is_err());
+            assert!(decode_segment::<TrajectorySample>(&seg[..cut]).is_err());
         }
     }
 
@@ -1256,32 +1177,9 @@ mod tests {
     }
 
     #[test]
-    fn raw_splice_reproduces_typed_table_encoding() {
-        let rows = sample_trajectories();
-        // Encode each row separately, then splice the raw chunks back
-        // into a table file: byte-identical to the typed encoder.
-        let mut encoded = BytesMut::new();
-        for r in &rows {
-            r.put_row(&mut encoded);
-        }
-        let encoded = encoded.freeze();
-        let chunks: Vec<&[u8]> = (0..rows.len())
-            .map(|i| &encoded[i * TRAJECTORY_ROW..(i + 1) * TRAJECTORY_ROW])
-            .collect();
-        let spliced = encode_runs_raw::<TrajectorySample>(&[(RunId(3), chunks)]);
-        let typed = encode_runs(&[(RunId(3), rows.as_slice())]);
-        assert_eq!(spliced, typed);
-    }
-
-    #[test]
     fn empty_segment_round_trips() {
         let seg = encode_segment::<TrajectorySample>(&[]);
-        assert!(decode_segment::<TrajectorySample>(seg.clone())
-            .unwrap()
-            .is_empty());
-        assert!(decode_segment_raw::<TrajectorySample>(seg)
-            .unwrap()
-            .is_empty());
+        assert!(decode_segment::<TrajectorySample>(&seg).unwrap().is_empty());
     }
 
     #[test]

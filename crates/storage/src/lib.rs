@@ -93,16 +93,18 @@
 //!
 //! ## Persistence & wire format
 //!
-//! [`Repository::export`] serializes each table into one buffer of the
-//! versioned binary wire format (see the [`codec`] module docs for the
-//! framing layout). The format is **run-segmented**: every table file
-//! carries one section per run, so a multi-run repository survives
-//! `export` → `import` with its run dimension intact — per-run row sets
-//! come back bit-identical on every run-scoped query path, on either
-//! backend (the `persistence_roundtrip` proptest suite). Both backends
-//! export the same format and import from it:
-//! [`Repository::import`] / [`SegmentedRepository::import`] rebuild a
-//! specific backend, [`AnyRepository::import`] rebuilds whichever
+//! [`Repository::export`] and [`SegmentedRepository::export`] serialize
+//! each table into one buffer of the versioned binary wire format (see
+//! the [`codec`] module docs for the framing layout). The format is
+//! **run-segmented**: every table file carries one section per run, so a
+//! multi-run repository survives `export` → `import` with its run
+//! dimension intact — per-run row sets come back bit-identical on every
+//! run-scoped query path, on either backend (the `persistence_roundtrip`
+//! proptest suite). Both backends write the same bytes for the same
+//! batches (the `export_golden` suite pins them across commits), and one
+//! replay reads them back: [`RepositoryExport::ingest_into`] hands every
+//! run section to any [`ProductSink`] as one batch, and
+//! [`AnyRepository::import`] replays into a fresh repository of whichever
 //! [`StorageBackend`] the caller names — which is how run tags survive
 //! backend switches through `Vita::save_to` / `load_from` in `vita-core`.
 //! Legacy v1 files (written before the run dimension existed) still
@@ -346,26 +348,6 @@ impl Repository {
             proximity: encode_runs(&borrow_sections(&p_sections)),
         }
     }
-
-    /// Rebuild a repository from an export, run by run: every row comes
-    /// back under the run id it was exported with (v1-format exports land
-    /// in [`RunId::DEFAULT`]).
-    pub fn import(export: &RepositoryExport) -> Result<Self, CodecError> {
-        let repo = Repository::new();
-        for (run, rows) in decode_runs(export.trajectories.clone())? {
-            repo.trajectories.write().append_batch_run(run, rows);
-        }
-        for (run, rows) in decode_runs(export.rssi.clone())? {
-            repo.rssi.write().append_batch_run(run, rows);
-        }
-        for (run, rows) in decode_runs(export.fixes.clone())? {
-            repo.fixes.write().append_batch_run(run, rows);
-        }
-        for (run, rows) in decode_runs(export.proximity.clone())? {
-            repo.proximity.write().append_batch_run(run, rows);
-        }
-        Ok(repo)
-    }
 }
 
 /// The borrowed view the sectioned encoders take (both backends'
@@ -406,6 +388,29 @@ impl RepositoryExport {
     /// errors surface when the export is imported.
     pub fn read_dir(dir: &std::path::Path) -> std::io::Result<Self> {
         codec::read_export_dir(dir)
+    }
+
+    /// Replay the export into `sink`, table by table: each table file is
+    /// decoded, then every run section is handed over as one
+    /// [`ProductSink::accept_run`] batch, so every row comes back under
+    /// the run id it was exported with (v1-format files land in
+    /// [`RunId::DEFAULT`]). The one way to load an export, into either
+    /// backend. A table that fails to decode returns its error; the
+    /// tables before it have already been replayed.
+    pub fn ingest_into(&self, sink: &impl ProductSink) -> Result<(), CodecError> {
+        for (run, rows) in decode_runs(&self.trajectories)? {
+            sink.accept_run(run, ProductBatch::Trajectories(rows));
+        }
+        for (run, rows) in decode_runs(&self.rssi)? {
+            sink.accept_run(run, ProductBatch::Rssi(rows));
+        }
+        for (run, rows) in decode_runs(&self.fixes)? {
+            sink.accept_run(run, ProductBatch::Fixes(rows));
+        }
+        for (run, rows) in decode_runs(&self.proximity)? {
+            sink.accept_run(run, ProductBatch::Proximity(rows));
+        }
+        Ok(())
     }
 }
 
@@ -732,8 +737,8 @@ impl AnyRepository {
     }
 
     /// Serialize every table into one buffer per table, run-segmented:
-    /// either backend produces the same wire format, importable by either
-    /// backend's `import` constructor.
+    /// either backend produces the same wire format, and
+    /// [`AnyRepository::import`] loads it into either.
     ///
     /// # Panics
     /// If a spilled segment file is unreadable (see [`AnyRepository`]).
@@ -745,19 +750,14 @@ impl AnyRepository {
     }
 
     /// Rebuild a repository of the requested backend shape from an
-    /// export, run by run. The export's own backend does not matter —
-    /// the wire format is backend-agnostic — so this is how run-tagged
-    /// data moves across backend switches.
+    /// export: [`AnyRepository::new`], then
+    /// [`RepositoryExport::ingest_into`] it. The export's own backend does
+    /// not matter — the wire format is backend-agnostic — so this is how
+    /// run-tagged data moves across backend switches.
     pub fn import(export: &RepositoryExport, backend: StorageBackend) -> Result<Self, CodecError> {
-        Ok(match backend {
-            StorageBackend::Single => AnyRepository::Single(Box::new(Repository::import(export)?)),
-            StorageBackend::Segmented { spill: None } => {
-                AnyRepository::Segmented(SegmentedRepository::import(export)?)
-            }
-            StorageBackend::Segmented { spill } => AnyRepository::Segmented(
-                SegmentedRepository::import_with(export, SegmentConfig::default(), spill)?,
-            ),
-        })
+        let repo = AnyRepository::new(backend);
+        export.ingest_into(&repo)?;
+        Ok(repo)
     }
 }
 
@@ -876,7 +876,8 @@ mod tests {
                 .collect(),
         ));
         let export = repo.export();
-        let restored = Repository::import(&export).unwrap();
+        let restored = Repository::new();
+        export.ingest_into(&restored).unwrap();
         assert_eq!(restored.counts(RunScope::All), repo.counts(RunScope::All));
         // Spot check a trace.
         let a = repo

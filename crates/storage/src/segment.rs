@@ -81,7 +81,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
-use bytes::{Bytes, BytesMut};
+use bytes::Bytes;
 use parking_lot::{Mutex, RwLock};
 use vita_geometry::{Aabb, GridIndex, Point};
 use vita_indoor::{DeviceId, FloorId, ObjectId, RunId, Timestamp};
@@ -89,9 +89,7 @@ use vita_mobility::TrajectorySample;
 use vita_positioning::{Fix, ProximityRecord};
 use vita_rssi::RssiMeasurement;
 
-use crate::codec::{
-    decode_runs, decode_segment, decode_segment_raw, encode_runs, encode_runs_raw, encode_segment,
-};
+use crate::codec::{decode_segment, encode_runs, encode_segment};
 use crate::row::SegmentRow;
 use crate::{
     borrow_sections, CodecError, ProductBatch, ProductSink, RepositoryExport, RunScope, TableCounts,
@@ -588,15 +586,27 @@ impl<R: SegmentRow> Segment<R> {
         }
     }
 
-    /// Check the sections decoded from this segment's spill file —
-    /// `(run, seqs, min_t, max_t)` each, in file order — against the meta
-    /// the segment was published with. A file that decodes cleanly can
-    /// still be the wrong one, and answering from it would return rows
-    /// the query plan never selected.
-    fn check_file<'a>(
-        &self,
-        sections: impl ExactSizeIterator<Item = (RunId, &'a [Seq], Timestamp, Timestamp)>,
-    ) -> Result<(), SpillError> {
+    /// Read this spilled segment's rows back from its file: read,
+    /// checksum-verified, rebuilt into `(t, seq)`-sorted sections (indexes
+    /// unbuilt) and checked against the meta the segment was published
+    /// with. A file that decodes cleanly can still be the wrong one, and
+    /// answering from it would return rows the query plan never selected.
+    /// The one reader of spill files: page-in runs it on a cache miss, and
+    /// export on every spilled segment, without touching the cache.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "R2: spilled segment files are read back here"
+    )]
+    fn read_back(&self) -> Result<SegmentData<R>, SpillError> {
+        #[expect(
+            clippy::expect_used,
+            reason = "invariant: read_back is only called on segments in the Spilled state"
+        )]
+        let path = self.spill_path().expect("read_back on a resident segment");
+        let sections: Vec<Section<R>> = decode_segment::<R>(&std::fs::read(path)?)?
+            .into_iter()
+            .map(|s| Section::from_sorted(s.run, s.rows, s.seqs))
+            .collect();
         let wrong = |what| {
             Err(SpillError::WrongSegment {
                 segment: self.id,
@@ -607,24 +617,24 @@ impl<R: SegmentRow> Segment<R> {
             return wrong("section count");
         }
         let mut seq_range: Option<(Seq, Seq)> = None;
-        for ((run, seqs, min_t, max_t), meta) in sections.zip(&self.meta) {
-            if run != meta.run {
+        for (sec, meta) in sections.iter().zip(&self.meta) {
+            if sec.run != meta.run {
                 return wrong("run");
             }
-            if seqs.len() != meta.rows {
+            if sec.rows.len() != meta.rows {
                 return wrong("row count");
             }
-            if (min_t, max_t) != (meta.min_t, meta.max_t) {
+            if (sec.min_t, sec.max_t) != (meta.min_t, meta.max_t) {
                 return wrong("time bounds");
             }
-            for &s in seqs {
+            for &s in &sec.seqs {
                 seq_range = Some(seq_range.map_or((s, s), |(lo, hi)| (lo.min(s), hi.max(s))));
             }
         }
         if seq_range.unwrap_or((0, 0)) != self.seq_range {
             return wrong("seq range");
         }
-        Ok(())
+        Ok(SegmentData { sections })
     }
 
     fn resident_sections(&self) -> Option<&[Section<R>]> {
@@ -1640,14 +1650,10 @@ impl<R: SegmentRow> SegTable<R> {
     }
 
     /// The decoded rows of a spilled segment: from the cache, or — on a
-    /// miss — read, checksum-verified, checked against the segment's meta
-    /// and deterministically rebuilt from its file. The stored `(t, seq)`
-    /// order, and the indexes later queries derive from it, make the
-    /// paged-in copy answer bit-identically to the resident original.
-    #[expect(
-        clippy::disallowed_methods,
-        reason = "R2: spilled segment files are read back here"
-    )]
+    /// miss — [`Segment::read_back`] from its file, then cached. The stored
+    /// `(t, seq)` order, and the indexes later queries derive from it,
+    /// make the paged-in copy answer bit-identically to the resident
+    /// original.
     fn page_in(
         &self,
         seg: &Segment<R>,
@@ -1664,23 +1670,7 @@ impl<R: SegmentRow> SegTable<R> {
         if let Some(data) = self.cache.lock().get(seg.id) {
             return Ok(data);
         }
-        #[expect(
-            clippy::expect_used,
-            reason = "invariant: page_in is only called on segments in the Spilled state"
-        )]
-        let path = seg.spill_path().expect("page_in on resident segment");
-        let bytes = std::fs::read(path)?;
-        let decoded = decode_segment::<R>(Bytes::from(bytes))?;
-        let sections: Vec<Section<R>> = decoded
-            .into_iter()
-            .map(|s| Section::from_sorted(s.run, s.rows, s.seqs))
-            .collect();
-        seg.check_file(
-            sections
-                .iter()
-                .map(|s| (s.run, s.seqs.as_slice(), s.min_t, s.max_t)),
-        )?;
-        let data = Arc::new(SegmentData { sections });
+        let data = Arc::new(seg.read_back()?);
         sh.page_ins.fetch_add(1, Ordering::Relaxed);
         self.cache.lock().insert(
             seg.id,
@@ -1690,6 +1680,46 @@ impl<R: SegmentRow> SegTable<R> {
             cache_rows_cap,
         );
         Ok(data)
+    }
+
+    /// This table's wire-format bytes: a typed scan of one pinned
+    /// snapshot. Spilled segments are read back from their files without
+    /// going through [`Self::query`] or [`Self::page_in`]: neither the
+    /// heat stamps nor the page-in cache move, so a save never reorders
+    /// eviction — and the segment history after it does not depend on
+    /// when it ran. Each run's sections are scanned in arrival (seq)
+    /// order, the reference table's order, then encoded.
+    fn export(&self) -> Result<Bytes, SpillError> {
+        let snap = self.pin();
+        // The read-back rows are freed before encoding starts.
+        let runs: Vec<(RunId, Vec<R>)> = {
+            let read: Vec<SegmentData<R>> = snap
+                .segments
+                .iter()
+                .filter(|seg| seg.is_spilled())
+                .map(|seg| seg.read_back())
+                .collect::<Result<_, _>>()?;
+            let mut read_it = read.iter();
+            let mut per_run: BTreeMap<RunId, Vec<&Section<R>>> = BTreeMap::new();
+            for seg in &snap.segments {
+                #[expect(
+                    clippy::expect_used,
+                    reason = "invariant: one read-back entry was built per spilled segment just above"
+                )]
+                let sections = match seg.resident_sections() {
+                    Some(sections) => sections,
+                    None => &read_it.next().expect("one read-back per spilled").sections,
+                };
+                for sec in sections {
+                    per_run.entry(sec.run).or_default().push(sec);
+                }
+            }
+            per_run
+                .into_iter()
+                .map(|(run, sections)| (run, scan_sections(&sections)))
+                .collect()
+        };
+        Ok(encode_runs(&borrow_sections(&runs)))
     }
 
     /// Spill this table's coldest sealed resident segment. Returns the
@@ -2277,75 +2307,20 @@ impl SegmentedRepository {
     }
 
     /// Serialize every table into the backend-agnostic run-segmented wire
-    /// format (scan order — arrival order — inside each run section, like
-    /// the other backends). Spilled segments contribute their raw on-disk
-    /// row bytes, spliced per run by seq without decoding rows to structs
-    /// and re-encoding them — the segment file and the table wire format
-    /// share the row encoding byte-for-byte. Fails like the queries when
-    /// a spill file cannot be read back.
+    /// format: one pinned snapshot per table, scanned run by run in
+    /// arrival order — byte for byte what the reference
+    /// [`Repository::export`](crate::Repository::export) writes for the
+    /// same batches. Leaves the spill tier as it found it: no heat stamp,
+    /// no page-in, no cache entry. Fails like the queries when a spill
+    /// file cannot be read back.
     pub fn export(&self) -> Result<RepositoryExport, SpillError> {
         let i = &self.inner;
         Ok(RepositoryExport {
-            trajectories: export_table_raw(&i.trajectories)?,
-            rssi: export_table_raw(&i.rssi)?,
-            fixes: export_table_raw(&i.fixes)?,
-            proximity: export_table_raw(&i.proximity)?,
+            trajectories: i.trajectories.export()?,
+            rssi: i.rssi.export()?,
+            fixes: i.fixes.export()?,
+            proximity: i.proximity.export()?,
         })
-    }
-
-    /// The pre-spill export path: decode every row to its struct, scan in
-    /// arrival order, re-encode. Kept (hidden) as the reference the raw
-    /// splice is benchmarked and parity-tested against.
-    #[doc(hidden)]
-    pub fn export_reencode(&self) -> Result<RepositoryExport, SpillError> {
-        fn reencode<R: SegmentRow>(table: TableHandle<'_, R>) -> Result<Bytes, SpillError> {
-            let runs = table.table.pin().run_ids();
-            let sections = runs
-                .into_iter()
-                .map(|run| Ok((run, table.scan(run.into())?)))
-                .collect::<Result<Vec<_>, SpillError>>()?;
-            Ok(encode_runs(&borrow_sections(&sections)))
-        }
-        Ok(RepositoryExport {
-            trajectories: reencode(self.trajectories())?,
-            rssi: reencode(self.rssi())?,
-            fixes: reencode(self.fixes())?,
-            proximity: reencode(self.proximity())?,
-        })
-    }
-
-    /// Rebuild a segmented repository from an export, run by run (the
-    /// export's own backend does not matter — the wire format is
-    /// backend-agnostic). Consults [`SpillConfig::from_env`] like
-    /// [`Self::new`].
-    pub fn import(export: &RepositoryExport) -> Result<Self, CodecError> {
-        Self::new().ingest_export(export)
-    }
-
-    /// [`Self::import`] with explicit tuning and an optional spill tier.
-    pub fn import_with(
-        export: &RepositoryExport,
-        config: SegmentConfig,
-        spill: Option<SpillConfig>,
-    ) -> Result<Self, CodecError> {
-        Self::build(config, spill, false).ingest_export(export)
-    }
-
-    /// Replay an export into this repository, run by run.
-    fn ingest_export(self, export: &RepositoryExport) -> Result<Self, CodecError> {
-        for (run, rows) in decode_runs(export.trajectories.clone())? {
-            self.accept_run(run, ProductBatch::Trajectories(rows));
-        }
-        for (run, rows) in decode_runs(export.rssi.clone())? {
-            self.accept_run(run, ProductBatch::Rssi(rows));
-        }
-        for (run, rows) in decode_runs(export.fixes.clone())? {
-            self.accept_run(run, ProductBatch::Fixes(rows));
-        }
-        for (run, rows) in decode_runs(export.proximity.clone())? {
-            self.accept_run(run, ProductBatch::Proximity(rows));
-        }
-        Ok(self)
     }
 }
 
@@ -2469,77 +2444,6 @@ impl TableHandle<'_, ProximityRecord> {
             |s| overlapping_sections(s, from, to),
         )
     }
-}
-
-/// One table's wire-format bytes for [`SegmentedRepository::export`],
-/// assembled from raw row bytes: resident sections re-encode rows (a
-/// straight `put_row` pass, no sorting), spilled segments contribute the
-/// row bytes already sitting in their files. Rows are regrouped per run
-/// and ordered by seq — the same splice either way, so spilled and
-/// resident state export byte-identically.
-#[expect(
-    clippy::disallowed_methods,
-    reason = "R2: spilled segments' raw row bytes are read here"
-)]
-fn export_table_raw<R: SegmentRow>(table: &SegTable<R>) -> Result<Bytes, SpillError> {
-    use crate::codec::RawSection;
-    let snap = table.pin();
-    let mut raw: Vec<RawSection> = Vec::new();
-    for seg in &snap.segments {
-        match seg.resident_sections() {
-            Some(sections) => {
-                for sec in sections {
-                    let mut buf = BytesMut::with_capacity(sec.rows.len() * R::ROW);
-                    for r in &sec.rows {
-                        r.put_row(&mut buf);
-                    }
-                    raw.push(RawSection {
-                        run: sec.run,
-                        rows: buf.freeze(),
-                        seqs: sec.seqs.clone(),
-                    });
-                }
-            }
-            None => {
-                #[expect(
-                    clippy::expect_used,
-                    reason = "invariant: a segment is either Resident or Spilled; non-resident implies a path"
-                )]
-                let path = seg.spill_path().expect("non-resident segment is spilled");
-                let bytes = std::fs::read(path)?;
-                let sections = decode_segment_raw::<R>(Bytes::from(bytes))?;
-                let mut bounds = Vec::with_capacity(sections.len());
-                for sec in &sections {
-                    let time_at = |i: usize| R::decode_row(&sec.rows[i * R::ROW..(i + 1) * R::ROW]);
-                    bounds.push((time_at(0)?.time(), time_at(sec.seqs.len() - 1)?.time()));
-                }
-                seg.check_file(
-                    sections
-                        .iter()
-                        .zip(bounds)
-                        .map(|(s, (min_t, max_t))| (s.run, s.seqs.as_slice(), min_t, max_t)),
-                )?;
-                raw.extend(sections);
-            }
-        }
-    }
-    let mut per_run: BTreeMap<RunId, Vec<(Seq, Bytes)>> = BTreeMap::new();
-    for sec in &raw {
-        for (i, &s) in sec.seqs.iter().enumerate() {
-            per_run
-                .entry(sec.run)
-                .or_default()
-                .push((s, sec.rows.slice(i * R::ROW..(i + 1) * R::ROW)));
-        }
-    }
-    for rows in per_run.values_mut() {
-        rows.sort_unstable_by_key(|(s, _)| *s);
-    }
-    let parts: Vec<(RunId, Vec<&[u8]>)> = per_run
-        .iter()
-        .map(|(run, rows)| (*run, rows.iter().map(|(_, b)| &b[..]).collect()))
-        .collect();
-    Ok(encode_runs_raw::<R>(&parts))
 }
 
 #[cfg(test)]
@@ -2725,7 +2629,8 @@ mod tests {
         );
         repo.seal_now();
         let export = repo.export().unwrap();
-        let restored = SegmentedRepository::import(&export).unwrap();
+        let restored = SegmentedRepository::new();
+        export.ingest_into(&restored).unwrap();
         assert_eq!(restored.counts(RunScope::All), repo.counts(RunScope::All));
         assert_eq!(restored.run_ids(), repo.run_ids());
         assert_eq!(
@@ -2831,9 +2736,10 @@ mod tests {
 
     #[test]
     fn spilled_segment_frees_its_rows_though_this_thread_queried_them() {
+        let parent = SpillParent::new("freed");
         let repo = SegmentedRepository::with_spill(
             SegmentConfig::default(),
-            SpillConfig::new(spill_dir("freed")),
+            SpillConfig::new(parent.0.clone()),
         );
         fill(&repo);
         repo.seal_now();
@@ -2865,8 +2771,9 @@ mod tests {
 
     #[test]
     fn spilled_fix_segment_on_another_floor_is_pruned_without_a_page_in() {
+        let parent = SpillParent::new("fix-floors");
         let repo =
-            SegmentedRepository::with_spill(SegmentConfig::default(), tiny_spill("fix-floors", 0));
+            SegmentedRepository::with_spill(SegmentConfig::default(), tiny_spill(&parent, 0));
         let fixes: Vec<Fix> = (0..20)
             .map(|i| Fix {
                 object: ObjectId(i % 4),
@@ -2895,13 +2802,30 @@ mod tests {
         assert_eq!(repo.stats().page_ins, 1);
     }
 
-    fn spill_dir(tag: &str) -> PathBuf {
-        std::env::temp_dir().join(format!("vita-spill-test-{tag}-{}", std::process::id()))
+    /// One test's spill parent, `<temp>/vita-spill-test-<tag>-<pid>`,
+    /// removed with everything under it when the guard drops — also when
+    /// the test fails; a repository removes only its own instance
+    /// subdirectory. Declared before the repositories spilling into it, so
+    /// they drop first.
+    struct SpillParent(PathBuf);
+
+    impl SpillParent {
+        fn new(tag: &str) -> Self {
+            SpillParent(
+                std::env::temp_dir().join(format!("vita-spill-test-{tag}-{}", std::process::id())),
+            )
+        }
     }
 
-    fn tiny_spill(tag: &str, budget: usize) -> SpillConfig {
+    impl Drop for SpillParent {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
+
+    fn tiny_spill(parent: &SpillParent, budget: usize) -> SpillConfig {
         SpillConfig {
-            dir: spill_dir(tag),
+            dir: parent.0.clone(),
             memory_budget_rows: budget,
             cache_segments: 2,
         }
@@ -2918,7 +2842,8 @@ mod tests {
         let baseline = SegmentedRepository::build(cfg, None, false);
         fill(&baseline);
         baseline.seal_now();
-        let repo = SegmentedRepository::with_spill(cfg, tiny_spill("parity", 30));
+        let parent = SpillParent::new("parity");
+        let repo = SegmentedRepository::with_spill(cfg, tiny_spill(&parent, 30));
         fill(&repo);
         repo.seal_now();
         let stats = repo.stats();
@@ -2977,19 +2902,14 @@ mod tests {
         // the gauge back under the budget.
         repo.seal_now();
         assert!(repo.stats().resident_rows <= 30, "{:?}", repo.stats());
-        // Export splices spilled raw bytes; it must equal the
-        // all-resident export and the typed re-encode path byte-for-byte.
+        // Export reads spilled segments back; it must equal the
+        // all-resident export byte-for-byte.
         let spilled_export = repo.export().unwrap();
         let resident_export = baseline.export().unwrap();
-        let reencoded_export = repo.export_reencode().unwrap();
         assert_eq!(spilled_export.trajectories, resident_export.trajectories);
         assert_eq!(spilled_export.rssi, resident_export.rssi);
         assert_eq!(spilled_export.fixes, resident_export.fixes);
         assert_eq!(spilled_export.proximity, resident_export.proximity);
-        assert_eq!(spilled_export.trajectories, reencoded_export.trajectories);
-        assert_eq!(spilled_export.rssi, reencoded_export.rssi);
-        assert_eq!(spilled_export.fixes, reencoded_export.fixes);
-        assert_eq!(spilled_export.proximity, reencoded_export.proximity);
     }
 
     /// Which of a sealed section's indexes exist: `(object, device,
@@ -3221,8 +3141,9 @@ mod tests {
         );
 
         // One paged-in section, shared by every thread.
+        let parent = SpillParent::new("race");
         let spilled =
-            SegmentedRepository::with_spill(SegmentConfig::default(), tiny_spill("race", 0));
+            SegmentedRepository::with_spill(SegmentConfig::default(), tiny_spill(&parent, 0));
         spilled.accept_run(RunId(0), ProductBatch::Trajectories(rows));
         spilled.seal_now();
         let table = &spilled.inner.trajectories;
@@ -3250,19 +3171,70 @@ mod tests {
             seal_rows: 8,
             ..SegmentConfig::default()
         };
-        let spill = tiny_spill("drop", 8);
-        let parent = spill.dir.clone();
+        let parent = SpillParent::new("drop");
         {
-            let repo = SegmentedRepository::with_spill(cfg, spill);
+            let repo = SegmentedRepository::with_spill(cfg, tiny_spill(&parent, 8));
             fill(&repo);
             repo.seal_now();
             assert!(repo.stats().spills >= 1, "{:?}", repo.stats());
-            let live = std::fs::read_dir(&parent).unwrap().count();
+            let live = std::fs::read_dir(&parent.0).unwrap().count();
             assert!(live >= 1, "instance subdir must exist while alive");
         }
-        let leftover = std::fs::read_dir(&parent).map(|d| d.count()).unwrap_or(0);
+        let leftover = std::fs::read_dir(&parent.0).map(|d| d.count()).unwrap_or(0);
         assert_eq!(leftover, 0, "per-instance spill dir must be removed");
-        let _ = std::fs::remove_dir_all(&parent);
+    }
+
+    /// Export reads spilled segments straight from their files: it stamps
+    /// no heat, fills no page-in cache entry and counts no page-in, so a
+    /// save cannot reorder the coldest-first eviction — and the segment
+    /// history after it — by when it ran.
+    #[test]
+    fn export_leaves_the_spill_tier_heat_alone() {
+        let parent = SpillParent::new("export-heat");
+        let cfg = SegmentConfig {
+            seal_rows: 16,
+            ..SegmentConfig::default()
+        };
+        let repo = SegmentedRepository::with_spill(cfg, tiny_spill(&parent, 40));
+        fill(&repo);
+        repo.seal_now();
+        // Warm run 0's segments: the query stamps their heat and pages the
+        // spilled ones into the cache.
+        repo.trajectories()
+            .of_object(RunId(0).into(), ObjectId(1))
+            .unwrap();
+        let heat = || {
+            let table = &repo.inner.trajectories;
+            let touches: Vec<(u64, bool, u64)> = table
+                .pin()
+                .segments
+                .iter()
+                .map(|s| (s.id, s.is_spilled(), s.last_touch.load(Ordering::Relaxed)))
+                .collect();
+            let cached: Vec<(u64, bool)> = table
+                .cache
+                .lock()
+                .entries
+                .iter()
+                .map(|e| (e.id, e.referenced))
+                .collect();
+            (touches, cached, repo.stats().page_ins)
+        };
+        let before = heat();
+        let (touches, cached, page_ins) = &before;
+        assert!(
+            touches.iter().any(|&(_, spilled, _)| spilled),
+            "{touches:?}"
+        );
+        assert!(
+            touches.iter().any(|&(_, spilled, _)| !spilled),
+            "{touches:?}"
+        );
+        assert!(touches.iter().any(|&(_, _, t)| t > 0), "{touches:?}");
+        assert!(touches.iter().any(|&(_, _, t)| t == 0), "{touches:?}");
+        assert!(!cached.is_empty() && *page_ins > 0, "{before:?}");
+        repo.export().unwrap();
+        assert_eq!(heat(), before, "export moved the spill tier's heat");
     }
 
     /// `from_env`'s parse, driven through a lookup closure so no test

@@ -18,7 +18,7 @@ use vita_storage::{
 /// `rows` encoded as one run's table file and decoded back.
 fn round_trip<R: WireRecord>(rows: &[R]) -> Vec<R> {
     let encoded = encode_runs(&[(RunId::DEFAULT, rows)]);
-    let sections = decode_runs::<R>(encoded).unwrap();
+    let sections = decode_runs::<R>(&encoded).unwrap();
     sections.into_iter().flat_map(|(_, rows)| rows).collect()
 }
 

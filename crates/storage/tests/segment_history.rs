@@ -12,10 +12,9 @@
 //! below the corpus with a query every few appends, which pages spilled
 //! segments back in and feeds the eviction order.
 
-#![expect(clippy::disallowed_methods, reason = "test code")]
+mod common;
 
-use std::path::PathBuf;
-
+use common::SpillParent;
 use vita_geometry::Point;
 use vita_indoor::{BuildingId, DeviceId, FloorId, ObjectId, RunId, Timestamp};
 use vita_mobility::TrajectorySample;
@@ -118,29 +117,22 @@ fn same_appends_give_the_same_segment_history() {
     assert!(last.compactions > 0, "{last:?}");
 }
 
-fn spill_dir(tag: &str) -> PathBuf {
-    std::env::temp_dir().join(format!("vita-history-{tag}-{}", std::process::id()))
-}
-
 #[test]
 fn same_appends_and_queries_give_the_same_spill_history() {
-    let spill = |tag: &str| {
+    let parent = SpillParent::new("vita-history");
+    let spill = || {
         SegmentedRepository::with_spill(
             CONFIG,
             SpillConfig {
-                dir: spill_dir(tag),
+                dir: parent.0.clone(),
                 memory_budget_rows: 600,
                 cache_segments: 2,
             },
         )
     };
-    let (a, b) = (spill("a"), spill("b"));
+    let (a, b) = (spill(), spill());
     let last = lockstep(&a, &b, 4);
     assert!(last.seals > 0, "{last:?}");
     assert!(last.compactions > 0, "{last:?}");
     assert!(last.spills > 0 && last.page_ins > 0, "{last:?}");
-    drop((a, b));
-    for tag in ["a", "b"] {
-        let _ = std::fs::remove_dir_all(spill_dir(tag));
-    }
 }

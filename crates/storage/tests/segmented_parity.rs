@@ -278,8 +278,10 @@ proptest! {
         // are per-run sections, so import replays rows grouped by run: each
         // run scope round-trips exactly, and the merged scan comes back as
         // the run-grouped concatenation (in run-id order) on every backend.
-        let from_seg = Repository::import(&segmented.export().unwrap()).unwrap();
-        let from_single = SegmentedRepository::import(&single.export()).unwrap();
+        let from_seg = Repository::new();
+        segmented.export().unwrap().ingest_into(&from_seg).unwrap();
+        let from_single = SegmentedRepository::new();
+        single.export().ingest_into(&from_single).unwrap();
         for scope in scopes() {
             let want = match scope.run() {
                 Some(_) => segmented.trajectories().scan(scope).unwrap(),

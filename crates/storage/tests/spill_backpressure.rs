@@ -5,8 +5,9 @@
 //! disk, and must lose nothing: post-run counts match an all-resident
 //! control fed the identical batches.
 
-#![expect(clippy::disallowed_methods, reason = "test code")]
+mod common;
 
+use common::SpillParent;
 use vita_geometry::Point;
 use vita_indoor::{BuildingId, FloorId, ObjectId, RunId, Timestamp};
 use vita_mobility::TrajectorySample;
@@ -29,10 +30,6 @@ const RUNS: u32 = 3;
 /// full seal past the budget, which is exactly the high-water mark the
 /// next append stalls on.
 const QUERY_EVERY: usize = 2;
-
-fn spill_dir(tag: &str) -> std::path::PathBuf {
-    std::env::temp_dir().join(format!("vita-backpressure-{tag}-{}", std::process::id()))
-}
 
 fn batch_at(b: usize) -> Vec<TrajectorySample> {
     (0..BATCH)
@@ -77,6 +74,7 @@ fn tiny_budget_ingest_stalls_writer_and_loses_nothing() {
         seal_rows: SEAL_ROWS,
         ..SegmentConfig::default()
     };
+    let parent = SpillParent::new("vita-backpressure");
     // Control: same segment geometry, but a budget the whole corpus fits
     // under — the spiller never runs, so this is the all-resident row set.
     // (Built via `with_spill` so a VITA_SPILL_DIR in the environment
@@ -84,7 +82,7 @@ fn tiny_budget_ingest_stalls_writer_and_loses_nothing() {
     let control = SegmentedRepository::with_spill(
         config,
         SpillConfig {
-            dir: spill_dir("control"),
+            dir: parent.0.clone(),
             memory_budget_rows: TOTAL_ROWS * 2,
             cache_segments: 2,
         },
@@ -97,7 +95,7 @@ fn tiny_budget_ingest_stalls_writer_and_loses_nothing() {
     let spilled = SegmentedRepository::with_spill(
         config,
         SpillConfig {
-            dir: spill_dir("tiny"),
+            dir: parent.0.clone(),
             memory_budget_rows: BUDGET,
             cache_segments: 2,
         },
@@ -132,10 +130,4 @@ fn tiny_budget_ingest_stalls_writer_and_loses_nothing() {
         spilled.trajectories().scan(RunScope::All).unwrap(),
         control.trajectories().scan(RunScope::All).unwrap()
     );
-
-    drop(spilled);
-    drop(control);
-    for tag in ["control", "tiny"] {
-        let _ = std::fs::remove_dir_all(spill_dir(tag));
-    }
 }

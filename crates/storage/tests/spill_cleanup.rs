@@ -9,6 +9,9 @@
 
 #![expect(clippy::disallowed_methods, reason = "test code")]
 
+mod common;
+
+use common::SpillParent;
 use vita_geometry::Point;
 use vita_indoor::{BuildingId, FloorId, ObjectId, RunId, Timestamp};
 use vita_mobility::TrajectorySample;
@@ -36,7 +39,8 @@ fn subdirs(parent: &std::path::Path) -> Vec<String> {
 
 #[test]
 fn drop_removes_per_instance_spill_subdir_after_page_ins() {
-    let parent = std::env::temp_dir().join(format!("vita-cleanup-{}", std::process::id()));
+    let guard = SpillParent::new("vita-cleanup");
+    let parent = guard.0.clone();
     std::fs::create_dir_all(&parent).expect("create parent dir");
 
     let build = || {
@@ -114,6 +118,4 @@ fn drop_removes_per_instance_spill_subdir_after_page_ins() {
         Vec::<String>::new(),
         "shared parent must be empty after both drop"
     );
-
-    std::fs::remove_dir_all(&parent).expect("remove parent dir");
 }

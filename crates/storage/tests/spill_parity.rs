@@ -7,9 +7,9 @@
 //! * after a maintenance round the decoded sealed-row gauge sits at or
 //!   under `memory_budget_rows`, and anything past the budget really went
 //!   to disk (`spills >= 1`);
-//! * the raw-splice export (spilled bytes re-framed without a typed
-//!   decode) equals the typed re-encode path byte-for-byte and imports
-//!   into an identical repository;
+//! * the export of a spilled repository, which reads every spilled
+//!   segment back, equals the single [`Repository`]'s export of the same
+//!   batches byte-for-byte and imports into an identical repository;
 //! * truncating, bit-flipping, deleting, or swapping in another valid
 //!   spill file makes every query of all four table handles, and
 //!   `export`, return a [`SpillError`] — never a panic, never silently
@@ -21,6 +21,9 @@
 
 #![expect(clippy::disallowed_methods, reason = "test code")]
 
+mod common;
+
+use common::SpillParent;
 use proptest::prelude::*;
 
 use std::path::PathBuf;
@@ -89,17 +92,18 @@ fn proximity_strategy() -> impl Strategy<Value = ProximityRecord> {
     })
 }
 
-/// A unique spill parent dir per test; each repository instance adds its
-/// own `vita-{pid}-{n}` subdir underneath, removed on drop.
-fn spill_dir(tag: &str) -> PathBuf {
-    std::env::temp_dir().join(format!("vita-spill-suite-{tag}-{}", std::process::id()))
+/// A unique spill parent dir per test, removed when the guard drops; each
+/// repository instance adds its own `vita-{pid}-{n}` subdir underneath,
+/// removed on the repository's drop.
+fn spill_parent(tag: &str) -> SpillParent {
+    SpillParent::new(&format!("vita-spill-suite-{tag}"))
 }
 
 /// A deliberately tiny memory budget so modest proptest corpora overflow
 /// it, with a two-slot page-in cache to force eviction churn.
-fn tiny_spill(tag: &str, budget: usize) -> SpillConfig {
+fn tiny_spill(parent: &SpillParent, budget: usize) -> SpillConfig {
     SpillConfig {
-        dir: spill_dir(tag),
+        dir: parent.0.clone(),
         memory_budget_rows: budget,
         cache_segments: 2,
     }
@@ -168,10 +172,11 @@ proptest! {
         width in 0u64..T_MAX,
         at in 0u64..T_MAX,
     ) {
+        let parent = spill_parent("traj");
         let single = Repository::new();
         let spilled = SegmentedRepository::with_spill(
             SegmentConfig { seal_rows: 16, ..SegmentConfig::default() },
-            tiny_spill("traj", budget),
+            tiny_spill(&parent, budget),
         );
         fill2(&rows, batch, seal_every, ProductBatch::Trajectories, &single, &spilled);
         assert_budget_held(&spilled, budget, rows.len());
@@ -226,10 +231,11 @@ proptest! {
         w in 1.0f64..50.0, h in 1.0f64..50.0,
         k in 1usize..12,
     ) {
+        let parent = spill_parent("spatial");
         let single = Repository::new();
         let spilled = SegmentedRepository::with_spill(
             SegmentConfig { seal_rows: 16, ..SegmentConfig::default() },
-            tiny_spill("spatial", budget),
+            tiny_spill(&parent, budget),
         );
         fill2(&rows, 16, seal_every, ProductBatch::Trajectories, &single, &spilled);
         assert_budget_held(&spilled, budget, rows.len());
@@ -264,10 +270,11 @@ proptest! {
         from in 0u64..T_MAX,
         width in 0u64..T_MAX,
     ) {
+        let parent = spill_parent("meas");
         let single = Repository::new();
         let spilled = SegmentedRepository::with_spill(
             SegmentConfig { seal_rows: 16, ..SegmentConfig::default() },
-            tiny_spill("meas", budget),
+            tiny_spill(&parent, budget),
         );
         fill2(&rssi, batch, seal_every, ProductBatch::Rssi, &single, &spilled);
         fill2(&fixes, batch, seal_every, ProductBatch::Fixes, &single, &spilled);
@@ -312,31 +319,34 @@ proptest! {
         }
     }
 
-    /// Export out of a spilled repository splices raw bytes from the spill
-    /// files: it must equal the typed re-encode path byte-for-byte and
-    /// import into a repository that scans identically per run.
+    /// Export out of a spilled repository reads every spilled segment
+    /// back from its file: it must equal the single repository's export of
+    /// the same batches byte-for-byte and import into a repository that
+    /// scans identically per run.
     #[test]
-    fn spilled_export_splices_raw_bytes_identically(
+    fn spilled_export_matches_the_reference_export(
         rows in proptest::collection::vec(sample_strategy(), 1..120),
         batch in 1usize..30,
         seal_every in 1usize..6,
         budget in 8usize..48,
     ) {
+        let parent = spill_parent("export");
         let single = Repository::new();
         let spilled = SegmentedRepository::with_spill(
             SegmentConfig { seal_rows: 16, ..SegmentConfig::default() },
-            tiny_spill("export", budget),
+            tiny_spill(&parent, budget),
         );
         fill2(&rows, batch, seal_every, ProductBatch::Trajectories, &single, &spilled);
 
-        let spliced = spilled.export().unwrap();
-        let reencoded = spilled.export_reencode().unwrap();
-        prop_assert_eq!(&spliced.trajectories, &reencoded.trajectories);
-        prop_assert_eq!(&spliced.rssi, &reencoded.rssi);
-        prop_assert_eq!(&spliced.fixes, &reencoded.fixes);
-        prop_assert_eq!(&spliced.proximity, &reencoded.proximity);
+        let exported = spilled.export().unwrap();
+        let reference = single.export();
+        prop_assert_eq!(&exported.trajectories, &reference.trajectories);
+        prop_assert_eq!(&exported.rssi, &reference.rssi);
+        prop_assert_eq!(&exported.fixes, &reference.fixes);
+        prop_assert_eq!(&exported.proximity, &reference.proximity);
 
-        let from_spilled = Repository::import(&spliced).unwrap();
+        let from_spilled = Repository::new();
+        exported.ingest_into(&from_spilled).unwrap();
         for r in 0..RUNS {
             let a: Vec<TrajectorySample> = from_spilled.trajectories.read()
                 .scan(RunId(r).into()).into_iter().copied().collect();
@@ -405,12 +415,12 @@ fn proximity_rows(n: u32) -> Vec<ProximityRecord> {
 /// its four spill files in table order: trajectories, RSSI, fixes,
 /// proximity.
 fn one_spilled_segment_per_table(
-    tag: &str,
+    parent: &SpillParent,
     run: RunId,
     n: u32,
 ) -> (SegmentedRepository, Vec<PathBuf>) {
-    let parent = spill_dir(tag);
-    let _ = std::fs::remove_dir_all(&parent);
+    let parent = &parent.0;
+    let _ = std::fs::remove_dir_all(parent);
     let repo = SegmentedRepository::with_spill(
         SegmentConfig {
             seal_rows: 64,
@@ -432,7 +442,7 @@ fn one_spilled_segment_per_table(
     assert_eq!(stats.spilled_rows, 4 * n as usize, "{stats:?}");
 
     let mut files = Vec::new();
-    for entry in std::fs::read_dir(&parent).unwrap() {
+    for entry in std::fs::read_dir(parent).unwrap() {
         let sub = entry.unwrap().path();
         for f in std::fs::read_dir(&sub).unwrap() {
             let p = f.unwrap().path();
@@ -550,7 +560,8 @@ fn assert_queries_error(repo: &SegmentedRepository, expect: Expect) {
 
 #[test]
 fn truncated_spill_file_errors_and_never_panics() {
-    let (repo, files) = one_spilled_segment_per_table("trunc", RunId(0), DAMAGED_ROWS);
+    let parent = spill_parent("trunc");
+    let (repo, files) = one_spilled_segment_per_table(&parent, RunId(0), DAMAGED_ROWS);
     for file in &files {
         let bytes = std::fs::read(file).unwrap();
         std::fs::write(file, &bytes[..bytes.len() / 2]).unwrap();
@@ -561,7 +572,8 @@ fn truncated_spill_file_errors_and_never_panics() {
 
 #[test]
 fn bit_flipped_spill_file_errors_and_never_panics() {
-    let (repo, files) = one_spilled_segment_per_table("flip", RunId(0), DAMAGED_ROWS);
+    let parent = spill_parent("flip");
+    let (repo, files) = one_spilled_segment_per_table(&parent, RunId(0), DAMAGED_ROWS);
     for file in &files {
         let mut bytes = std::fs::read(file).unwrap();
         let mid = bytes.len() / 2;
@@ -574,7 +586,8 @@ fn bit_flipped_spill_file_errors_and_never_panics() {
 
 #[test]
 fn missing_spill_file_errors_and_never_panics() {
-    let (repo, files) = one_spilled_segment_per_table("gone", RunId(0), DAMAGED_ROWS);
+    let parent = spill_parent("gone");
+    let (repo, files) = one_spilled_segment_per_table(&parent, RunId(0), DAMAGED_ROWS);
     for file in &files {
         std::fs::remove_file(file).unwrap();
     }
@@ -588,8 +601,10 @@ fn missing_spill_file_errors_and_never_panics() {
 /// planning meta.
 #[test]
 fn swapped_spill_file_errors_and_never_panics() {
-    let (repo, files) = one_spilled_segment_per_table("swap", RunId(0), DAMAGED_ROWS);
-    let (donor, donor_files) = one_spilled_segment_per_table("swap-donor", RunId(1), 100);
+    let parent = spill_parent("swap");
+    let (repo, files) = one_spilled_segment_per_table(&parent, RunId(0), DAMAGED_ROWS);
+    let donor_parent = spill_parent("swap-donor");
+    let (donor, donor_files) = one_spilled_segment_per_table(&donor_parent, RunId(1), 100);
     for (from, to) in donor_files.iter().zip(&files) {
         std::fs::copy(from, to).unwrap();
     }
@@ -604,7 +619,8 @@ fn swapped_spill_file_errors_and_never_panics() {
 #[test]
 fn intact_spill_file_pages_back_exactly() {
     let n = DAMAGED_ROWS;
-    let (repo, _) = one_spilled_segment_per_table("intact", RunId(0), n);
+    let parent = spill_parent("intact");
+    let (repo, _) = one_spilled_segment_per_table(&parent, RunId(0), n);
     let all = RunScope::All;
     assert_eq!(repo.trajectories().scan(all).unwrap(), trajectory_rows(n));
     assert_eq!(repo.rssi().scan(all).unwrap(), rssi_rows(n));
@@ -618,7 +634,8 @@ fn intact_spill_file_pages_back_exactly() {
 #[test]
 #[should_panic(expected = "spilled segment unreadable")]
 fn any_repository_panics_on_an_unreadable_spill_file() {
-    let (repo, files) = one_spilled_segment_per_table("panic", RunId(0), DAMAGED_ROWS);
+    let parent = spill_parent("panic");
+    let (repo, files) = one_spilled_segment_per_table(&parent, RunId(0), DAMAGED_ROWS);
     std::fs::remove_file(&files[0]).unwrap();
     let rows = AnyRepository::Segmented(repo).trajectories(RunScope::All);
     unreachable!("{} rows from a missing spill file", rows.len());
@@ -676,7 +693,7 @@ fn segment_framing_matches_golden_fixture() {
         "segment framing drifted from the checked-in fixture"
     );
     assert_eq!(
-        decode_segment::<TrajectorySample>(golden).unwrap(),
+        decode_segment::<TrajectorySample>(&golden).unwrap(),
         sections
     );
 }

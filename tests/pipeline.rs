@@ -68,7 +68,8 @@ positioning.hz = 1
 
     // Storage round-trip (export/import).
     let export = vita.repository().export();
-    let restored = vita_storage::Repository::import(&export).unwrap();
+    let restored = vita_storage::Repository::new();
+    export.ingest_into(&restored).unwrap();
     assert_eq!(
         restored.counts(RunScope::All),
         vita.repository().counts(RunScope::All)

@@ -87,7 +87,7 @@ proptest! {
             .collect();
         let encoded = vita_storage::encode_runs(&[(vita_storage::RunId::DEFAULT, &samples[..])]);
         let decoded: Vec<vita_mobility::TrajectorySample> =
-            vita_storage::decode_runs(encoded).unwrap().into_iter().flat_map(|(_, rows)| rows).collect();
+            vita_storage::decode_runs(&encoded).unwrap().into_iter().flat_map(|(_, rows)| rows).collect();
         prop_assert_eq!(decoded, samples);
     }
 }
