@@ -83,6 +83,8 @@ pub mod spec;
 
 pub use json::{schema_signature, trial_schema_signature, Json, JsonError};
 pub use plan::{expand, Trial};
-pub use report::{AxisSummary, LabReport, PersistProbe, ServeProbe, TrialRecord, VariantSummary};
+pub use report::{
+    AxisSummary, LabReport, PersistMeans, PersistProbe, ServeProbe, TrialRecord, VariantSummary,
+};
 pub use run::{run_spec, CrossAxisRows, LabError};
 pub use spec::{parse_spec, Axis, Scenario, Spec, SpecError, Variant};

@@ -154,6 +154,18 @@ pub struct VariantSummary {
     pub mean_wall_ms: f64,
     /// Mean serve-probe p99, when any trial carried the probe.
     pub mean_p99_us: Option<f64>,
+    /// Means of the persistence probe over the trials that carried it;
+    /// `None` when none did.
+    pub mean_persist: Option<PersistMeans>,
+}
+
+/// A variant's persistence-probe means: serialized size, export and
+/// import wall clock.
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct PersistMeans {
+    pub bytes: f64,
+    pub export_ms: f64,
+    pub import_ms: f64,
 }
 
 /// Aggregates for every variant of one axis (marginalized over the other
@@ -193,12 +205,14 @@ impl LabReport {
             .iter()
             .map(|axis| {
                 let mut variants: Vec<VariantSummary> = Vec::new();
+                // Trials per variant that carried the persistence probe.
+                let mut persisted: Vec<usize> = Vec::new();
                 for t in &self.trials {
                     let Some((_, variant)) = t.bindings.iter().find(|(a, _)| a == axis) else {
                         continue;
                     };
-                    let entry = match variants.iter_mut().find(|v| &v.variant == variant) {
-                        Some(e) => e,
+                    let at = match variants.iter().position(|v| &v.variant == variant) {
+                        Some(at) => at,
                         None => {
                             variants.push(VariantSummary {
                                 variant: variant.clone(),
@@ -206,10 +220,13 @@ impl LabReport {
                                 rows_total: 0,
                                 mean_wall_ms: 0.0,
                                 mean_p99_us: None,
+                                mean_persist: None,
                             });
-                            variants.last_mut().expect("just pushed")
+                            persisted.push(0);
+                            variants.len() - 1
                         }
                     };
+                    let entry = &mut variants[at];
                     entry.trials += 1;
                     entry.rows_total += t.rows.total();
                     // Accumulate sums; normalized to means below.
@@ -217,13 +234,25 @@ impl LabReport {
                     if let Some(sv) = &t.serve {
                         *entry.mean_p99_us.get_or_insert(0.0) += sv.p99_us as f64;
                     }
+                    if let Some(p) = &t.persist {
+                        let m = entry.mean_persist.get_or_insert_with(PersistMeans::default);
+                        m.bytes += p.bytes as f64;
+                        m.export_ms += p.export_ms;
+                        m.import_ms += p.import_ms;
+                        persisted[at] += 1;
+                    }
                 }
-                for v in &mut variants {
+                for (v, &n) in variants.iter_mut().zip(&persisted) {
                     if v.trials > 0 {
                         v.mean_wall_ms /= v.trials as f64;
                         if let Some(p) = &mut v.mean_p99_us {
                             *p /= v.trials as f64;
                         }
+                    }
+                    if let Some(m) = &mut v.mean_persist {
+                        let n = n as f64;
+                        (m.bytes, m.export_ms, m.import_ms) =
+                            (m.bytes / n, m.export_ms / n, m.import_ms / n);
                     }
                 }
                 AxisSummary {
@@ -235,7 +264,9 @@ impl LabReport {
     }
 
     /// The analysis tables as markdown — one table per axis, plus a
-    /// per-scenario row-count table when the spec has no axes.
+    /// per-scenario row-count table when the spec has no axes. An axis
+    /// table whose trials carried the persistence probe adds its means:
+    /// export and import wall clock and serialized bytes.
     pub fn analysis_markdown(&self) -> String {
         let mut out = String::new();
         out.push_str(&format!(
@@ -245,15 +276,35 @@ impl LabReport {
             self.seed
         ));
         for summary in self.by_axis() {
+            let persist = summary.variants.iter().any(|v| v.mean_persist.is_some());
             out.push_str(&format!("#### by {}\n\n", summary.axis));
-            out.push_str("| variant | trials | rows total | mean wall ms | mean serve p99 µs |\n");
-            out.push_str("|---|---|---|---|---|\n");
+            out.push_str("| variant | trials | rows total | mean wall ms | mean serve p99 µs |");
+            if persist {
+                out.push_str(" mean export ms | mean import ms | mean bytes |");
+            }
+            out.push_str("\n|---|---|---|---|---|");
+            if persist {
+                out.push_str("---|---|---|");
+            }
+            out.push('\n');
             for v in &summary.variants {
                 let p99 = v.mean_p99_us.map_or("—".to_string(), |p| format!("{p:.0}"));
                 out.push_str(&format!(
-                    "| {} | {} | {} | {:.1} | {} |\n",
+                    "| {} | {} | {} | {:.1} | {} |",
                     v.variant, v.trials, v.rows_total, v.mean_wall_ms, p99
                 ));
+                if persist {
+                    out.push_str(&v.mean_persist.as_ref().map_or(
+                        " — | — | — |".into(),
+                        |m| {
+                            format!(
+                                " {:.1} | {:.1} | {:.0} |",
+                                m.export_ms, m.import_ms, m.bytes
+                            )
+                        },
+                    ));
+                }
+                out.push('\n');
             }
             out.push('\n');
         }
@@ -375,5 +426,50 @@ mod tests {
         let jsonl = report.analysis_jsonl();
         assert_eq!(jsonl.lines().count(), 2);
         assert!(jsonl.contains("\"variant\":\"segmented\""));
+    }
+
+    #[test]
+    fn persistence_columns_follow_the_probe() {
+        let mut probed = record(1, "single", 20);
+        probed.persist = Some(PersistProbe {
+            bytes: 3000,
+            export_ms: 3.0,
+            import_ms: 6.0,
+        });
+        let report = |trials| LabReport {
+            spec_name: "t".into(),
+            seed: 1,
+            trials,
+            axes: vec!["backend".into()],
+        };
+        let with = report(vec![record(0, "single", 10), probed]);
+        let single = &with.by_axis()[0].variants[0];
+        assert_eq!(
+            single.mean_persist,
+            Some(PersistMeans {
+                bytes: 2000.0,
+                export_ms: 2.0,
+                import_ms: 4.0,
+            })
+        );
+        let md = with.analysis_markdown();
+        assert!(
+            md.contains("| mean export ms | mean import ms | mean bytes |"),
+            "{md}"
+        );
+        assert!(
+            md.contains("| single | 2 | 105 | 12.5 | — | 2.0 | 4.0 | 2000 |"),
+            "{md}"
+        );
+
+        let bare = |i| TrialRecord {
+            persist: None,
+            ..record(i, "single", 10)
+        };
+        let without = report(vec![bare(0), bare(1)]);
+        assert_eq!(without.by_axis()[0].variants[0].mean_persist, None);
+        let md = without.analysis_markdown();
+        assert!(!md.contains("export"), "{md}");
+        assert!(md.contains("| single | 2 | 70 | 12.5 | — |\n"), "{md}");
     }
 }

@@ -44,9 +44,19 @@
 //! keeps the two shapes mutually unreadable: feeding a segment file to a
 //! table decoder (or vice versa) is [`CodecError::WrongRecordType`],
 //! never a silent misparse. [`encode_segment`] / [`decode_segment`] are
-//! the public entry points; whole-repository export decodes spilled
-//! segments back to rows through [`decode_segment`] and writes every table
-//! file with [`encode_runs`].
+//! the public entry points, and [`decode_segment`] verifies the whole
+//! file, trailing checksum included.
+//!
+//! The spill tier reads its own files one section at a time instead.
+//! When it spills a segment, the encoder also reports each section's
+//! extent: byte offset, byte length, and the word checksum (below) of
+//! exactly those bytes — the section's run/count header, rows and seqs.
+//! The segmented backend keeps these extents in memory as the file's
+//! section directory, so a query that needs one run reads that run's
+//! extent alone and verifies it against its own checksum, without
+//! reading or hashing the rest of the file; export and compaction read
+//! every section the same way. Whole-repository export then writes every
+//! table file with [`encode_runs`].
 //!
 //! The trailing checksum of a segment file is not FNV-1a but a
 //! word-at-a-time 64-bit checksum: the body is read as little-endian
@@ -453,6 +463,28 @@ pub struct SegmentSection<T> {
 /// # Panics
 /// If any section's `rows` and `seqs` lengths differ.
 pub fn encode_segment<T: WireRecord>(sections: &[(RunId, &[T], &[u64])]) -> Bytes {
+    encode_segment_extents(sections).0
+}
+
+/// Where one run section of a segment file lies: the byte range of its
+/// header, rows and seqs, and the [`word_checksum`] of exactly those
+/// bytes. The spill tier keeps one per section in memory — the file's
+/// section directory — so a page-in reads and verifies a section alone.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct SectionExtent {
+    pub(crate) offset: u64,
+    pub(crate) len: u64,
+    pub(crate) checksum: u64,
+}
+
+/// [`encode_segment`], plus one [`SectionExtent`] per section written, in
+/// file order — taken from the bytes the encoder wrote.
+///
+/// # Panics
+/// If any section's `rows` and `seqs` lengths differ.
+pub(crate) fn encode_segment_extents<T: WireRecord>(
+    sections: &[(RunId, &[T], &[u64])],
+) -> (Bytes, Vec<SectionExtent>) {
     type Parts<'a, T> = Vec<(&'a [T], &'a [u64])>;
     let mut by_run: std::collections::BTreeMap<u32, Parts<'_, T>> =
         std::collections::BTreeMap::new();
@@ -467,7 +499,9 @@ pub fn encode_segment<T: WireRecord>(sections: &[(RunId, &[T], &[u64])]) -> Byte
         .flat_map(|parts| parts.iter().map(|(rows, _)| rows.len()))
         .sum();
     let mut buf = v2_header(T::TAG | SEQ_FLAG, by_run.len(), rows_total * (T::ROW + 8));
+    let mut extents = Vec::with_capacity(by_run.len());
     for (run, parts) in by_run {
+        let start = buf.len();
         buf.put_u32_le(run);
         buf.put_u64_le(parts.iter().map(|(rows, _)| rows.len() as u64).sum());
         for (rows, _) in &parts {
@@ -480,8 +514,57 @@ pub fn encode_segment<T: WireRecord>(sections: &[(RunId, &[T], &[u64])]) -> Byte
                 buf.put_u64_le(s);
             }
         }
+        extents.push(SectionExtent {
+            offset: start as u64,
+            len: (buf.len() - start) as u64,
+            checksum: word_checksum(&buf.as_ref()[start..]),
+        });
     }
-    v2_finish(T::TAG | SEQ_FLAG, buf)
+    (v2_finish(T::TAG | SEQ_FLAG, buf), extents)
+}
+
+/// Byte length of a segment file's fixed header, which
+/// [`segment_section_count`] reads.
+pub(crate) const SEGMENT_HEADER: usize = V2_HEADER;
+
+/// The section count a segment file of `T` declares, from its first
+/// [`SEGMENT_HEADER`] bytes (magic, version and segment tag checked).
+pub(crate) fn segment_section_count<T: WireRecord>(header: &[u8]) -> Result<u32, CodecError> {
+    let version = check_magic(header)?;
+    if version != VERSION {
+        return Err(CodecError::UnsupportedVersion(version));
+    }
+    check_tag(header, T::TAG | SEQ_FLAG)?;
+    if header.len() < V2_HEADER {
+        return Err(CodecError::Truncated);
+    }
+    Ok(u32_at(header, 6))
+}
+
+/// The run and row count a segment section's leading bytes declare;
+/// `None` when fewer than a section header's bytes are given.
+pub(crate) fn section_header(section: &[u8]) -> Option<(RunId, u64)> {
+    (section.len() >= SECTION_HEADER).then(|| (RunId(u32_at(section, 0)), u64_at(section, 4)))
+}
+
+/// Decode one segment section from exactly the bytes its
+/// [`SectionExtent`] covers: the bytes must match the extent's checksum
+/// first, then hold the header, its rows and its seqs, and nothing more.
+pub(crate) fn decode_segment_section<T: WireRecord>(
+    section: &[u8],
+    checksum: u64,
+) -> Result<SegmentSection<T>, CodecError> {
+    if word_checksum(section) != checksum {
+        return Err(CodecError::ChecksumMismatch);
+    }
+    let (run, count) = section_header(section).ok_or(CodecError::Truncated)?;
+    let mut buf = &section[SECTION_HEADER..];
+    let rows = read_rows(&mut buf, count)?;
+    let seqs = read_seqs(&mut buf, count)?;
+    if !buf.is_empty() {
+        return Err(CodecError::TrailingBytes);
+    }
+    Ok(SegmentSection { run, rows, seqs })
 }
 
 /// Decode a segment file produced by [`encode_segment`]. Fails with

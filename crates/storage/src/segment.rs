@@ -56,11 +56,12 @@
 //! `Resident` (decoded rows in memory, plus the indexes queries built) or
 //! `Spilled` (a self-describing segment file on disk, written atomically
 //! via temp file + rename). Every segment — spilled or not — keeps per-section
-//! **meta** (run, row count, time bounds, floor set) plus its seq range,
+//! **meta** (run, row count, time bounds, seq range, floor set),
 //! so query planning (run/time/floor pruning) never touches disk; only a
-//! query that actually needs a spilled section's rows pages the segment
-//! back in, through a per-table capacity-bounded clock cache of decoded
-//! segments. `memory_budget_rows` bounds decoded sealed rows held by the
+//! query that actually needs a spilled section's rows pages that section
+//! back in, through a per-table capacity-bounded clock cache whose
+//! entries are segments holding the sections read so far.
+//! `memory_budget_rows` bounds decoded sealed rows held by the
 //! repository (segment lists + caches together;
 //! [`SpillConfig::memory_budget_rows`] says by how much and when it can be
 //! exceeded). Eviction goes coldest-first by last-pinned tick, and a
@@ -68,10 +69,13 @@
 //! being published resident. A writer whose append leaves the
 //! [`SegmentedRepository::spill_pending_rows`] high-water mark reached
 //! stalls and pays the eviction IO itself — explicit backpressure instead
-//! of unbounded growth. Readers pin snapshots exactly as above; page-in
-//! decodes a segment file (checksum-verified, then cross-checked against
-//! the segment's meta) back into sections whose indexes again start
-//! unbuilt, so answers stay bit-identical to the all-resident backend.
+//! of unbounded growth. Readers pin snapshots exactly as above. A spilled
+//! segment keeps its file's section directory (each section's offset,
+//! length and checksum), so page-in reads and decodes only the sections
+//! the query plan selected — each one checksum-verified, then
+//! cross-checked against the segment's meta — into sections whose
+//! indexes again start unbuilt, so answers stay bit-identical to the
+//! all-resident backend.
 
 use std::collections::{BTreeMap, HashMap};
 use std::ffi::OsString;
@@ -89,7 +93,10 @@ use vita_mobility::TrajectorySample;
 use vita_positioning::{Fix, ProximityRecord};
 use vita_rssi::RssiMeasurement;
 
-use crate::codec::{decode_segment, encode_runs, encode_segment};
+use crate::codec::{
+    decode_segment_section, encode_runs, encode_segment_extents, section_header,
+    segment_section_count, SectionExtent, SEGMENT_HEADER,
+};
 use crate::row::SegmentRow;
 use crate::{
     borrow_sections, CodecError, ProductBatch, ProductSink, RepositoryExport, RunScope, TableCounts,
@@ -331,14 +338,18 @@ pub struct SpillConfig {
     /// Between calls it can exceed the budget by less than
     /// [`SegmentConfig::seal_rows`] before an append stalls to evict (see
     /// [`SegmentedRepository::spill_pending_rows`]), and each table's
-    /// page-in cache keeps its newest entry even past the room the budget
-    /// leaves, so the gauge can also exceed it by the segments queries
-    /// just paged in until the next stall or `seal_now` evicts them. Rows
+    /// page-in cache keeps the entry a query just grew even past the room
+    /// the budget leaves, so the gauge can also exceed it by the sections
+    /// queries just paged in until the next stall or `seal_now` evicts
+    /// them. Rows
     /// that only in-flight queries hold — a pinned snapshot's
     /// since-spilled segments, a page-in evicted mid-query — are outside
     /// the gauge and are freed when those queries finish.
     pub memory_budget_rows: usize,
-    /// Per-table capacity (in segments) of the page-in clock cache.
+    /// Per-table capacity (in segments) of the page-in clock cache. An
+    /// entry is one spilled segment holding the sections queries have
+    /// read from its file so far, and counts against the budget by those
+    /// sections' rows only.
     pub cache_segments: usize,
 }
 
@@ -479,6 +490,8 @@ struct SectionMeta {
     rows: usize,
     min_t: Timestamp,
     max_t: Timestamp,
+    /// `(min, max)` seq over the section's rows; `(0, 0)` when empty.
+    seqs: (Seq, Seq),
     /// Floors of point-located rows, sorted. `None` on unsealed heads,
     /// which are never pruned, so ingest skips the scan.
     floors: Option<Vec<FloorId>>,
@@ -509,8 +522,17 @@ impl SectionMeta {
             rows: sec.rows.len(),
             min_t: sec.min_t,
             max_t: sec.max_t,
+            seqs: seq_bounds(&sec.seqs),
             floors,
         }
+    }
+}
+
+/// `(min, max)` of `seqs`; `(0, 0)` when empty.
+fn seq_bounds(seqs: &[Seq]) -> (Seq, Seq) {
+    match (seqs.iter().min(), seqs.iter().max()) {
+        (Some(&lo), Some(&hi)) => (lo, hi),
+        _ => (0, 0),
     }
 }
 
@@ -518,8 +540,13 @@ impl SectionMeta {
 enum SegmentState<R> {
     /// Decoded rows (and the indexes queries built) in memory.
     Resident(Vec<Section<R>>),
-    /// Rows in a segment file; meta stays on the [`Segment`].
-    Spilled { path: PathBuf },
+    /// Rows in a segment file; meta stays on the [`Segment`], and
+    /// `extents` is the file's section directory, one entry per section
+    /// in section order, so each section can be read and verified alone.
+    Spilled {
+        path: PathBuf,
+        extents: Vec<SectionExtent>,
+    },
 }
 
 /// An immutable group of per-run sections. Unsealed segments hold exactly
@@ -535,8 +562,6 @@ struct Segment<R> {
     /// One entry per section, in section order (ascending run for sealed
     /// segments — the segment-file section order).
     meta: Vec<SectionMeta>,
-    /// `(min, max)` seq over all rows; `(0, 0)` for an empty segment.
-    seq_range: (Seq, Seq),
     /// Tick of the last query that touched this segment; the spiller
     /// evicts coldest-first. Monotone ticks come from the repository's
     /// touch counter.
@@ -551,90 +576,101 @@ impl<R: SegmentRow> Segment<R> {
             .iter()
             .map(|s| SectionMeta::of(s, sealed))
             .collect();
-        let seqs = sections.iter().flat_map(|s| s.seqs.iter().copied());
-        #[expect(
-            clippy::expect_used,
-            reason = "invariant: a min implies the seq iterator is non-empty, so max exists"
-        )]
-        let seq_range = seqs
-            .clone()
-            .min()
-            .map_or((0, 0), |min| (min, seqs.max().expect("nonempty")));
         Segment {
             id: NEXT_SEGMENT_ID.fetch_add(1, Ordering::Relaxed),
             len,
             sealed,
             meta,
-            seq_range,
             last_touch: AtomicU64::new(0),
             state: SegmentState::Resident(sections),
         }
     }
 
     /// The spilled twin published in place of a resident segment: same
-    /// id, meta, and heat — only the rows moved to disk.
-    fn spilled_twin(&self, path: PathBuf) -> Self {
+    /// id, meta, and heat — only the rows moved to disk, at the `extents`
+    /// the encoder reported for `path`'s file.
+    fn spilled_twin(&self, path: PathBuf, extents: Vec<SectionExtent>) -> Self {
         debug_assert!(self.sealed, "only sealed segments spill");
+        debug_assert_eq!(extents.len(), self.meta.len(), "one extent per section");
         Segment {
             id: self.id,
             len: self.len,
             sealed: true,
             meta: self.meta.clone(),
-            seq_range: self.seq_range,
             last_touch: AtomicU64::new(self.last_touch.load(Ordering::Relaxed)),
-            state: SegmentState::Spilled { path },
+            state: SegmentState::Spilled { path, extents },
         }
     }
 
-    /// Read this spilled segment's rows back from its file: read,
-    /// checksum-verified, rebuilt into `(t, seq)`-sorted sections (indexes
-    /// unbuilt) and checked against the meta the segment was published
-    /// with. A file that decodes cleanly can still be the wrong one, and
-    /// answering from it would return rows the query plan never selected.
-    /// The one reader of spill files: page-in runs it on a cache miss, and
-    /// export on every spilled segment, without touching the cache.
+    /// Read sections `wanted` (section indexes) of this spilled segment
+    /// back from its file, and nothing else: the section directory says
+    /// where each one lies and what its bytes hash to, so the file is
+    /// opened once and each wanted extent is read by position. A file
+    /// that decodes cleanly can still
+    /// be the wrong one, and answering from it would return rows the query
+    /// plan never selected, so each section is checked, in this order:
+    /// its header against the meta (`WrongSegment`: run, row count), its
+    /// length (`Truncated`), its bytes against the directory checksum
+    /// (`ChecksumMismatch`), then, decoded, its time bounds and seqs
+    /// against the meta (`WrongSegment`). Sections come back
+    /// `(t, seq)`-sorted with their indexes unbuilt. The one reader of
+    /// spill files: page-in asks for the sections a plan selected,
+    /// compaction and export for every section.
     #[expect(
-        clippy::disallowed_methods,
+        clippy::disallowed_types,
         reason = "R2: spilled segment files are read back here"
     )]
-    fn read_back(&self) -> Result<SegmentData<R>, SpillError> {
+    fn read_sections(&self, wanted: &[usize]) -> Result<Vec<Section<R>>, SpillError> {
+        use std::io::{Read, Seek, SeekFrom};
         #[expect(
             clippy::expect_used,
-            reason = "invariant: read_back is only called on segments in the Spilled state"
+            reason = "invariant: read_sections is only called on segments in the Spilled state"
         )]
-        let path = self.spill_path().expect("read_back on a resident segment");
-        let sections: Vec<Section<R>> = decode_segment::<R>(&std::fs::read(path)?)?
-            .into_iter()
-            .map(|s| Section::from_sorted(s.run, s.rows, s.seqs))
-            .collect();
-        let wrong = |what| {
-            Err(SpillError::WrongSegment {
-                segment: self.id,
-                what,
-            })
+        let (path, extents) = self
+            .spill_file()
+            .expect("read_sections on a resident segment");
+        let wrong = |what| SpillError::WrongSegment {
+            segment: self.id,
+            what,
         };
-        if sections.len() != self.meta.len() {
-            return wrong("section count");
+        let mut file = std::fs::File::open(path)?;
+        // Up to `len` bytes from `offset`: fewer only where the file ends.
+        let mut read_at = |offset: u64, len: u64| -> std::io::Result<Vec<u8>> {
+            file.seek(SeekFrom::Start(offset))?;
+            let mut buf = Vec::with_capacity(len as usize);
+            (&mut file).take(len).read_to_end(&mut buf)?;
+            Ok(buf)
+        };
+        let header = read_at(0, SEGMENT_HEADER as u64)?;
+        if segment_section_count::<R>(&header)? as usize != self.meta.len() {
+            return Err(wrong("section count"));
         }
-        let mut seq_range: Option<(Seq, Seq)> = None;
-        for (sec, meta) in sections.iter().zip(&self.meta) {
-            if sec.run != meta.run {
-                return wrong("run");
+        let mut out = Vec::with_capacity(wanted.len());
+        for &i in wanted {
+            let (ext, meta) = (&extents[i], &self.meta[i]);
+            let section = read_at(ext.offset, ext.len)?;
+            if let Some((run, rows)) = section_header(&section) {
+                if run != meta.run {
+                    return Err(wrong("run"));
+                }
+                if rows != meta.rows as u64 {
+                    return Err(wrong("row count"));
+                }
             }
-            if sec.rows.len() != meta.rows {
-                return wrong("row count");
+            if (section.len() as u64) < ext.len {
+                return Err(CodecError::Truncated.into());
             }
+            let decoded = decode_segment_section::<R>(&section, ext.checksum)?;
+            let sec = Section::from_sorted(decoded.run, decoded.rows, decoded.seqs);
             if (sec.min_t, sec.max_t) != (meta.min_t, meta.max_t) {
-                return wrong("time bounds");
+                return Err(wrong("time bounds"));
             }
-            for &s in &sec.seqs {
-                seq_range = Some(seq_range.map_or((s, s), |(lo, hi)| (lo.min(s), hi.max(s))));
+            if seq_bounds(&sec.seqs) != meta.seqs {
+                return Err(wrong("seq range"));
             }
+            out.push(sec);
         }
-        if seq_range.unwrap_or((0, 0)) != self.seq_range {
-            return wrong("seq range");
-        }
-        Ok(SegmentData { sections })
+        Ok(out)
     }
 
     fn resident_sections(&self) -> Option<&[Section<R>]> {
@@ -648,21 +684,13 @@ impl<R: SegmentRow> Segment<R> {
         matches!(self.state, SegmentState::Spilled { .. })
     }
 
-    fn spill_path(&self) -> Option<&Path> {
+    /// The spill file and its section directory; `None` when resident.
+    fn spill_file(&self) -> Option<(&Path, &[SectionExtent])> {
         match &self.state {
-            SegmentState::Spilled { path } => Some(path),
+            SegmentState::Spilled { path, extents } => Some((path, extents)),
             SegmentState::Resident(_) => None,
         }
     }
-}
-
-/// The decoded rows of one spilled segment — what the page-in cache
-/// holds. Sections are rebuilt deterministically from the file
-/// (`(t, seq)` order is stored, indexes are a function of it and built
-/// on first use), so a paged-in segment answers bit-identically to its
-/// resident original.
-struct SegmentData<R> {
-    sections: Vec<Section<R>>,
 }
 
 /// The frozen state a reader pins: the table's current segment list.
@@ -1124,24 +1152,29 @@ struct SpillShared {
     touch: AtomicU64,
     spills: AtomicU64,
     page_ins: AtomicU64,
+    paged_in_rows: AtomicU64,
     writer_stalls: AtomicU64,
     /// Serializes budget enforcement (stalled writers and `seal_now`),
     /// so concurrent enforcers never double-spill.
     enforce_lock: Mutex<()>,
 }
 
-/// A page-in cache entry; `data` is shared with in-flight queries, so
-/// eviction never invalidates a reader.
+/// A page-in cache entry: one spilled segment, holding the sections
+/// queries have read from its file so far. Sections are shared with
+/// in-flight queries, so eviction never invalidates a reader.
 struct CacheEntry<R> {
     id: u64,
+    /// Rows of the sections held.
     rows: usize,
     referenced: bool,
-    data: Arc<SegmentData<R>>,
+    /// One slot per section of the segment, filled as queries read it.
+    sections: Vec<Option<Arc<Section<R>>>>,
 }
 
-/// One table's cache of decoded spilled segments: capacity-bounded,
-/// second-chance (clock) replacement. Bounded both in entries
-/// (`cache_segments`) and in rows (the room the memory budget leaves).
+/// One table's cache of sections read back from spilled segments,
+/// grouped into one entry per segment: capacity-bounded, second-chance
+/// (clock) replacement. Bounded both in entries (`cache_segments`) and in
+/// rows (the room the memory budget leaves).
 struct ClockCache<R> {
     entries: Vec<CacheEntry<R>>,
     hand: usize,
@@ -1161,33 +1194,51 @@ impl<R> ClockCache<R> {
         self.entries.iter().map(|e| e.rows).sum()
     }
 
-    fn get(&mut self, id: u64) -> Option<Arc<SegmentData<R>>> {
-        let e = self.entries.iter_mut().find(|e| e.id == id)?;
-        e.referenced = true;
-        Some(Arc::clone(&e.data))
+    /// Segment `id`'s sections `wanted`, each `None` unless cached.
+    fn get(&mut self, id: u64, wanted: &[usize]) -> Vec<Option<Arc<Section<R>>>> {
+        match self.entries.iter_mut().find(|e| e.id == id) {
+            Some(e) => {
+                e.referenced = true;
+                wanted.iter().map(|&i| e.sections[i].clone()).collect()
+            }
+            None => vec![None; wanted.len()],
+        }
     }
 
-    /// Insert (or refresh) `id`, then evict second-chance victims while
-    /// over either cap. The entry just inserted is exempt: the cache
-    /// must hold at least the segment the current query is reading.
+    /// Add sections just read from segment `id` (of `section_count`
+    /// sections) to its entry, creating the entry if needed, then evict
+    /// second-chance victims while over either cap — on every growth,
+    /// not only when an entry is new. The entry just grown is exempt: the
+    /// cache must hold at least the sections the current query reads.
     fn insert(
         &mut self,
         id: u64,
-        rows: usize,
-        data: Arc<SegmentData<R>>,
+        section_count: usize,
+        read: impl IntoIterator<Item = (usize, Arc<Section<R>>)>,
         cap_segments: usize,
         cap_rows: usize,
     ) {
-        if let Some(e) = self.entries.iter_mut().find(|e| e.id == id) {
-            e.referenced = true;
-            return;
+        let at = match self.entries.iter().position(|e| e.id == id) {
+            Some(at) => at,
+            None => {
+                self.entries.push(CacheEntry {
+                    id,
+                    rows: 0,
+                    referenced: true,
+                    sections: (0..section_count).map(|_| None).collect(),
+                });
+                self.entries.len() - 1
+            }
+        };
+        let e = &mut self.entries[at];
+        e.referenced = true;
+        for (i, sec) in read {
+            // A concurrent query may have read the same section first.
+            if e.sections[i].is_none() {
+                e.rows += sec.rows.len();
+                e.sections[i] = Some(sec);
+            }
         }
-        self.entries.push(CacheEntry {
-            id,
-            rows,
-            referenced: true,
-            data,
-        });
         while self.entries.len() > 1
             && (self.entries.len() > cap_segments.max(1) || self.rows() > cap_rows)
         {
@@ -1239,13 +1290,15 @@ struct TableInventory {
 
 /// Encode a sealed segment's sections into its self-describing file
 /// bytes (rows and seqs travel together — see the codec's segment
-/// framing).
-fn encode_sections<R: SegmentRow>(sections: &[Section<R>]) -> Bytes {
+/// framing), with the section directory the spilled twin keeps. Sealed
+/// sections are non-empty with ascending unique runs, so the encoder
+/// writes them as given: extent `i` is section `i`.
+fn encode_sections<R: SegmentRow>(sections: &[Section<R>]) -> (Bytes, Vec<SectionExtent>) {
     let parts: Vec<(RunId, &[R], &[Seq])> = sections
         .iter()
         .map(|s| (s.run, s.rows.as_slice(), s.seqs.as_slice()))
         .collect();
-    encode_segment(&parts)
+    encode_segment_extents(&parts)
 }
 
 /// Under forced compaction with a spill cap: the first run of ≥ 2
@@ -1410,14 +1463,14 @@ impl<R: SegmentRow> SegTable<R> {
             let sections = replacement
                 .resident_sections()
                 .expect("fresh replacement is resident");
-            let bytes = encode_sections(sections);
+            let (bytes, extents) = encode_sections(sections);
             let path = sh.cfg.dir.join(format!("seg-{}.vita", replacement.id));
             #[expect(
                 clippy::expect_used,
                 reason = "operational: a failed spill write leaves the writer no correct continuation"
             )]
             write_atomic(&path, &bytes).expect("segment spill failed");
-            (replacement.spilled_twin(path.clone()), Some(path))
+            (replacement.spilled_twin(path.clone(), extents), Some(path))
         } else {
             (replacement, None)
         };
@@ -1558,14 +1611,15 @@ impl<R: SegmentRow> SegTable<R> {
         group: &[Arc<Segment<R>>],
         global_decoded: usize,
     ) -> Result<bool, SpillError> {
-        let mut holders: Vec<Arc<SegmentData<R>>> = Vec::new();
+        let mut holders: Vec<Vec<Arc<Section<R>>>> = Vec::new();
         for seg in group {
             if seg.is_spilled() {
                 // Compaction page-ins bypass the row cap: the merge needs
-                // all inputs at once, and the output replaces them
-                // immediately; the enforcement pass right after the round
-                // trims any overshoot.
-                holders.push(self.page_in(seg, usize::MAX)?);
+                // every section of all inputs at once, and the output
+                // replaces them immediately; the enforcement pass right
+                // after the round trims any overshoot.
+                let every: Vec<usize> = (0..seg.meta.len()).collect();
+                holders.push(self.page_in(seg, &every, usize::MAX)?);
             }
         }
         let mut holder_it = holders.iter();
@@ -1581,8 +1635,8 @@ impl<R: SegmentRow> SegTable<R> {
                     holder_it
                         .next()
                         .expect("one holder per spilled input")
-                        .sections
-                        .iter(),
+                        .iter()
+                        .map(|s| &**s),
                 ),
             }
         }
@@ -1593,7 +1647,7 @@ impl<R: SegmentRow> SegTable<R> {
 
     /// Answer one query against a pinned snapshot: plan from per-section
     /// meta (`keep` plus run scoping — no IO), page in the spilled
-    /// segments the plan touches, and hand every selected section to
+    /// sections the plan selects, and hand every selected section to
     /// `f`. `cache_rows_cap` bounds this table's cache after the
     /// page-ins — the caller computes the room the global budget leaves.
     fn query<T>(
@@ -1606,7 +1660,7 @@ impl<R: SegmentRow> SegTable<R> {
         let snap = self.cell.pin();
         let run = scope.run();
         let mut picks: Vec<(usize, Vec<usize>, Option<usize>)> = Vec::new();
-        let mut holders: Vec<Arc<SegmentData<R>>> = Vec::new();
+        let mut holders: Vec<Vec<Arc<Section<R>>>> = Vec::new();
         for (si, seg) in snap.segments.iter().enumerate() {
             let wanted: Vec<usize> = seg
                 .meta
@@ -1625,7 +1679,7 @@ impl<R: SegmentRow> SegTable<R> {
                 );
             }
             let holder = if seg.is_spilled() {
-                holders.push(self.page_in(seg, cache_rows_cap)?);
+                holders.push(self.page_in(seg, &wanted, cache_rows_cap)?);
                 Some(holders.len() - 1)
             } else {
                 None
@@ -1634,31 +1688,35 @@ impl<R: SegmentRow> SegTable<R> {
         }
         let mut sections: Vec<&Section<R>> = Vec::new();
         for (si, wanted, holder) in &picks {
-            let secs: &[Section<R>] = match holder {
-                Some(h) => &holders[*h].sections,
-                #[expect(
-                    clippy::expect_used,
-                    reason = "invariant: segments outside the spill set are resident by definition"
-                )]
-                None => snap.segments[*si]
-                    .resident_sections()
-                    .expect("unspilled segments are resident"),
-            };
-            sections.extend(wanted.iter().map(|&w| &secs[w]));
+            match holder {
+                // Paged-in sections come back in `wanted` order.
+                Some(h) => sections.extend(holders[*h].iter().map(|s| &**s)),
+                None => {
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "invariant: segments outside the spill set are resident by definition"
+                    )]
+                    let secs = snap.segments[*si]
+                        .resident_sections()
+                        .expect("unspilled segments are resident");
+                    sections.extend(wanted.iter().map(|&w| &secs[w]));
+                }
+            }
         }
         Ok(f(&sections))
     }
 
-    /// The decoded rows of a spilled segment: from the cache, or — on a
-    /// miss — [`Segment::read_back`] from its file, then cached. The stored
-    /// `(t, seq)` order, and the indexes later queries derive from it,
-    /// make the paged-in copy answer bit-identically to the resident
-    /// original.
+    /// Sections `wanted` of a spilled segment, in `wanted` order: those
+    /// its cache entry holds, plus one [`Segment::read_sections`] of the
+    /// rest, which then join the entry. The stored `(t, seq)` order, and
+    /// the indexes later queries derive from it, make a paged-in section
+    /// answer bit-identically to its resident original.
     fn page_in(
         &self,
         seg: &Segment<R>,
+        wanted: &[usize],
         cache_rows_cap: usize,
-    ) -> Result<Arc<SegmentData<R>>, SpillError> {
+    ) -> Result<Vec<Arc<Section<R>>>, SpillError> {
         #[expect(
             clippy::expect_used,
             reason = "invariant: a Spilled state can only be produced under a spill config"
@@ -1667,37 +1725,54 @@ impl<R: SegmentRow> SegTable<R> {
             .spill
             .as_ref()
             .expect("spilled segment without spill config");
-        if let Some(data) = self.cache.lock().get(seg.id) {
-            return Ok(data);
+        let mut got = self.cache.lock().get(seg.id, wanted);
+        let missing: Vec<usize> = wanted
+            .iter()
+            .zip(&got)
+            .filter(|(_, held)| held.is_none())
+            .map(|(&i, _)| i)
+            .collect();
+        if !missing.is_empty() {
+            let read: Vec<Arc<Section<R>>> = seg
+                .read_sections(&missing)?
+                .into_iter()
+                .map(Arc::new)
+                .collect();
+            let rows: usize = read.iter().map(|s| s.rows.len()).sum();
+            sh.page_ins.fetch_add(1, Ordering::Relaxed);
+            sh.paged_in_rows.fetch_add(rows as u64, Ordering::Relaxed);
+            self.cache.lock().insert(
+                seg.id,
+                seg.meta.len(),
+                missing.iter().copied().zip(read.iter().cloned()),
+                sh.cfg.cache_segments,
+                cache_rows_cap,
+            );
+            let mut read = read.into_iter();
+            for slot in got.iter_mut().filter(|held| held.is_none()) {
+                *slot = read.next();
+            }
         }
-        let data = Arc::new(seg.read_back()?);
-        sh.page_ins.fetch_add(1, Ordering::Relaxed);
-        self.cache.lock().insert(
-            seg.id,
-            seg.len,
-            Arc::clone(&data),
-            sh.cfg.cache_segments,
-            cache_rows_cap,
-        );
-        Ok(data)
+        // Every slot is filled: one section was read per missing one.
+        Ok(got.into_iter().flatten().collect())
     }
 
     /// This table's wire-format bytes: a typed scan of one pinned
-    /// snapshot. Spilled segments are read back from their files without
-    /// going through [`Self::query`] or [`Self::page_in`]: neither the
-    /// heat stamps nor the page-in cache move, so a save never reorders
-    /// eviction — and the segment history after it does not depend on
-    /// when it ran. Each run's sections are scanned in arrival (seq)
-    /// order, the reference table's order, then encoded.
+    /// snapshot. Every section of a spilled segment is read back from its
+    /// file without going through [`Self::query`] or [`Self::page_in`]:
+    /// neither the heat stamps nor the page-in cache move, so a save
+    /// never reorders eviction — and the segment history after it does
+    /// not depend on when it ran. Each run's sections are scanned in
+    /// arrival (seq) order, the reference table's order, then encoded.
     fn export(&self) -> Result<Bytes, SpillError> {
         let snap = self.pin();
         // The read-back rows are freed before encoding starts.
         let runs: Vec<(RunId, Vec<R>)> = {
-            let read: Vec<SegmentData<R>> = snap
+            let read: Vec<Vec<Section<R>>> = snap
                 .segments
                 .iter()
                 .filter(|seg| seg.is_spilled())
-                .map(|seg| seg.read_back())
+                .map(|seg| seg.read_sections(&(0..seg.meta.len()).collect::<Vec<_>>()))
                 .collect::<Result<_, _>>()?;
             let mut read_it = read.iter();
             let mut per_run: BTreeMap<RunId, Vec<&Section<R>>> = BTreeMap::new();
@@ -1708,7 +1783,7 @@ impl<R: SegmentRow> SegTable<R> {
                 )]
                 let sections = match seg.resident_sections() {
                     Some(sections) => sections,
-                    None => &read_it.next().expect("one read-back per spilled").sections,
+                    None => read_it.next().expect("one read-back per spilled"),
                 };
                 for sec in sections {
                     per_run.entry(sec.run).or_default().push(sec);
@@ -1746,10 +1821,11 @@ impl<R: SegmentRow> SegTable<R> {
             clippy::expect_used,
             reason = "invariant: the eviction victim was chosen from the resident set"
         )]
-        let bytes = encode_sections(seg.resident_sections().expect("victim is resident"));
+        let (bytes, extents) =
+            encode_sections(seg.resident_sections().expect("victim is resident"));
         let path = sh.cfg.dir.join(format!("seg-{}.vita", seg.id));
         write_atomic(&path, &bytes)?;
-        let twin = seg.spilled_twin(path.clone());
+        let twin = seg.spilled_twin(path.clone(), extents);
         if self.try_replace(std::slice::from_ref(seg), twin) {
             sh.spills.fetch_add(1, Ordering::Relaxed);
             Ok(seg.len)
@@ -1872,8 +1948,13 @@ pub struct SegmentStats {
     pub head_rows: usize,
     /// Segment files written since the repository started.
     pub spills: u64,
-    /// Spilled segments decoded back from disk since start.
+    /// Spill files read by page-ins since start: one per query (or
+    /// compaction) that found sections of a spilled segment missing from
+    /// its cache entry, however many sections it read.
     pub page_ins: u64,
+    /// Rows decoded from spill files by those page-ins since start — the
+    /// rows of the sections they read, not of whole segments.
+    pub paged_in_rows: u64,
     /// Appends that stalled on the spill backlog high-water mark.
     pub writer_stalls: u64,
 }
@@ -1919,9 +2000,9 @@ impl SegInner {
 
     /// The page-in cache rows `table` may hold without pushing the
     /// repository over budget: the budget minus everything decoded
-    /// *outside* this table's cache. The entry a query just inserted is
-    /// exempt (the cache must hold the segment that query reads), so one
-    /// oversized segment can overshoot transiently; the next enforcement
+    /// *outside* this table's cache. The entry a query just grew is
+    /// exempt (the cache must hold the sections that query reads), so one
+    /// oversized entry can overshoot transiently; the next enforcement
     /// pass evicts it.
     fn cache_room<R: SegmentRow>(&self, table: &SegTable<R>) -> usize {
         match &self.spill {
@@ -2180,6 +2261,7 @@ impl SegmentedRepository {
                 touch: AtomicU64::new(0),
                 spills: AtomicU64::new(0),
                 page_ins: AtomicU64::new(0),
+                paged_in_rows: AtomicU64::new(0),
                 writer_stalls: AtomicU64::new(0),
                 enforce_lock: Mutex::new(()),
             })
@@ -2242,6 +2324,7 @@ impl SegmentedRepository {
         if let Some(sh) = &i.spill {
             stats.spills = sh.spills.load(Ordering::Relaxed);
             stats.page_ins = sh.page_ins.load(Ordering::Relaxed);
+            stats.paged_in_rows = sh.paged_in_rows.load(Ordering::Relaxed);
             stats.writer_stalls = sh.writer_stalls.load(Ordering::Relaxed);
         }
         for inv in [
@@ -2329,7 +2412,7 @@ impl SegmentedRepository {
 /// [`proximity`]), generic over the row type like the reference
 /// [`Table`](crate::table::Table), with its method names and ordering
 /// contracts. Each query pins the table's current snapshot, plans from
-/// per-section meta, pages in the spilled segments its plan touches
+/// per-section meta, pages in the spilled sections its plan selects
 /// (within the repository-wide memory budget), and returns a
 /// [`SpillError`] when one of their files cannot be read back — never a
 /// panic, never wrong rows. Without a spill tier no query can fail.
@@ -3149,8 +3232,8 @@ mod tests {
         let table = &spilled.inner.trajectories;
         let seg = Arc::clone(&table.pin().segments[0]);
         assert!(seg.is_spilled());
-        let data = table.page_in(&seg, usize::MAX).unwrap();
-        let sections: Vec<&Section<TrajectorySample>> = data.sections.iter().collect();
+        let data = table.page_in(&seg, &[0], usize::MAX).unwrap();
+        let sections: Vec<&Section<TrajectorySample>> = data.iter().map(|s| &**s).collect();
         assert_eq!(sections.len(), 1);
         assert_eq!(
             built(sections[0]),
@@ -3235,6 +3318,46 @@ mod tests {
         assert!(!cached.is_empty() && *page_ins > 0, "{before:?}");
         repo.export().unwrap();
         assert_eq!(heat(), before, "export moved the spill tier's heat");
+    }
+
+    /// The page-in cache holds sections, one entry per segment: a run-0
+    /// query caches run 0's section, an all-runs query then reads only
+    /// the two missing ones into the same entry, and with room in the
+    /// budget a repeated run-0 query reads nothing.
+    #[test]
+    fn page_in_cache_reads_only_missing_sections() {
+        let parent = SpillParent::new("section-cache");
+        let repo = SegmentedRepository::with_spill(
+            SegmentConfig::default(),
+            SpillConfig::new(parent.0.clone()),
+        );
+        for (run, n) in [(0, 20u64), (1, 30), (2, 40)] {
+            let rows = (0..n).map(|i| ts((i % 4) as u32, 0, i as f64, 1.0, i * 10));
+            repo.accept_run(RunId(run), ProductBatch::Trajectories(rows.collect()));
+        }
+        repo.seal_now();
+        let table = &repo.inner.trajectories;
+        assert_eq!(table.spill_coldest().unwrap(), 90);
+        let held = || -> Vec<Vec<bool>> {
+            let cache = table.cache.lock();
+            let entries = cache.entries.iter();
+            entries
+                .map(|e| e.sections.iter().map(Option::is_some).collect())
+                .collect()
+        };
+        let paged = || (repo.stats().page_ins, repo.stats().paged_in_rows);
+        let run0 = || repo.trajectories().scan(RunId(0).into()).unwrap();
+
+        let first = run0();
+        assert_eq!(first.len(), 20);
+        assert_eq!(paged(), (1, 20));
+        assert_eq!(held(), vec![vec![true, false, false]]);
+        assert_eq!(repo.trajectories().scan(RunScope::All).unwrap().len(), 90);
+        assert_eq!(paged(), (2, 90), "the all-runs query re-read run 0");
+        assert_eq!(held(), vec![vec![true, true, true]]);
+        assert_eq!(repo.stats().resident_rows, 90);
+        assert_eq!(run0(), first);
+        assert_eq!(paged(), (2, 90), "a cached section was read again");
     }
 
     /// `from_env`'s parse, driven through a lookup closure so no test

@@ -16,6 +16,9 @@
 //!   wrong rows — while metadata-only paths (`counts`, `run_ids`) keep
 //!   answering without touching disk, and [`AnyRepository`] turns the
 //!   error into its documented panic;
+//! * a run-scoped query reads only its run's section of a spilled
+//!   segment, so damage confined to one run's section fails exactly the
+//!   queries (and the export) that read that run;
 //! * the segment spill framing itself is pinned by a checked-in golden
 //!   fixture, so the canonical encoding cannot drift unnoticed.
 
@@ -639,6 +642,352 @@ fn any_repository_panics_on_an_unreadable_spill_file() {
     std::fs::remove_file(&files[0]).unwrap();
     let rows = AnyRepository::Segmented(repo).trajectories(RunScope::All);
     unreachable!("{} rows from a missing spill file", rows.len());
+}
+
+// ------------------------------------------------- section-granular page-in
+
+/// Rows per run in the three-run segments: runs differ in size, so a
+/// page-in's row count names the sections it read.
+const RUN_ROWS: [u32; 3] = [16, 24, 32];
+
+/// Fixed row widths of the four tables' segment files, in table order —
+/// trajectory/fix 37 bytes, RSSI/proximity 24 — each followed by an
+/// 8-byte seq per row.
+const ROW_WIDTH: [u64; 4] = [37, 24, 37, 24];
+
+/// Feed `sink` the three-run corpus: run `r` holds `RUN_ROWS[r]` rows of
+/// each table, shifted by run so no two runs answer alike.
+fn feed_three_runs(sink: &impl ProductSink) {
+    for (r, &n) in RUN_ROWS.iter().enumerate() {
+        let (run, shift) = (RunId(r as u32), r as u32);
+        let at = |i: u32, y: f64| {
+            Loc::point(
+                BuildingId(0),
+                FloorId(0),
+                Point::new(f64::from(i + 100 * shift), y),
+            )
+        };
+        let t = |i: u32| Timestamp(u64::from(i) * 10);
+        let rows = 0..n;
+        sink.accept_run(
+            run,
+            ProductBatch::Trajectories(
+                rows.clone()
+                    .map(|i| TrajectorySample {
+                        object: ObjectId((i + shift) % 4),
+                        loc: at(i, 1.0),
+                        t: t(i),
+                    })
+                    .collect(),
+            ),
+        );
+        sink.accept_run(
+            run,
+            ProductBatch::Rssi(
+                rows.clone()
+                    .map(|i| RssiMeasurement {
+                        object: ObjectId(i % 4),
+                        device: DeviceId(i % 3),
+                        rssi: -50.0 - f64::from(i + 100 * shift),
+                        t: t(i),
+                    })
+                    .collect(),
+            ),
+        );
+        sink.accept_run(
+            run,
+            ProductBatch::Fixes(
+                rows.clone()
+                    .map(|i| Fix {
+                        object: ObjectId(i % 4),
+                        loc: at(i, 2.0),
+                        t: t(i),
+                    })
+                    .collect(),
+            ),
+        );
+        sink.accept_run(
+            run,
+            ProductBatch::Proximity(
+                rows.map(|i| ProximityRecord {
+                    object: ObjectId(i % 4),
+                    device: DeviceId((i + shift) % 3),
+                    ts: t(i),
+                    te: Timestamp(u64::from(i) * 10 + 5),
+                })
+                .collect(),
+            ),
+        );
+    }
+}
+
+/// A repository spilling under `parent` at `budget` rows that seals only
+/// on `seal_now`, so each table's batches seal into one segment with one
+/// section per run.
+fn sectioned_repo(parent: &SpillParent, budget: usize) -> SegmentedRepository {
+    SegmentedRepository::with_spill(
+        SegmentConfig {
+            seal_rows: 1_000,
+            ..SegmentConfig::default()
+        },
+        SpillConfig {
+            dir: parent.0.clone(),
+            memory_budget_rows: budget,
+            cache_segments: 2,
+        },
+    )
+}
+
+/// The segment files under `parent`, in table order: trajectories, RSSI,
+/// fixes, proximity.
+fn spill_files(parent: &SpillParent) -> Vec<PathBuf> {
+    let mut files: Vec<PathBuf> = std::fs::read_dir(&parent.0)
+        .unwrap()
+        .flat_map(|sub| std::fs::read_dir(sub.unwrap().path()).unwrap())
+        .map(|f| f.unwrap().path())
+        .filter(|p| p.extension().is_some_and(|e| e == "vita"))
+        .collect();
+    assert_eq!(files.len(), 4, "one spill file per table: {files:?}");
+    files.sort_by_key(|p| std::fs::read(p).unwrap()[5] & 0x7f);
+    files
+}
+
+/// The three-run corpus with, per table, one sealed and spilled segment
+/// (budget 0 spills everything), and its four spill files.
+fn three_run_spilled_segment(parent: &SpillParent) -> (SegmentedRepository, Vec<PathBuf>) {
+    let repo = sectioned_repo(parent, 0);
+    feed_three_runs(&repo);
+    repo.seal_now();
+    let stats = repo.stats();
+    let total: u32 = RUN_ROWS.iter().sum();
+    assert_eq!(stats.spilled_segments, 4, "{stats:?}");
+    assert_eq!(stats.spilled_rows, 4 * total as usize, "{stats:?}");
+    (repo, spill_files(parent))
+}
+
+/// The same corpus, all-resident: a budget nothing reaches.
+fn three_run_resident(parent: &SpillParent) -> SegmentedRepository {
+    let repo = sectioned_repo(parent, usize::MAX);
+    feed_three_runs(&repo);
+    repo.seal_now();
+    assert_eq!(repo.stats().spilled_segments, 0);
+    repo
+}
+
+/// Byte range `[start, end)` of run `r`'s section in the segment file of
+/// table `table` (0 = trajectories … 3 = proximity): the fixed 10-byte
+/// header, then per section a 12-byte run/count header, its rows and
+/// their seqs.
+fn section_extent(table: usize, r: usize) -> (usize, usize) {
+    let len = |n: u32| (12 + u64::from(n) * (ROW_WIDTH[table] + 8)) as usize;
+    let start = 10 + RUN_ROWS[..r].iter().map(|&n| len(n)).sum::<usize>();
+    (start, start + len(RUN_ROWS[r]))
+}
+
+type Answer = Result<String, SpillError>;
+
+/// One query of one table handle, named; every one of them reads every
+/// run's section of the corpus above (all rows sit at floor 0 where they
+/// have a point, and every window overlaps every run's time bounds). The
+/// answer is its `Debug` text, so kNN distances compare bit for bit.
+type Query = (&'static str, fn(&SegmentedRepository, RunScope) -> Answer);
+
+fn queries() -> Vec<Query> {
+    fn show<T: std::fmt::Debug>(r: Result<T, SpillError>) -> Answer {
+        r.map(|v| format!("{v:?}"))
+    }
+    vec![
+        ("trajectories.scan", |r, s| show(r.trajectories().scan(s))),
+        ("trajectories.time_window", |r, s| {
+            show(
+                r.trajectories()
+                    .time_window(s, Timestamp(50), Timestamp(120)),
+            )
+        }),
+        ("trajectories.of_object", |r, s| {
+            show(r.trajectories().of_object(s, ObjectId(1)))
+        }),
+        ("trajectories.snapshot_at", |r, s| {
+            show(r.trajectories().snapshot_at(s, Timestamp(100)))
+        }),
+        ("trajectories.range_query", |r, s| {
+            let window = Aabb::new(Point::new(5.0, 0.0), Point::new(220.0, 2.0));
+            show(r.trajectories().range_query(s, FloorId(0), &window))
+        }),
+        ("trajectories.knn", |r, s| {
+            show(
+                r.trajectories()
+                    .knn(s, FloorId(0), Point::new(110.0, 1.5), 5),
+            )
+        }),
+        ("rssi.of_device", |r, s| {
+            show(r.rssi().of_device(s, DeviceId(1)))
+        }),
+        ("rssi.time_window", |r, s| {
+            show(r.rssi().time_window(s, Timestamp(0), Timestamp(1_000)))
+        }),
+        ("fixes.knn", |r, s| {
+            show(r.fixes().knn(s, FloorId(0), Point::new(7.0, 2.0), 3))
+        }),
+        ("fixes.snapshot_at", |r, s| {
+            show(r.fixes().snapshot_at(s, Timestamp(60)))
+        }),
+        ("proximity.overlapping", |r, s| {
+            show(r.proximity().overlapping(s, Timestamp(40), Timestamp(90)))
+        }),
+        ("proximity.of_object", |r, s| {
+            show(r.proximity().of_object(s, ObjectId(2)))
+        }),
+    ]
+}
+
+fn run_scope(r: usize) -> RunScope {
+    RunScope::from(RunId(r as u32))
+}
+
+/// A run-scoped query of every kind reads exactly its run's section of
+/// the spilled segment: one page-in, and exactly that section's rows
+/// decoded, with the answer bit-identical to the all-resident engine's.
+/// `seal_now` empties the caches (budget 0) before each query, so each
+/// one misses.
+#[test]
+fn run_scoped_query_of_each_kind_pages_in_only_its_section() {
+    let parent = spill_parent("sections");
+    let (repo, _) = three_run_spilled_segment(&parent);
+    let resident = three_run_resident(&parent);
+    for (name, query) in queries() {
+        for (r, &rows) in RUN_ROWS.iter().enumerate() {
+            repo.seal_now();
+            assert_eq!(repo.stats().resident_rows, 0, "cache not emptied");
+            let before = repo.stats();
+            let answer = query(&repo, run_scope(r));
+            let after = repo.stats();
+            assert_eq!(
+                answer.unwrap(),
+                query(&resident, run_scope(r)).unwrap(),
+                "{name} on run {r}"
+            );
+            assert_eq!(after.page_ins, before.page_ins + 1, "{name} on run {r}");
+            assert_eq!(
+                after.paged_in_rows,
+                before.paged_in_rows + u64::from(rows),
+                "{name} on run {r} decoded other runs' rows"
+            );
+        }
+    }
+}
+
+/// Damage inside run 2's section of every spill file: runs 0 and 1 still
+/// answer exactly, while every query that reads run 2 — scoped to it, or
+/// to all runs — and the export fail with a codec error.
+fn assert_only_run_2_fails(repo: &SegmentedRepository, resident: &SegmentedRepository) {
+    for (name, query) in queries() {
+        for r in [0, 1] {
+            assert_eq!(
+                query(repo, run_scope(r)).unwrap(),
+                query(resident, run_scope(r)).unwrap(),
+                "{name} on run {r}"
+            );
+        }
+        for scope in [run_scope(2), RunScope::All] {
+            let answer = query(repo, scope);
+            assert!(
+                matches!(answer, Err(SpillError::Codec(_))),
+                "{name} under {scope:?}: {answer:?}"
+            );
+        }
+    }
+    let export = repo.export();
+    assert!(
+        matches!(export, Err(SpillError::Codec(_))),
+        "export: {:?}",
+        export.map(|e| e.trajectories.len())
+    );
+}
+
+#[test]
+fn bit_flip_in_one_run_section_fails_only_that_run() {
+    let parent = spill_parent("flip-run2");
+    let (repo, files) = three_run_spilled_segment(&parent);
+    let resident = three_run_resident(&parent);
+    for (table, file) in files.iter().enumerate() {
+        let mut bytes = std::fs::read(file).unwrap();
+        let (start, end) = section_extent(table, 2);
+        // Past the section's run/count header: in its rows.
+        bytes[start + 12 + (end - start - 12) / 2] ^= 0x40;
+        std::fs::write(file, &bytes).unwrap();
+    }
+    assert_only_run_2_fails(&repo, &resident);
+}
+
+#[test]
+fn truncation_inside_one_run_section_fails_only_that_run() {
+    let parent = spill_parent("trunc-run2");
+    let (repo, files) = three_run_spilled_segment(&parent);
+    let resident = three_run_resident(&parent);
+    for (table, file) in files.iter().enumerate() {
+        let bytes = std::fs::read(file).unwrap();
+        let (start, end) = section_extent(table, 2);
+        assert_eq!(end + 8, bytes.len(), "run 2 is the last section");
+        std::fs::write(file, &bytes[..start + (end - start) / 2]).unwrap();
+    }
+    assert_only_run_2_fails(&repo, &resident);
+}
+
+/// Spill files swapped for another repository's valid three-run segment
+/// files of the same tables, with other row counts, or deleted: every
+/// scope fails with a typed error, never a panic and never rows — a
+/// `WrongSegment` where a section header disagrees with the meta, `Io`
+/// where the file is gone.
+#[test]
+fn swapped_or_missing_three_run_file_fails_every_scope() {
+    let parent = spill_parent("swap-runs");
+    let (repo, files) = three_run_spilled_segment(&parent);
+    // The donor's runs hold 40 and 60 rows where ours hold 16 and 24, so
+    // its run 0 header disagrees on the row count and our run 1 and 2
+    // extents land inside its rows.
+    let donor_parent = spill_parent("swap-runs-donor");
+    let donor = sectioned_repo(&donor_parent, 0);
+    for r in 0..3 {
+        let n = 40 + 20 * r;
+        donor.accept_run(RunId(r), ProductBatch::Trajectories(trajectory_rows(n)));
+        donor.accept_run(RunId(r), ProductBatch::Rssi(rssi_rows(n)));
+        donor.accept_run(RunId(r), ProductBatch::Fixes(fix_rows(n)));
+        donor.accept_run(RunId(r), ProductBatch::Proximity(proximity_rows(n)));
+    }
+    donor.seal_now();
+    let donor_files = spill_files(&donor_parent);
+    for (from, to) in donor_files.iter().zip(&files) {
+        std::fs::copy(from, to).unwrap();
+    }
+    drop(donor);
+    let scopes = [run_scope(0), run_scope(1), run_scope(2), RunScope::All];
+    for (name, query) in queries() {
+        for scope in scopes {
+            let answer = query(&repo, scope);
+            assert!(
+                matches!(answer, Err(SpillError::WrongSegment { .. })),
+                "{name} under {scope:?}: {answer:?}"
+            );
+        }
+    }
+    assert!(matches!(
+        repo.export(),
+        Err(SpillError::WrongSegment { .. })
+    ));
+    for file in &files {
+        std::fs::remove_file(file).unwrap();
+    }
+    for (name, query) in queries() {
+        for scope in scopes {
+            let answer = query(&repo, scope);
+            assert!(
+                matches!(answer, Err(SpillError::Io(_))),
+                "{name} under {scope:?}: {answer:?}"
+            );
+        }
+    }
+    assert!(matches!(repo.export(), Err(SpillError::Io(_))));
 }
 
 // ----------------------------------------------------------- golden fixture
